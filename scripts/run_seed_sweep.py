@@ -4,13 +4,16 @@
 Single-split results on a 195-row table move a lot from seed to seed;
 the per-model medians over ten or more splits are the stable summary
 worth quoting. Prints one table row per model with median accuracy,
-sensitivity, specificity, AUC, and F1 (percent, 2 dp), plus the
-per-seed wall time.
+sensitivity, specificity, AUC, and F1 (percent, 2 dp), the per-seed
+wall time, and one SHA-256 over the structured reports of every seed in
+order: two runs with the same arguments print the same digest exactly
+when their reports are byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import os
 import statistics
 import sys
@@ -18,7 +21,7 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
-from pdvox.experiment import MODEL_NAMES, RunConfig, run_experiment
+from pdvox.experiment import MODEL_NAMES, RunConfig, report_to_json, run_experiment
 from pdvox.metrics import format_percent
 
 
@@ -37,12 +40,14 @@ def main(argv=None) -> int:
     per_model = {name: {"accuracy": [], "sensitivity": [], "specificity": [],
                         "auc": [], "f1": []} for name in MODEL_NAMES}
     times = []
+    reports = hashlib.sha256()
     for seed in range(args.first_seed, args.first_seed + args.seeds):
         t0 = time.perf_counter()
         report = run_experiment(
             RunConfig(data=args.data, seed=seed, smote=args.smote == "on")
         )
         times.append(time.perf_counter() - t0)
+        reports.update(report_to_json(report).encode())
         for r in report.results:
             m = per_model[r.model]
             m["accuracy"].append(r.metrics.accuracy)
@@ -67,6 +72,7 @@ def main(argv=None) -> int:
               f"{format_percent(med(m['f1'])):>5}")
     print(f"per-seed compare time: median {statistics.median(times):.2f}s, "
           f"max {max(times):.2f}s")
+    print(f"structured reports sha256: {reports.hexdigest()}")
     return 0
 
 

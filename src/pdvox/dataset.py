@@ -154,15 +154,20 @@ def _parse_status(token: str, line_no: int) -> int:
     raise ValidationError(f"line {line_no}: status must be 0 or 1, saw {token!r}")
 
 
-def load_dataset(path) -> Dataset:
+def load_dataset(path, content: bytes | None = None) -> Dataset:
     """Read the canonical 24-column CSV into a validated Dataset.
 
     The header must match :data:`CANONICAL_HEADER` exactly; the first
     mismatched column name is reported. Feature cells must parse as
     finite numbers and ``status`` must be 0 or 1 (errors carry the
-    1-based file line number).
+    1-based file line number). ``content`` is the file's bytes when the
+    caller has already read them; ``path`` then only names the source in
+    messages.
     """
-    with open(path, newline="", encoding="utf-8") as handle:
+    if content is None:
+        with open(path, "rb") as handle:
+            content = handle.read()
+    with io.TextIOWrapper(io.BytesIO(content), encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)

@@ -17,7 +17,7 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 
 from . import __version__
-from .dataset import Dataset, load_dataset, stratified_split
+from .dataset import Dataset, SplitPair, load_dataset, stratified_split
 from .ensemble import (
     AdaBoostParams,
     BaggingParams,
@@ -27,7 +27,7 @@ from .ensemble import (
     fit_bagging,
     fit_gbdt,
 )
-from .errors import ConfigError, PdvoxError
+from .errors import ConfigError, PdvoxError, ValidationError
 from .metrics import (
     ConfusionMatrix,
     MetricSet,
@@ -174,11 +174,29 @@ def _fit_and_score(name: str, cfg: RunConfig, train: Dataset, test: Dataset) -> 
     )
 
 
+def _load(path) -> tuple[Dataset, str]:
+    """Parse the data file and fingerprint the very bytes that were parsed."""
+    with open(path, "rb") as handle:
+        content = handle.read()
+    return load_dataset(path, content), hashlib.sha256(content).hexdigest()
+
+
+def _require_both_classes(pair: SplitPair, test_fraction: float) -> None:
+    """Every model is fitted on both classes and scored (AUC) on both, so a
+    partition missing a class fails here, before any fit."""
+    names = ("class 0 (healthy)", "class 1 (Parkinson's)")
+    for side, part in (("training", pair.train), ("test", pair.test)):
+        missing = [name for name, count in zip(names, part.class_counts()) if count == 0]
+        if missing:
+            raise ValidationError(
+                f"the {side} partition has no {' or '.join(missing)} rows "
+                f"at test fraction {test_fraction}"
+            )
+
+
 def run_experiment(cfg: RunConfig) -> ExperimentReport:
     with _stage("load"):
-        data = load_dataset(cfg.data)
-    with open(cfg.data, "rb") as handle:
-        digest = hashlib.sha256(handle.read()).hexdigest()
+        data, digest = _load(cfg.data)
     n_neg, n_pos = data.class_counts()
     fingerprint = DatasetFingerprint(
         rows=data.n_records, positives=n_pos, negatives=n_neg, sha256=digest
@@ -188,6 +206,7 @@ def run_experiment(cfg: RunConfig) -> ExperimentReport:
             data = smote(data, SmoteConfig(k_neighbors=cfg.smote_k, seed=cfg.seed))
     with _stage("split"):
         pair = stratified_split(data, cfg.test_fraction, cfg.seed)
+        _require_both_classes(pair, cfg.test_fraction)
     train = pair.train
     if cfg.smote and not cfg.smote_before_split:
         with _stage("resample"):

@@ -15,6 +15,8 @@ original recordings file skip with instructions when it is absent.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import statistics
 import time
 
@@ -50,16 +52,31 @@ METRIC_FLOORS = {
 }
 BOOSTED = ("lightgbm-like", "xgboost-like", "adaboost")
 
+# SHA-256 over seeds 42..51 of each model's confusion counts and ROC arrays
+# on the committed synthetic file (whose own SHA-256 is SYNTHETIC_SHA256),
+# as the structured report serializes them. Any change in tree shape,
+# split choice or score moves a digest, even one the metric floors absorb.
+SYNTHETIC_SHA256 = "a9dca3c8505cbedefdb6c3788961e6b4920ffb86ad861c1a8d7340fb9c339030"
+PINNED_RESULT_DIGESTS = {
+    "lightgbm-like": "1927ba7372970dbdce19559292d5090d1096eeb9715389c3eaaa18fc4be1f250",
+    "xgboost-like": "0e777c2fef013da8becd9d8809c665498e2bf01b966f68258a8097d7426bb351",
+    "adaboost": "bacbac1426d54283dd99e07ee33de9a58f8805a6ca0286c8bb19caa83d04e077",
+    "bagging": "a45158802a9199c05cbb6af141f02f1b354e0140a2e6aac5b447c6cc09c99afc",
+    "svm": "ab53b26f1195cc8a908668daef27732f8b926e700c6fbfdbd27e4401a5079846",
+}
+
 
 @pytest.fixture(scope="module")
 def seed_sweep(data_path):
     """Run the full five-model comparison at each sweep seed.
 
-    Returns per-model accuracy/AUC lists (seed order) plus the wall time
-    of the first full comparison.
+    Returns per-model accuracy/AUC lists (seed order), per-model digests
+    of the serialized confusion counts and ROC arrays over all seeds, the
+    data file's SHA-256, and the wall time of the first full comparison.
     """
     acc = {name: [] for name in MODEL_NAMES}
     auc = {name: [] for name in MODEL_NAMES}
+    digests = {name: hashlib.sha256() for name in MODEL_NAMES}
     compare_seconds = None
     for seed in SWEEP_SEEDS:
         cfg = RunConfig(data=str(data_path), seed=seed)
@@ -71,7 +88,17 @@ def seed_sweep(data_path):
         for result in report.results:
             acc[result.model].append(result.metrics.accuracy)
             auc[result.model].append(result.metrics.auc)
-    return {"data": data_path, "acc": acc, "auc": auc, "compare_seconds": compare_seconds}
+        for entry in json.loads(report_to_json(report))["results"]:
+            pinned = [entry["confusion"], entry["roc"]]
+            digests[entry["model"]].update(json.dumps(pinned, sort_keys=True).encode())
+    return {
+        "data": data_path,
+        "data_sha256": report.fingerprint.sha256,
+        "acc": acc,
+        "auc": auc,
+        "digests": {name: h.hexdigest() for name, h in digests.items()},
+        "compare_seconds": compare_seconds,
+    }
 
 
 def _assert_bands(sweep) -> None:
@@ -105,6 +132,19 @@ def test_boosted_models_lead_svm_on_auc(seed_sweep):
     assert best_boosted >= svm_auc, (
         f"best boosted median AUC {best_boosted:.4f} < svm {svm_auc:.4f}"
     )
+
+
+def test_sweep_results_match_pinned_digests(seed_sweep):
+    """Confusion counts and ROC arrays at seeds 42..51 are bit-identical to
+    the pinned ones on the committed synthetic file."""
+    if seed_sweep["data_sha256"] != SYNTHETIC_SHA256:
+        pytest.skip(f"digests are pinned for the synthetic file, not {seed_sweep['data']}")
+    drifted = [
+        name
+        for name, digest in PINNED_RESULT_DIGESTS.items()
+        if seed_sweep["digests"][name] != digest
+    ]
+    assert not drifted, f"results drifted from the pinned digests: {drifted}"
 
 
 def test_full_comparison_fits_time_budget(seed_sweep):

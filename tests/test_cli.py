@@ -168,6 +168,18 @@ def test_bad_fraction_is_usage_error(csv_path, capsys):
     assert "test_fraction" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fraction, side", [("0.01", "test"), ("0.99", "training")])
+def test_degenerate_split_fails_before_any_fit(csv_path, capsys, monkeypatch, fraction, side):
+    def no_fit(*args):
+        raise AssertionError("a model was fitted on a degenerate split")
+
+    monkeypatch.setattr("pdvox.experiment._fit_and_score", no_fit)
+    assert main(["compare", "--data", str(csv_path), "--test-fraction", fraction]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: split: the {side} partition has no class 0 (healthy)")
+    assert f"at test fraction {fraction}" in err
+
+
 def test_bad_format_is_usage_error(csv_path):
     with pytest.raises(SystemExit) as exc:
         main(["compare", "--data", str(csv_path), "--format", "yaml"])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import builtins
 import hashlib
 import json
 import math
@@ -70,6 +71,22 @@ def test_fingerprint_matches_file(csv_path, report):
     assert fp.rows == 60 and fp.positives == 40 and fp.negatives == 20
     digest = hashlib.sha256(open(csv_path, "rb").read()).hexdigest()
     assert fp.sha256 == digest
+
+
+def test_run_reads_data_file_once(csv_path, monkeypatch):
+    digest = hashlib.sha256(csv_path.read_bytes()).hexdigest()
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        if file == str(csv_path):
+            opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    report = run_experiment(_fast_config(csv_path, model="adaboost"))
+    assert len(opened) == 1
+    assert report.fingerprint.sha256 == digest
 
 
 def test_split_summary_counts(report):

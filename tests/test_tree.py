@@ -14,6 +14,9 @@ from pdvox.errors import ConfigError, ValidationError
 from pdvox.tree import (
     BinMap,
     TreeParams,
+    _best_split,
+    _best_split_packed,
+    _histogram,
     build_bins,
     fit_cart,
     predict_many,
@@ -209,6 +212,48 @@ def test_stump_matches_naive_oracle(n, d, seed):
     if len(rivals) == 1:
         assert tree.feature[0] == stump[1]
         assert tree.threshold[0] == pytest.approx(stump[2], abs=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["gini", "newton"]),
+    st.sampled_from([1, 20]),
+    st.integers(1, 90),
+    st.booleans(),
+    st.integers(0, 3),
+)
+def test_packed_search_matches_full_grid(seed, objective, msl, n, discrete, subtractions):
+    # Node histograms as fit_cart builds them: rows land in each feature's
+    # real bins, columns past a feature's bin count are padding, and
+    # repeated sibling subtraction leaves float dust in bins it emptied.
+    # Discrete targets and a duplicated feature produce exactly tied gains.
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.integers(-3, 4, size=n)  # wide range: dust that matters
+    d = int(rng.integers(1, 5))
+    padded = int(rng.integers(2, 48))
+    n_bins = rng.integers(1, padded + 1, size=d)
+    n_bins[rng.integers(d)] = padded
+    codes = np.column_stack([rng.integers(0, k, size=n) for k in n_bins])
+    if d > 1 and rng.random() < 0.5:
+        codes[:, 1] = np.minimum(codes[:, 0], n_bins[1] - 1)
+    if objective == "gini":
+        t = rng.integers(0, 2, size=n).astype(np.float64)
+        w = np.full(n, 1.0 / n) if discrete else rng.uniform(0.01, 1.0, size=n) * scale
+        a, b = w * t, w
+    else:
+        a = rng.choice([-1.0, -0.5, 0.5, 1.0], size=n) if discrete else rng.normal(size=n) * scale
+        b = np.full(n, 0.25) if discrete else rng.uniform(0.05, 0.25, size=n) * scale
+    hist = _histogram(codes, a, b, padded)
+    kept = np.arange(n)
+    for _ in range(subtractions):
+        gone = kept[rng.random(kept.size) < 0.5]
+        kept = np.setdiff1d(kept, gone)
+        hist = hist - _histogram(codes[gone], a[gone], b[gone], padded)
+    cuts = tuple(np.arange(k - 1, dtype=np.float64) + 0.5 for k in n_bins)
+    bins = BinMap(cuts=cuts, codes=codes.astype(np.uint8), n_bins=n_bins)
+    params = TreeParams(objective=objective, max_depth=4, min_samples_leaf=msl)
+    assert _best_split_packed(hist, bins, params) == _best_split(hist, bins, params)
 
 
 @settings(max_examples=40, deadline=None)
