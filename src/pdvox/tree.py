@@ -19,7 +19,7 @@ Split search cost follows the node, not the bin grid:
 * No search runs where its result could not be used: at ``max_depth``,
   below ``2 * min_samples_leaf`` rows, or on a gini node whose rows all
   carry one target.
-* A node with at least ``padded / PACKED_SEARCH_RATIO`` rows sweeps
+* A node with more than ``padded / PACKED_SEARCH_RATIO`` rows sweeps
   prefix sums over the full bin grid. A smaller node sweeps only its
   bins where A, B or count is nonzero (including the float dust that
   histogram subtraction leaves in empty bins), packed left-aligned.
