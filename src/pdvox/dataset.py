@@ -160,14 +160,23 @@ def load_dataset(path, content: bytes | None = None) -> Dataset:
     The header must match :data:`CANONICAL_HEADER` exactly; the first
     mismatched column name is reported. Feature cells must parse as
     finite numbers and ``status`` must be 0 or 1 (errors carry the
-    1-based file line number). ``content`` is the file's bytes when the
-    caller has already read them; ``path`` then only names the source in
-    messages.
+    1-based file line number); bytes that are not UTF-8 fail as a
+    SchemaError naming the line of the first bad byte. ``content`` is the
+    file's bytes when the caller has already read them; ``path`` then only
+    names the source in messages.
     """
     if content is None:
         with open(path, "rb") as handle:
             content = handle.read()
-    with io.TextIOWrapper(io.BytesIO(content), encoding="utf-8", newline="") as handle:
+    try:
+        text = content.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = content.count(b"\n", 0, exc.start) + 1
+        raise SchemaError(
+            f"{path}: line {line_no}: not UTF-8 text "
+            f"(byte 0x{content[exc.start]:02x} at offset {exc.start})"
+        ) from None
+    with io.StringIO(text, newline="") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)

@@ -148,27 +148,20 @@ def project_box_hyperplane(z, y, C) -> np.ndarray:
     """Euclidean projection of z onto {0 <= a <= C, sum(a*y) = 0}.
 
     The projection is clip(z - nu*y, 0, C) for the nu that zeroes the
-    constraint; that inner product is monotone in nu, so bisection finds it.
+    constraint g(nu) = sum(clip(z - nu*y, 0, C) * y). g is non-increasing
+    and piecewise linear with kinks where z_i - nu*y_i hits 0 or C, so the
+    root is found exactly: evaluate g at every kink, then interpolate
+    linearly between the last kink with g > 0 and the first with g <= 0.
     """
     z = np.asarray(z, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-
-    def constraint(nu: float) -> float:
-        return float(np.sum(np.clip(z - nu * y, 0.0, C) * y))
-
-    span = float(np.max(np.abs(z))) + C + 1.0
-    lo, hi = -span, span
-    # constraint is non-increasing in nu
-    if constraint(lo) < 0 or constraint(hi) > 0:  # degenerate scaling; widen
-        lo *= 1e3
-        hi *= 1e3
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if constraint(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    nu = 0.5 * (lo + hi)
+    kinks = np.sort(np.concatenate([z / y, (z - C) / y]))
+    g = np.sum(np.clip(z - kinks[:, None] * y, 0.0, C) * y, axis=1)
+    k = int(np.argmax(g <= 0))  # g(kinks[-1]) <= 0: every term sits at a bound
+    nu = kinks[k]
+    if k > 0 and g[k] < 0:
+        lo, hi = kinks[k - 1], kinks[k]
+        nu = lo + g[k - 1] * (hi - lo) / (g[k - 1] - g[k])
     return np.clip(z - nu * y, 0.0, C)
 
 
@@ -187,6 +180,18 @@ def projected_gradient_svm(K, y, C, iters=4000) -> tuple[np.ndarray, float]:
     v = alpha * y
     objective = float(np.sum(alpha) - 0.5 * v @ K @ v)
     return alpha, objective
+
+
+def reference_kernel_matrix(A, B, gamma) -> np.ndarray:
+    """RBF kernel as one whole-matrix expression: the element-wise steps
+    of the solver's blocked in-place kernel, in the same order."""
+    sq = (
+        np.sum(A * A, axis=1)[:, None]
+        + np.sum(B * B, axis=1)[None, :]
+        - 2.0 * (A @ B.T)
+    )
+    np.maximum(sq, 0.0, out=sq)
+    return np.exp(-gamma * sq)
 
 
 def dual_objective(K, y, alpha) -> float:

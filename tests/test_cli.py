@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pdvox.cli import main
-from pdvox.dataset import CANONICAL_FEATURES, Dataset, write_dataset_csv
+from pdvox.dataset import CANONICAL_FEATURES, CANONICAL_HEADER, Dataset, write_dataset_csv
 from pdvox.experiment import TABLE_HEADER, parse_report
 
 
@@ -73,6 +73,16 @@ def test_malformed_data_is_runtime_error(tmp_path, capsys):
     bad.write_text("name,status\nx,1\n")
     assert main(["ingest", "--data", str(bad)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_non_utf8_data_names_file_and_line(tmp_path, capsys):
+    bad = tmp_path / "latin1.csv"
+    row = ["voix-\u00e9"] + ["1"] * (len(CANONICAL_HEADER) - 1)
+    bad.write_bytes((",".join(CANONICAL_HEADER) + "\n" + ",".join(row) + "\n").encode("latin-1"))
+    assert main(["ingest", "--data", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: line 2: not UTF-8")
+    assert "0xe9" in err
 
 
 def test_correlate_stdout_shape(csv_path, capsys):

@@ -2,21 +2,31 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dual_objective, make_dataset, projected_gradient_svm
+from conftest import (
+    SYNTHETIC_CSV,
+    dual_objective,
+    make_dataset,
+    projected_gradient_svm,
+    reference_kernel_matrix,
+)
 
 
 def _plain_kernel(X, gamma):
     sq = np.sum((X[:, None, :] - X[None, :, :]) ** 2, axis=-1)
     return np.exp(-gamma * sq)
-from pdvox.dataset import transform_features
+from pdvox import svm
+from pdvox.dataset import load_dataset, stratified_split, transform_features
 from pdvox.errors import ConfigError, ValidationError
+from pdvox.resample import SmoteConfig, smote
 from pdvox.svm import SvmParams, decision_function, decision_scores, fit_svm, rbf_kernel
 
 
@@ -77,6 +87,36 @@ def test_rbf_bounds_and_symmetry():
 def test_rbf_shape_mismatch():
     with pytest.raises(ValidationError):
         rbf_kernel([1.0], [1.0, 2.0], gamma=0.5)
+
+
+_BLOCK = svm._KERNEL_BLOCK_ROWS
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.one_of(
+        st.integers(1, 12), st.sampled_from([_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
+    ),
+    m=st.integers(1, 40),
+    d=st.integers(1, 6),
+    gamma=st.floats(1e-3, 10.0),
+    same=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_kernel_matrix_matches_whole_matrix_oracle(n, m, d, gamma, same, seed):
+    # Bit-equal to the one-expression kernel on either side of the block
+    # height; repeated rows drive squared distances to rounding dust that
+    # the clamp at 0 must treat the same way.
+    rng = np.random.default_rng(seed)
+    A = rng.normal(scale=3.0, size=(n, d))
+    A[n // 2 :] = A[: n - n // 2]
+    B = A if same else rng.normal(scale=3.0, size=(m, d))
+    if not same:
+        B[: min(m, n)] = A[: min(m, n)]
+    K = svm._kernel_matrix(A, B, gamma)
+    assert np.array_equal(K, reference_kernel_matrix(A, B, gamma))
+    if same:
+        assert np.array_equal(K, K.T)
 
 
 # ------------------------------------------------------------- reference
@@ -252,3 +292,49 @@ def test_kkt_property_random_small_problems(seed):
     model = fit_svm(train, params)
     if model.converged:
         assert _kkt_violations(model, train, params) == 0
+
+
+# SHA-256 of alphas, objective trace, bias and sweeps from fit_svm on the
+# default pipeline's training split (SMOTE'd, test fraction 0.2) of the
+# committed synthetic file, per seed; any change in the solver's arithmetic
+# moves them.
+PINNED_FIT_DIGESTS = {
+    42: "73c3ca5bfe46150f430968ffd7218184aed7db8fc2e8f2f6b3e4fb7803f950a8",
+    43: "7a0bb747db9c4499634717bc4c77765a836ebb176a606a63e8f70cd251c9d938",
+    44: "624fa79de3ccd52f7370b8af04f0463299bd39f9cd1a2f95c754993239911766",
+}
+
+
+def _fit_digest(model) -> str:
+    h = hashlib.sha256()
+    h.update(np.asarray(model.alphas, dtype=np.float64).tobytes())
+    h.update(np.asarray(model.objective_trace, dtype=np.float64).tobytes())
+    h.update(np.float64(model.bias).tobytes())
+    h.update(str(model.sweeps).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_FIT_DIGESTS))
+def test_fit_on_committed_file_matches_pinned_digest(seed):
+    data = load_dataset(SYNTHETIC_CSV)
+    train = smote(stratified_split(data, 0.2, seed).train, SmoteConfig(k_neighbors=5, seed=seed))
+    model = fit_svm(train, SvmParams())
+    assert _fit_digest(model) == PINNED_FIT_DIGESTS[seed]
+
+
+def test_sweep_cap_stop_warns(monkeypatch):
+    monkeypatch.setattr(svm, "_SWEEP_CAP", 1)
+    with pytest.warns(RuntimeWarning, match=r"after 1 sweeps: stopped by the sweep cap \(1\)"):
+        model = fit_svm(_two_blobs(n_per=12, seed=0, sep=1.0), SvmParams())
+    assert not model.converged
+    assert model.sweeps == 1
+
+
+def test_quiet_pass_stop_warns_and_converged_fit_does_not():
+    train = _two_blobs(n_per=12, seed=0, sep=1.0)
+    with pytest.warns(RuntimeWarning, match=r"stopped by the quiet-pass limit \(max_passes=1 "):
+        model = fit_svm(train, SvmParams(tol=1e-14, max_passes=1))
+    assert not model.converged
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert fit_svm(train, SvmParams()).converged
