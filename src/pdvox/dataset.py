@@ -128,18 +128,6 @@ def subset(data: Dataset, indices) -> Dataset:
     )
 
 
-def concat(first: Dataset, second: Dataset) -> Dataset:
-    """Stack two datasets with identical feature columns."""
-    if first.feature_names != second.feature_names:
-        raise ValidationError("cannot concatenate datasets with different columns")
-    return Dataset(
-        ids=first.ids + second.ids,
-        features=np.vstack([first.features, second.features]),
-        labels=np.concatenate([first.labels, second.labels]),
-        feature_names=first.feature_names,
-    )
-
-
 def _parse_status(token: str, line_no: int) -> int:
     try:
         value = float(token)
@@ -218,7 +206,7 @@ def load_dataset(path, content: bytes | None = None) -> Dataset:
                         f"line {line_no}: column {CANONICAL_HEADER[pos]!r} value "
                         f"{token!r} is not numeric"
                     ) from None
-                if not np.isfinite(value):
+                if not math.isfinite(value):
                     raise ValidationError(
                         f"line {line_no}: column {CANONICAL_HEADER[pos]!r} value "
                         f"{token!r} is not finite"
@@ -309,12 +297,6 @@ def correlation_csv_text(data: Dataset) -> str:
     for name, row in zip(data.feature_names, corr):
         writer.writerow((name, *(repr(float(v)) for v in row)))
     return buffer.getvalue()
-
-
-def write_correlation_csv(data: Dataset, path) -> None:
-    """Export the correlation matrix with feature-name header row/column."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        handle.write(correlation_csv_text(data))
 
 
 def _round_half_up(x: float) -> int:

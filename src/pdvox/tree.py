@@ -17,8 +17,9 @@ value: ``x[feature] <= threshold`` goes left, which agrees exactly with
 Split search cost follows the node, not the bin grid:
 
 * No search runs where its result could not be used: at ``max_depth``,
-  below ``2 * min_samples_leaf`` rows, or on a gini node whose rows all
-  carry one target.
+  below ``2 * min_samples_leaf`` rows, on a gini node whose rows all
+  carry one target, or, in leaf-wise growth, on the children of the
+  split that reaches ``max_leaves`` (they are never popped).
 * A node with more than ``padded / PACKED_SEARCH_RATIO`` rows sweeps
   prefix sums over the full bin grid. A smaller node sweeps only its
   bins where A, B or count is nonzero (including the float dust that
@@ -30,6 +31,33 @@ kept cut before it, and the first-maximum tie-break (lowest feature,
 then lowest cut) still lands on the kept one. Per-feature totals come
 from the full bin rows in both, because pairwise summation depends on
 the row length.
+
+Histograms follow the same rule. A split decides which children will
+be searched before it builds anything:
+
+* If either child is searched, the smaller child gets the full
+  (3, d, padded) grid by bincount over its rows, and the larger one is
+  the parent's grid minus it, subtracted in place into the parent's
+  buffer when that child is searched.
+* A child that is never searched keeps only feature 0's bin row,
+  (3, 1, padded): a bincount of feature 0 alone for the smaller child,
+  ``parent[:, :1] - small[:, :1]`` for the larger one.
+
+Feature 0's row is all a leaf value reads: every feature's bins
+partition the same rows, so that row carries the node totals. Both
+short rows are elementwise equal to row 0 of the full grid (bincount
+adds each row's weight to its bin in row order whatever the other
+features are, and subtraction is elementwise), so totals and leaf
+values do not change.
+
+Packed searches are batched: all of a depth level's in max-depth growth,
+a sibling pair's in leaf-wise growth. Each node is packed straight into
+one shared buffer, padded to the batch's width with zeroed slots (their
+cuts leave no rows on the right, so they are never valid), and the
+first maximum is taken per node. Nodes x shared width stays within
+``padded``, so a batch holds at most one full grid's worth of packed
+columns, and one per-fit workspace of that size serves every sweep; the
+nodes' full grids are never stacked.
 """
 
 from __future__ import annotations
@@ -177,28 +205,48 @@ class Tree:
 class _Node:
     """Mutable growth-time state for one frontier node."""
 
-    __slots__ = ("node_id", "rows", "hist", "totals", "depth", "best")
+    __slots__ = ("node_id", "rows", "hist", "depth", "best")
 
-    def __init__(self, node_id, rows, hist, totals, depth, best):
+    def __init__(self, node_id, rows, depth):
         self.node_id = node_id
         self.rows = rows
-        self.hist = hist
-        self.totals = totals  # (A, B, C) over all bins
+        self.hist = None  # full (3, d, padded) grid while a search or split needs it
         self.depth = depth
-        self.best = best  # (gain, feature, bin, threshold) or None
+        self.best = None  # (gain, feature, bin, threshold) once a search finds one
+
+
+class _Workspace:
+    """Scratch buffers one fit's split searches share.
+
+    ``cells`` bounds each search: its cut grid (rows x cuts) and, for a
+    batch of packed nodes, its packed columns (rows x shared width).
+    """
+
+    def __init__(self, cells: int):
+        self.sides = np.empty(6 * cells)
+        self.gain = np.empty(cells)
+        self.valid = np.empty(cells, dtype=bool)
+        self.ok = np.empty(cells, dtype=bool)
+        self.packed = np.empty(3 * cells)
+
+
+def _bin_sums(flat, a_sub, b_sub, size):
+    """(A, B, count) sums of m rows over flat bin indices ``flat`` (m, k),
+    as one (3, size) buffer."""
+    idx = flat.ravel()
+    k = flat.shape[1]
+    out = np.empty((3, size))
+    out[0] = np.bincount(idx, weights=np.repeat(a_sub, k), minlength=size)
+    out[1] = np.bincount(idx, weights=np.repeat(b_sub, k), minlength=size)
+    out[2] = np.bincount(idx, minlength=size)
+    return out
 
 
 def _histogram(codes_sub, a_sub, b_sub, padded):
     """Stacked (A, B, count) histograms, shape (3, d, padded)."""
-    m, d = codes_sub.shape
-    flat = (codes_sub.astype(np.int64) + np.arange(d) * padded).ravel()
-    size = d * padded
-    counts = np.bincount(flat, minlength=size).astype(np.float64)
-    a_hist = np.bincount(flat, weights=np.repeat(a_sub, d), minlength=size)
-    b_hist = np.bincount(flat, weights=np.repeat(b_sub, d), minlength=size)
-    return np.stack(
-        [a_hist.reshape(d, padded), b_hist.reshape(d, padded), counts.reshape(d, padded)]
-    )
+    d = codes_sub.shape[1]
+    flat = codes_sub.astype(np.int64) + np.arange(d) * padded
+    return _bin_sums(flat, a_sub, b_sub, d * padded).reshape(3, d, padded)
 
 
 def _leaf_value(totals, params) -> float:
@@ -209,32 +257,59 @@ def _leaf_value(totals, params) -> float:
     return -A / denom if denom > 0 else 0.0
 
 
-def _cut_gains(hist, totals, params: TreeParams):
-    """Gain of the cut after every column but the last of a (3, d, m)
-    histogram, shape (d, m - 1); -inf where the cut is not allowed.
+def _cut_gains(hist, totals, params: TreeParams, ws: _Workspace):
+    """Gain of the cut after every column but the last of a (3, r, m)
+    histogram, shape (r, m - 1); -inf where the cut is not allowed.
 
-    ``totals`` are the (A, B, C) sums over each feature's full bin row,
-    shape (3, d, 1).
+    ``totals`` are the (A, B, C) sums over each row's full bin row, shape
+    (3, r, 1). The result is a view into ``ws``, valid until its next use.
     """
+    _, r, m = hist.shape
+    shape = (r, m - 1)
+    cells = r * (m - 1)
     # sides[0] holds the left (A, B, C) prefix sums, sides[1] the right
     # remainders, so each child term below is one pass over both sides
-    sides = np.empty((2,) + hist.shape[:2] + (hist.shape[2] - 1,))
+    sides = ws.sides[: 6 * cells].reshape((2, 3) + shape)
+    gain = ws.gain[:cells].reshape(shape)
+    valid = ws.valid[:cells].reshape(shape)
+    ok = ws.ok[:cells].reshape(shape)
     np.cumsum(hist[:, :, :-1], axis=2, out=sides[0])
     np.subtract(totals, sides[0], out=sides[1])
     S_A, S_B, S_C = sides[:, 0], sides[:, 1], sides[:, 2]
     At, Bt, _ = totals
-    valid = np.minimum(S_C[0], S_C[1]) >= params.min_samples_leaf
     with np.errstate(divide="ignore", invalid="ignore"):
+        np.minimum(S_C[0], S_C[1], out=gain)
+        np.greater_equal(gain, params.min_samples_leaf, out=valid)
+        child = S_C  # the counts are spent; the child terms take their place
         if params.objective == "gini":
-            valid &= np.minimum(S_B[0], S_B[1]) > 0
+            np.minimum(S_B[0], S_B[1], out=gain)
+            np.greater(gain, 0, out=ok)
+            valid &= ok
             parent = At * (Bt - At) / Bt
-            child = S_A * (S_B - S_A) / S_B
-            gain = 2.0 * (parent - child[0] - child[1])
+            # child = S_A * (S_B - S_A) / S_B
+            np.subtract(S_B, S_A, out=child)
+            np.multiply(S_A, child, out=child)
+            np.divide(child, S_B, out=child)
+            # gain = 2.0 * (parent - child[0] - child[1])
+            np.subtract(parent, child[0], out=gain)
+            gain -= child[1]
+            gain *= 2.0
         else:
             lam = params.lam
-            child = S_A * S_A / (S_B + lam)
-            gain = 0.5 * (child[0] + child[1] - At * At / (Bt + lam)) - params.gamma
-    return np.where(valid & np.isfinite(gain), gain, -np.inf)
+            # child = S_A * S_A / (S_B + lam)
+            np.add(S_B, lam, out=child)
+            np.multiply(S_A, S_A, out=S_A)
+            np.divide(S_A, child, out=child)
+            # gain = 0.5 * (child[0] + child[1] - At * At / (Bt + lam)) - gamma
+            np.add(child[0], child[1], out=gain)
+            gain -= At * At / (Bt + lam)
+            gain *= 0.5
+            gain -= params.gamma
+        np.isfinite(gain, out=ok)
+    valid &= ok
+    np.logical_not(valid, out=valid)
+    np.copyto(gain, -np.inf, where=valid)
+    return gain
 
 
 def _first_max(gain):
@@ -254,40 +329,82 @@ def _split_at(gain: float, feat: int, b: int, bins: BinMap):
     return gain, int(feat), int(b), float(bins.cuts[feat][b])
 
 
-def _best_split(hist, bins: BinMap, params: TreeParams):
+def _best_split(hist, bins: BinMap, params: TreeParams, totals=None, ws=None):
     """Highest-gain (gain, feature, bin, threshold) over the full bin grid,
     or None.
 
     Ties resolve to the lowest feature index, then the lowest threshold
-    (the first maximum in a feature-major, bin-ascending scan).
+    (the first maximum in a feature-major, bin-ascending scan). ``totals``
+    (``hist``'s sums over axis 2) and ``ws`` are computed when omitted.
     """
     if hist.shape[2] < 2:
         return None
-    found = _first_max(_cut_gains(hist, hist.sum(axis=2, keepdims=True), params))
+    if totals is None:
+        totals = hist.sum(axis=2, keepdims=True)
+    if ws is None:
+        ws = _Workspace(hist.shape[1] * hist.shape[2])
+    found = _first_max(_cut_gains(hist, totals, params, ws))
     return None if found is None else _split_at(*found, bins)
 
 
-def _best_split_packed(hist, bins: BinMap, params: TreeParams):
-    """Same result as :func:`_best_split` (see the module docstring),
-    sweeping only the bins where any of A, B or C is nonzero, packed
-    left-aligned per feature in bin order."""
-    _, d, padded = hist.shape
-    totals = hist.sum(axis=2, keepdims=True)
-    kept = np.flatnonzero((hist != 0).any(axis=0))  # flat feature * padded + bin
-    width = np.bincount(kept // padded, minlength=d)
-    k = int(width.max())
-    if k < 2:
-        return None
-    # src[f, j]: flat column of feature f's j-th kept bin; slots past a
-    # feature's width read some other column and are zeroed below
-    slot = (np.cumsum(width) - width)[:, None] + np.arange(k)
-    src = kept[np.minimum(slot, kept.size - 1)]
-    packed = np.where(np.arange(k) < width[:, None], hist.reshape(3, -1)[:, src], 0.0)
-    found = _first_max(_cut_gains(packed, totals, params))
-    if found is None:
-        return None
-    gain, f, p = found
-    return _split_at(gain, f, int(src[f, p]) - f * padded, bins)
+def _best_splits_packed(hists, totals, bins: BinMap, params: TreeParams, ws=None):
+    """:func:`_best_split` of every (3, d, padded) histogram in ``hists``
+    (``totals``: each one's sums over axis 2), sweeping only the bins
+    where any of A, B or C is nonzero, packed left-aligned per feature in
+    bin order. Nodes are swept in batches padded to a shared width, each
+    holding at most one full bin grid's worth (d * padded) of packed
+    columns."""
+    found = [None] * len(hists)
+    if not hists:
+        return found
+    _, d, padded = hists[0].shape
+    if ws is None:
+        ws = _Workspace(d * padded)
+    nodes = []
+    for i, hist in enumerate(hists):
+        kept = np.flatnonzero((hist != 0).any(axis=0))  # flat feature * padded + bin
+        width = np.bincount(kept // padded, minlength=d)
+        k = int(width.max())
+        if k >= 2:  # else no feature has two kept bins, so no cut
+            nodes.append((k, i, kept, width))
+    # nodes of similar width share a batch, so little of it is padding
+    nodes.sort(key=lambda node: node[0])
+    first = 0
+    for last in range(1, len(nodes) + 1):
+        # nodes x shared width stays within padded columns per feature
+        if last == len(nodes) or (last + 1 - first) * nodes[last][0] > padded:
+            _sweep_packed(nodes[first:last], hists, totals, bins, params, ws, found)
+            first = last
+    return found
+
+
+def _sweep_packed(batch, hists, totals, bins, params, ws, found):
+    """One :func:`_cut_gains` pass over a batch of (width, index, kept
+    bins, feature widths) nodes, sorted by width; sets ``found[index]``."""
+    n = len(batch)
+    k = batch[-1][0]
+    d = batch[0][3].size
+    padded = hists[0].shape[2]
+    width = np.concatenate([node[3] for node in batch])  # per node * d + feature
+    start = np.cumsum(width) - width
+    # packed column of each kept bin: row * k + its rank in the row; slots
+    # past a row's width stay zero
+    dest = np.arange(start[-1] + width[-1]) + np.repeat(np.arange(n * d) * k - start, width)
+    packed = ws.packed[: 3 * n * d * k].reshape(3, n * d, k)
+    packed.fill(0.0)
+    packed.reshape(3, -1)[:, dest] = np.concatenate(
+        [np.take(hists[i].reshape(3, -1), kept, axis=1) for _, i, kept, _ in batch], axis=1
+    )
+    node_totals = np.concatenate([totals[i] for _, i, _, _ in batch], axis=1)
+    gain = _cut_gains(packed, node_totals, params, ws).reshape(n, d * (k - 1))
+    # per node: the first maximum, as in _first_max
+    cols = np.argmax(gain, axis=1)
+    bests = gain[np.arange(n), cols]
+    for j, (_, i, kept, _) in enumerate(batch):
+        if bests[j] > GAIN_EPS:
+            f, c = divmod(int(cols[j]), k - 1)
+            b = int(kept[start[j * d + f] - start[j * d] + c]) - f * padded
+            found[i] = _split_at(float(bests[j]), f, b, bins)
 
 
 def fit_cart(features, targets, weights, params: TreeParams, bins: BinMap | None = None) -> Tree:
@@ -328,6 +445,9 @@ def fit_cart(features, targets, weights, params: TreeParams, bins: BinMap | None
         a = t
         b = w
     padded = int(bins.n_bins.max())
+    # feature f's bins are the flat histogram columns f*padded .. f*padded+padded-1
+    flat_codes = bins.codes + np.arange(d) * padded
+    ws = _Workspace(d * padded)
 
     node_feature: list[int] = []
     node_threshold: list[float] = []
@@ -343,11 +463,19 @@ def fit_cart(features, targets, weights, params: TreeParams, bins: BinMap | None
         node_value.append(np.nan)
         return len(node_feature) - 1
 
-    def can_split(rows, depth) -> bool:
-        # a search here could only return None or be discarded; purity is
-        # tested on the targets because the float totals of an impure
-        # weighted node can round to A == B
+    def histogram(rows, k):
+        """(A, B, count) of ``rows`` over the bins of features 0..k-1."""
+        return _bin_sums(flat_codes[rows, :k], a[rows], b[rows], k * padded).reshape(3, k, padded)
+
+    def can_split(rows, depth, leaves) -> bool:
+        # a search here could only return None or be discarded: ``leaves``
+        # is the tree's leaf count once this node exists, and a node made
+        # at the leaf budget is never popped. Purity is tested on the
+        # targets because the float totals of an impure weighted node can
+        # round to A == B
         if params.max_depth is not None and depth >= params.max_depth:
+            return False
+        if params.max_leaves is not None and leaves >= params.max_leaves:
             return False
         if rows.size < 2 * params.min_samples_leaf:
             return False
@@ -356,30 +484,59 @@ def fit_cart(features, targets, weights, params: TreeParams, bins: BinMap | None
             return bool(np.any(node_t != node_t[0]))
         return True
 
-    def make_state(node_id, rows, hist, depth) -> _Node:
-        # every feature's bins partition the same rows, so feature 0 alone
-        # carries the node totals; summing all features would count each
-        # row d times
-        totals = tuple(float(hist[c, 0].sum()) for c in range(3))
-        node_value[node_id] = _leaf_value(totals, params)
-        best = None
-        if can_split(rows, depth):
-            packed = PACKED_SEARCH_RATIO * rows.size <= padded
-            best = (_best_split_packed if packed else _best_split)(hist, bins, params)
-        return _Node(node_id, rows, hist, totals, depth, best)
+    pending: list[tuple[_Node, np.ndarray]] = []  # nodes to search, with their totals
 
-    def split(state: _Node) -> tuple[_Node, _Node]:
+    def new_node(node_id, rows, hist, depth, search) -> _Node:
+        # every feature's bins partition the same rows, so feature 0 alone
+        # carries the node totals (summing all features would count each
+        # row d times); a searched node's sums over all features feed its
+        # sweep too
+        totals = (hist if search else hist[:, :1]).sum(axis=2, keepdims=True)
+        node_value[node_id] = _leaf_value(totals[:, 0, 0].tolist(), params)
+        node = _Node(node_id, rows, depth)
+        if search:
+            node.hist = hist
+            pending.append((node, totals))
+        return node
+
+    def search_pending() -> None:
+        small = []
+        for node, totals in pending:
+            if PACKED_SEARCH_RATIO * node.rows.size <= padded:
+                small.append((node, totals))
+            else:
+                node.best = _best_split(node.hist, bins, params, totals, ws)
+        found = _best_splits_packed(
+            [node.hist for node, _ in small], [totals for _, totals in small], bins, params, ws
+        )
+        for (node, _), best in zip(small, found):
+            node.best = best
+        for node, _ in pending:
+            if node.best is None:
+                node.hist = None  # free
+        pending.clear()
+
+    def split(state: _Node, leaves: int) -> tuple[_Node, _Node]:
         gain, feat, cut_bin, threshold = state.best
-        rows = state.rows
+        rows, depth = state.rows, state.depth + 1
         left_mask = bins.codes[rows, feat] <= cut_bin
         left_rows = rows[left_mask]
         right_rows = rows[~left_mask]
-        if left_rows.size <= right_rows.size:
-            small_rows, big_rows, small_is_left = left_rows, right_rows, True
+        search_left = can_split(left_rows, depth, leaves)
+        search_right = can_split(right_rows, depth, leaves)
+        small_is_left = left_rows.size <= right_rows.size
+        if small_is_left:
+            small_rows, search_big = left_rows, search_right
         else:
-            small_rows, big_rows, small_is_left = right_rows, left_rows, False
-        small_hist = _histogram(bins.codes[small_rows], a[small_rows], b[small_rows], padded)
-        big_hist = state.hist - small_hist
+            small_rows, search_big = right_rows, search_left
+        # the big child's grid is the parent's minus the small child's, so
+        # the small child needs every feature if either child is searched
+        small_hist = histogram(small_rows, d if search_left or search_right else 1)
+        if search_big:
+            big_hist = np.subtract(state.hist, small_hist, out=state.hist)
+        else:
+            big_hist = state.hist[:, :1] - small_hist[:, :1]
+        state.hist = None  # free (or now the big child's)
         left_hist, right_hist = (
             (small_hist, big_hist) if small_is_left else (big_hist, small_hist)
         )
@@ -390,25 +547,24 @@ def fit_cart(features, targets, weights, params: TreeParams, bins: BinMap | None
         node_left[state.node_id] = left_id
         node_right[state.node_id] = right_id
         node_value[state.node_id] = np.nan
-        state.hist = None  # free
         return (
-            make_state(left_id, left_rows, left_hist, state.depth + 1),
-            make_state(right_id, right_rows, right_hist, state.depth + 1),
+            new_node(left_id, left_rows, left_hist, depth, search_left),
+            new_node(right_id, right_rows, right_hist, depth, search_right),
         )
 
     root_rows = np.arange(n, dtype=np.int64)
-    root_hist = _histogram(bins.codes, a, b, padded)
-    root = make_state(alloc(), root_rows, root_hist, 0)
+    search_root = can_split(root_rows, 0, 1)
+    root_hist = histogram(root_rows, d if search_root else 1)
+    root = new_node(alloc(), root_rows, root_hist, 0, search_root)
+    search_pending()
 
     if params.max_depth is not None:
+        # one level at a time, so a level's packed searches share batches
         frontier = [root]
         while frontier:
-            nxt: list[_Node] = []
-            for state in frontier:
-                if state.best is None:
-                    continue
-                nxt.extend(split(state))
-            frontier = nxt
+            children = [c for state in frontier if state.best is not None for c in split(state, 0)]
+            search_pending()
+            frontier = children
     else:
         heap: list[tuple[float, int, _Node]] = []
         seq = 0
@@ -418,11 +574,13 @@ def fit_cart(features, targets, weights, params: TreeParams, bins: BinMap | None
         leaves = 1
         while heap and leaves < params.max_leaves:
             _, _, state = heapq.heappop(heap)
-            for child in split(state):
+            leaves += 1
+            children = split(state, leaves)
+            search_pending()  # the sibling pair shares one packed batch
+            for child in children:
                 if child.best is not None:
                     heapq.heappush(heap, (-child.best[0], seq, child))
                     seq += 1
-            leaves += 1
 
     return Tree(
         feature=np.asarray(node_feature, dtype=np.int32),

@@ -8,6 +8,7 @@ against genuinely different computations.
 
 from __future__ import annotations
 
+import heapq
 import math
 import os
 from pathlib import Path
@@ -142,6 +143,116 @@ def naive_gini_stump(X, y, w):
     if best is None or best[0] <= 1e-12:
         return None
     return best
+
+
+def reference_fit_cart(X, t, w, params, bins):
+    """CART growth as ``fit_cart`` first did it, with the same skip rules.
+
+    Every child gets a full (3, d, padded) histogram: the smaller child's
+    by bincount over its rows, the larger one's by subtracting that from
+    its parent. Every node that may split is searched on its own over the
+    full bin grid, with freshly allocated temporaries, and leaf values
+    come from feature 0's bin row. Returns the five node arrays.
+    """
+    t = np.asarray(t, dtype=np.float64)
+    w = np.asarray(w, dtype=np.float64)
+    n, d = bins.codes.shape
+    a, b = (w * t, w) if params.objective == "gini" else (t, w)
+    padded = int(bins.n_bins.max())
+
+    def histogram(rows):
+        flat = (bins.codes[rows].astype(np.int64) + np.arange(d) * padded).ravel()
+        size = d * padded
+        counts = np.bincount(flat, minlength=size).astype(np.float64)
+        a_hist = np.bincount(flat, weights=np.repeat(a[rows], d), minlength=size)
+        b_hist = np.bincount(flat, weights=np.repeat(b[rows], d), minlength=size)
+        return np.stack([h.reshape(d, padded) for h in (a_hist, b_hist, counts)])
+
+    def search(hist):
+        if padded < 2:
+            return None
+        totals = hist.sum(axis=2, keepdims=True)
+        S_A, S_B, S_C = np.cumsum(hist[:, :, :-1], axis=2)
+        R_A, R_B, R_C = totals - np.cumsum(hist[:, :, :-1], axis=2)
+        At, Bt, _ = totals
+        valid = np.minimum(S_C, R_C) >= params.min_samples_leaf
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if params.objective == "gini":
+                valid &= np.minimum(S_B, R_B) > 0
+                parent = At * (Bt - At) / Bt
+                gain = 2.0 * (parent - S_A * (S_B - S_A) / S_B - R_A * (R_B - R_A) / R_B)
+            else:
+                lam = params.lam
+                left, right = S_A * S_A / (S_B + lam), R_A * R_A / (R_B + lam)
+                gain = 0.5 * (left + right - At * At / (Bt + lam)) - params.gamma
+        gain = np.where(valid & np.isfinite(gain), gain, -np.inf)
+        f, cut = divmod(int(np.argmax(gain)), padded - 1)  # first maximum
+        if not gain[f, cut] > 1e-12 or cut >= bins.n_bins[f] - 1:
+            return None
+        return float(gain[f, cut]), f, cut, float(bins.cuts[f][cut])
+
+    def can_split(rows, depth):
+        if params.max_depth is not None and depth >= params.max_depth:
+            return False
+        if rows.size < 2 * params.min_samples_leaf:
+            return False
+        return params.objective != "gini" or bool(np.any(t[rows] != t[rows][0]))
+
+    feature, threshold, left, right, value = [], [], [], [], []
+
+    def node(rows, hist, depth):
+        i = len(feature)
+        feature.append(-1)
+        threshold.append(np.nan)
+        left.append(-1)
+        right.append(-1)
+        A, B = float(hist[0, 0].sum()), float(hist[1, 0].sum())
+        if params.objective == "gini":
+            value.append(1.0 if A >= B - A else 0.0)
+        else:
+            value.append(-A / (B + params.lam) if B + params.lam > 0 else 0.0)
+        best = search(hist) if can_split(rows, depth) else None
+        return [i, rows, hist, depth, best]
+
+    def split(state):
+        i, rows, hist, depth, (_, feat, cut, thr) = state
+        goes_left = bins.codes[rows, feat] <= cut
+        l_rows, r_rows = rows[goes_left], rows[~goes_left]
+        if l_rows.size <= r_rows.size:
+            l_hist = histogram(l_rows)
+            r_hist = hist - l_hist
+        else:
+            r_hist = histogram(r_rows)
+            l_hist = hist - r_hist
+        feature[i], threshold[i], value[i] = feat, thr, np.nan
+        left[i] = len(feature)
+        l_node = node(l_rows, l_hist, depth + 1)
+        right[i] = len(feature)
+        return l_node, node(r_rows, r_hist, depth + 1)
+
+    rows = np.arange(n, dtype=np.int64)
+    root = node(rows, histogram(rows), 0)
+    if params.max_depth is not None:
+        frontier = [root]
+        while frontier:
+            frontier = [c for s in frontier if s[4] is not None for c in split(s)]
+    else:
+        heap, seq, leaves = [], 0, 1
+        if root[4] is not None:
+            heap.append((-root[4][0], seq, root))
+        while heap and leaves < params.max_leaves:
+            for child in split(heapq.heappop(heap)[2]):
+                if child[4] is not None:
+                    seq += 1
+                    heapq.heappush(heap, (-child[4][0], seq, child))
+            leaves += 1
+    return (
+        np.asarray(feature, dtype=np.int32),
+        np.asarray(threshold, dtype=np.float64),
+        np.asarray(left, dtype=np.int32),
+        np.asarray(right, dtype=np.int32),
+        np.asarray(value, dtype=np.float64),
+    )
 
 
 def project_box_hyperplane(z, y, C) -> np.ndarray:

@@ -144,6 +144,29 @@ def test_load_rejects_nonfinite_feature(tmp_path):
         load_dataset(path)
 
 
+@pytest.mark.parametrize(
+    "bad, first",
+    [
+        # (line, column position, token) cells; the first in row-major order is reported
+        ({(3, 20, "nan"), (3, 5, "-inf"), (4, 1, "inf")}, (3, 5, "-inf")),
+        ({(2, 22, "inf"), (3, 1, "nan")}, (2, 22, "inf")),
+        ({(4, 2, "NaN"), (5, 9, "-Infinity")}, (4, 2, "NaN")),
+    ],
+)
+def test_load_reports_first_nonfinite_cell(tmp_path, bad, first):
+    rows = [sample_row(f"rec-{i}") for i in range(4)]
+    for line_no, pos, token in bad:
+        rows[line_no - 2][pos] = token
+    path = tmp_path / "nonfinite.csv"
+    write_rows(path, CANONICAL_HEADER, rows)
+    line_no, pos, token = first
+    with pytest.raises(ValidationError) as info:
+        load_dataset(path)
+    assert str(info.value) == (
+        f"line {line_no}: column {CANONICAL_HEADER[pos]!r} value {token!r} is not finite"
+    )
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     hnp.arrays(

@@ -9,13 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import naive_gini_stump, walk_tree_naive
+from conftest import naive_gini_stump, reference_fit_cart, walk_tree_naive
 from pdvox.errors import ConfigError, ValidationError
 from pdvox.tree import (
     BinMap,
     TreeParams,
     _best_split,
-    _best_split_packed,
+    _best_splits_packed,
     _histogram,
     build_bins,
     fit_cart,
@@ -214,21 +214,11 @@ def test_stump_matches_naive_oracle(n, d, seed):
         assert tree.threshold[0] == pytest.approx(stump[2], abs=1e-12)
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    st.integers(0, 2**32 - 1),
-    st.sampled_from(["gini", "newton"]),
-    st.sampled_from([1, 20]),
-    st.integers(1, 90),
-    st.booleans(),
-    st.integers(0, 3),
-)
-def test_packed_search_matches_full_grid(seed, objective, msl, n, discrete, subtractions):
-    # Node histograms as fit_cart builds them: rows land in each feature's
-    # real bins, columns past a feature's bin count are padding, and
-    # repeated sibling subtraction leaves float dust in bins it emptied.
-    # Discrete targets and a duplicated feature produce exactly tied gains.
-    rng = np.random.default_rng(seed)
+def _node_table(rng, objective, n, discrete):
+    """Binned rows as fit_cart sees them: rows land in each feature's real
+    bins, columns past a feature's bin count are padding, and discrete
+    targets and a duplicated feature produce exactly tied gains.
+    Returns (codes, a, b, bins, padded)."""
     scale = 10.0 ** rng.integers(-3, 4, size=n)  # wide range: dust that matters
     d = int(rng.integers(1, 5))
     padded = int(rng.integers(2, 48))
@@ -244,16 +234,111 @@ def test_packed_search_matches_full_grid(seed, objective, msl, n, discrete, subt
     else:
         a = rng.choice([-1.0, -0.5, 0.5, 1.0], size=n) if discrete else rng.normal(size=n) * scale
         b = np.full(n, 0.25) if discrete else rng.uniform(0.05, 0.25, size=n) * scale
-    hist = _histogram(codes, a, b, padded)
-    kept = np.arange(n)
-    for _ in range(subtractions):
-        gone = kept[rng.random(kept.size) < 0.5]
-        kept = np.setdiff1d(kept, gone)
-        hist = hist - _histogram(codes[gone], a[gone], b[gone], padded)
     cuts = tuple(np.arange(k - 1, dtype=np.float64) + 0.5 for k in n_bins)
     bins = BinMap(cuts=cuts, codes=codes.astype(np.uint8), n_bins=n_bins)
+    return codes, a, b, bins, padded
+
+
+def _subtracted_node(rng, codes, a, b, padded, rounds):
+    """A node histogram after ``rounds`` sibling subtractions, each removing
+    a random share of the rows; subtraction leaves float dust in bins it
+    emptied. Returns (hist, rows left)."""
+    kept = np.arange(codes.shape[0])
+    hist = _histogram(codes, a, b, padded)
+    for _ in range(rounds):
+        gone = kept[rng.random(kept.size) < rng.uniform(0.2, 0.8)]
+        kept = np.setdiff1d(kept, gone)
+        hist = hist - _histogram(codes[gone], a[gone], b[gone], padded)
+    return hist, kept
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["gini", "newton"]),
+    st.sampled_from([1, 20]),
+    st.integers(1, 90),
+    st.booleans(),
+    st.integers(0, 3),
+)
+def test_packed_search_matches_full_grid(seed, objective, msl, n, discrete, subtractions):
+    rng = np.random.default_rng(seed)
+    codes, a, b, bins, padded = _node_table(rng, objective, n, discrete)
+    hist, _ = _subtracted_node(rng, codes, a, b, padded, subtractions)
     params = TreeParams(objective=objective, max_depth=4, min_samples_leaf=msl)
-    assert _best_split_packed(hist, bins, params) == _best_split(hist, bins, params)
+    totals = hist.sum(axis=2, keepdims=True)
+    assert _best_splits_packed([hist], [totals], bins, params) == [_best_split(hist, bins, params)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["gini", "newton"]),
+    st.sampled_from([1, 20]),
+    st.integers(2, 90),
+    st.booleans(),
+    st.integers(1, 14),
+)
+def test_batched_packed_search_matches_each_node(seed, objective, msl, n, discrete, n_nodes):
+    # One call sweeps nodes of mixed widths together: each is padded to its
+    # batch's shared width, and a batch closes once nodes x width would
+    # pass the padded bin count, so many or wide nodes make several batches.
+    rng = np.random.default_rng(seed)
+    codes, a, b, bins, padded = _node_table(rng, objective, n, discrete)
+    hists = []
+    while len(hists) < n_nodes:
+        hist, rows = _subtracted_node(rng, codes, a, b, padded, int(rng.integers(0, 4)))
+        if rows.size:
+            hists.append(hist)
+    params = TreeParams(objective=objective, max_depth=4, min_samples_leaf=msl)
+    totals = [hist.sum(axis=2, keepdims=True) for hist in hists]
+    batched = _best_splits_packed(hists, totals, bins, params)
+    assert batched == [_best_split(hist, bins, params) for hist in hists]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["gini", "newton"]),
+    st.sampled_from(["depth", "leaves"]),
+    st.sampled_from([1, 20]),
+    st.sampled_from(["uniform", "reweighted", "pure"]),
+    st.integers(2, 240),
+)
+def test_fit_cart_matches_reference_growth(seed, objective, growth, msl, weighting, n):
+    # fit_cart builds only feature 0's bin row for a child it will not
+    # search, subtracts the larger child in place and sweeps small nodes in
+    # batches; the reference builds every full grid and searches each node
+    # alone. Every node array must match bit for bit.
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(1, 7))
+    levels = rng.integers(2, 400, size=d)  # repeated values, some tied gains
+    X = rng.integers(0, levels, size=(n, d)).astype(np.float64) * rng.uniform(0.1, 10.0, size=d)
+    if objective == "gini":
+        t = (rng.random(n) < rng.uniform(0.1, 0.9)).astype(np.float64)
+        if weighting == "pure":
+            t[:] = t[0]
+        if weighting == "reweighted":
+            # AdaBoost-style: a stump's misses scaled up, then normalised
+            miss = rng.random(n) < 0.3
+            w = np.where(miss, math.exp(0.7), math.exp(-0.7)) / n
+            w = w / w.sum()
+        else:
+            w = np.full(n, 1.0 / n)
+    else:
+        t = rng.normal(size=n)
+        w = rng.uniform(0.05, 0.25, size=n) if weighting != "uniform" else np.full(n, 0.25)
+    if growth == "depth":
+        budget = {"max_depth": int(rng.integers(0, 9))}
+    else:
+        budget = {"max_leaves": int(rng.integers(1, 40))}
+    params = TreeParams(objective=objective, min_samples_leaf=msl, **budget)
+    bins = build_bins(X, max_bins=int(rng.integers(2, 256)))
+    tree = fit_cart(X, t, w, params, bins)
+    got = (tree.feature, tree.threshold, tree.left, tree.right, tree.value)
+    for mine, ref in zip(got, reference_fit_cart(X, t, w, params, bins)):
+        assert mine.dtype == ref.dtype
+        assert np.array_equal(mine, ref, equal_nan=True)
 
 
 @settings(max_examples=40, deadline=None)
