@@ -367,7 +367,7 @@ def _best_splits_packed(hists, totals, bins: BinMap, params: TreeParams, ws=None
         k = int(width.max())
         if k >= 2:  # else no feature has two kept bins, so no cut
             nodes.append((k, i, kept, width))
-    # nodes of similar width share a batch, so little of it is padding
+    # nodes of similar width share a batch, so less of it is padding
     nodes.sort(key=lambda node: node[0])
     first = 0
     for last in range(1, len(nodes) + 1):
