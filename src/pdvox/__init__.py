@@ -6,61 +6,12 @@ classifier families (two gradient-boosting variants, AdaBoost stumps,
 bagged CART, and an RBF-kernel SVM), and evaluates them with a native
 confusion/ROC/AUC metric suite — all behind one deterministic,
 seed-reproducible experiment runner and CLI.
+
+The top level re-exports the experiment entry points and the error
+types; every other piece is imported from its module.
 """
 
 __version__ = "0.1.0"
 
-from .dataset import (  # noqa: E402,F401
-    CANONICAL_FEATURES,
-    CANONICAL_HEADER,
-    Dataset,
-    SplitPair,
-    Standardizer,
-    apply_standardizer,
-    correlation_matrix,
-    fit_standardizer,
-    load_dataset,
-    stratified_split,
-    write_dataset_csv,
-)
-from .ensemble import (  # noqa: F401
-    AdaBoostModel,
-    AdaBoostParams,
-    BaggingModel,
-    BaggingParams,
-    GbdtModel,
-    GbdtParams,
-    ensemble_predict,
-    ensemble_scores,
-    fit_adaboost,
-    fit_bagging,
-    fit_gbdt,
-)
-from .errors import ConfigError, PdvoxError, SchemaError, ValidationError  # noqa: F401
-from .experiment import (  # noqa: F401
-    ExperimentReport,
-    RunConfig,
-    emit_comparison,
-    parse_report,
-    report_to_json,
-    run_experiment,
-)
-from .metrics import (  # noqa: F401
-    ConfusionMatrix,
-    MetricSet,
-    RocCurve,
-    classification_metrics,
-    confusion,
-    roc_auc,
-)
-from .resample import SmoteConfig, smote  # noqa: F401
-from .svm import SvmModel, SvmParams, decision_function, fit_svm, rbf_kernel  # noqa: F401
-from .tree import (  # noqa: F401
-    BinMap,
-    Tree,
-    TreeParams,
-    build_bins,
-    fit_cart,
-    predict_tree,
-    serialize_tree,
-)
+from .errors import ConfigError, PdvoxError, SchemaError, ValidationError  # noqa: E402,F401
+from .experiment import RunConfig, emit_comparison, parse_report, run_experiment  # noqa: E402,F401

@@ -142,16 +142,31 @@ def _parse_status(token: str, line_no: int) -> int:
     raise ValidationError(f"line {line_no}: status must be 0 or 1, saw {token!r}")
 
 
+def _csv_records(text: str, path):
+    """(line, row) for each CSV record, ``line`` being the 1-based file line
+    the record starts on (a quoted cell may span lines). A record the CSV
+    reader cannot parse fails as a SchemaError naming that line."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    line_no = 1
+    try:
+        for row in reader:
+            yield line_no, row
+            line_no = reader.line_num + 1
+    except csv.Error as exc:
+        raise SchemaError(f"{path}: line {line_no}: unreadable CSV record: {exc}") from None
+
+
 def load_dataset(path, content: bytes | None = None) -> Dataset:
     """Read the canonical 24-column CSV into a validated Dataset.
 
     The header must match :data:`CANONICAL_HEADER` exactly; the first
     mismatched column name is reported. Feature cells must parse as
-    finite numbers and ``status`` must be 0 or 1 (errors carry the
-    1-based file line number); bytes that are not UTF-8 fail as a
-    SchemaError naming the line of the first bad byte. ``content`` is the
-    file's bytes when the caller has already read them; ``path`` then only
-    names the source in messages.
+    finite numbers and ``status`` must be 0 or 1 (errors carry the 1-based
+    file line the record starts on). Bytes that are not UTF-8, and records
+    the CSV reader rejects (such as a cell over its field size limit), fail
+    as a SchemaError naming the file and the line. ``content`` is the file's
+    bytes when the caller has already read them; ``path`` then only names
+    the source in messages.
     """
     if content is None:
         with open(path, "rb") as handle:
@@ -164,55 +179,51 @@ def load_dataset(path, content: bytes | None = None) -> Dataset:
             f"{path}: line {line_no}: not UTF-8 text "
             f"(byte 0x{content[exc.start]:02x} at offset {exc.start})"
         ) from None
-    with io.StringIO(text, newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file, expected header row") from None
-        for pos, (expected, actual) in enumerate(
-            zip_longest(CANONICAL_HEADER, header)
-        ):
-            if expected != actual:
-                if expected is None:
-                    raise SchemaError(
-                        f"{path}: unexpected extra column {actual!r} at position {pos}"
-                    )
+    records = _csv_records(text, path)
+    _, header = next(records, (None, None))
+    if header is None:
+        raise SchemaError(f"{path}: empty file, expected header row")
+    for pos, (expected, actual) in enumerate(zip_longest(CANONICAL_HEADER, header)):
+        if expected != actual:
+            if expected is None:
                 raise SchemaError(
-                    f"{path}: header mismatch at position {pos}: expected "
-                    f"{expected!r}, found {actual!r}"
+                    f"{path}: unexpected extra column {actual!r} at position {pos}"
                 )
-        ids: list[str] = []
-        rows: list[list[float]] = []
-        labels: list[int] = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
+            raise SchemaError(
+                f"{path}: header mismatch at position {pos}: expected "
+                f"{expected!r}, found {actual!r}"
+            )
+    ids: list[str] = []
+    rows: list[list[float]] = []
+    labels: list[int] = []
+    for line_no, row in records:
+        if not row:
+            continue
+        if len(row) != len(CANONICAL_HEADER):
+            raise ValidationError(
+                f"line {line_no}: expected {len(CANONICAL_HEADER)} fields, "
+                f"got {len(row)}"
+            )
+        ids.append(row[0])
+        labels.append(_parse_status(row[_STATUS_POS], line_no))
+        values = []
+        for pos, token in enumerate(row):
+            if pos == 0 or pos == _STATUS_POS:
                 continue
-            if len(row) != len(CANONICAL_HEADER):
+            try:
+                value = float(token)
+            except ValueError:
                 raise ValidationError(
-                    f"line {line_no}: expected {len(CANONICAL_HEADER)} fields, "
-                    f"got {len(row)}"
+                    f"line {line_no}: column {CANONICAL_HEADER[pos]!r} value "
+                    f"{token!r} is not numeric"
+                ) from None
+            if not math.isfinite(value):
+                raise ValidationError(
+                    f"line {line_no}: column {CANONICAL_HEADER[pos]!r} value "
+                    f"{token!r} is not finite"
                 )
-            ids.append(row[0])
-            labels.append(_parse_status(row[_STATUS_POS], line_no))
-            values = []
-            for pos, token in enumerate(row):
-                if pos == 0 or pos == _STATUS_POS:
-                    continue
-                try:
-                    value = float(token)
-                except ValueError:
-                    raise ValidationError(
-                        f"line {line_no}: column {CANONICAL_HEADER[pos]!r} value "
-                        f"{token!r} is not numeric"
-                    ) from None
-                if not math.isfinite(value):
-                    raise ValidationError(
-                        f"line {line_no}: column {CANONICAL_HEADER[pos]!r} value "
-                        f"{token!r} is not finite"
-                    )
-                values.append(value)
-            rows.append(values)
+            values.append(value)
+        rows.append(values)
     if not rows:
         raise ValidationError(f"{path}: no data rows")
     return Dataset(
@@ -391,17 +402,3 @@ def transform_features(s: Standardizer, X: np.ndarray) -> np.ndarray:
     out = (X - s.means) / s.stds
     out[..., s.constant] = 0.0
     return out
-
-
-def apply_standardizer(s: Standardizer, data: Dataset) -> Dataset:
-    if data.n_features != s.means.shape[0]:
-        raise ValidationError(
-            f"standardizer fitted on {s.means.shape[0]} columns, "
-            f"data has {data.n_features}"
-        )
-    return Dataset(
-        ids=data.ids,
-        features=transform_features(s, data.features),
-        labels=data.labels,
-        feature_names=data.feature_names,
-    )

@@ -21,7 +21,7 @@ import numpy as np
 from .dataset import Dataset
 from .errors import ConfigError, ValidationError
 from .rng import derive_key, stream
-from .tree import BinMap, Tree, TreeParams, build_bins, fit_cart, predict_many, take_rows
+from .tree import Tree, TreeParams, build_bins, fit_cart, predict_many, take_rows
 
 VARIANTS = ("leaf-wise", "level-wise")
 
@@ -297,12 +297,3 @@ def ensemble_scores(model, X) -> tuple[np.ndarray, np.ndarray]:
         frac = votes / len(model.trees)
         return frac, frac
     raise ConfigError(f"unknown model type {type(model).__name__}")
-
-
-def ensemble_predict(model, x) -> tuple[float, float]:
-    """(score, probability) for a single feature vector."""
-    v = np.asarray(x, dtype=np.float64)
-    if v.ndim != 1:
-        raise ValidationError("ensemble_predict takes a single feature vector")
-    scores, probs = ensemble_scores(model, v[None, :])
-    return float(scores[0]), float(probs[0])

@@ -40,8 +40,25 @@ from .metrics import (
 from .resample import SmoteConfig, smote
 from .svm import SvmParams, decision_scores, fit_svm
 
-#: Canonical model order for "all" runs and comparison tables.
-MODEL_NAMES = ("lightgbm-like", "xgboost-like", "adaboost", "bagging", "svm")
+
+def _ensemble_score(model, X):
+    return ensemble_scores(model, X)[0]
+
+
+#: The one place that knows the learners: name -> (fit on the training
+#: split, test-set scorer, confusion threshold), in the canonical order of
+#: "all" runs and comparison tables. Each entry looks ``fit_*``,
+#: ``ensemble_scores`` and ``decision_scores`` up in this module at call
+#: time, so a wrapper set on one of those names sees every call.
+_LEARNERS = {
+    "lightgbm-like": (lambda tr, cfg: fit_gbdt(tr, cfg.gbdt_leafwise), _ensemble_score, 0.0),
+    "xgboost-like": (lambda tr, cfg: fit_gbdt(tr, cfg.gbdt_levelwise), _ensemble_score, 0.0),
+    "adaboost": (lambda tr, cfg: fit_adaboost(tr, cfg.adaboost), _ensemble_score, 0.0),
+    "bagging": (lambda tr, cfg: fit_bagging(tr, cfg.bagging, seed=cfg.seed), _ensemble_score, 0.5),
+    "svm": (lambda tr, cfg: fit_svm(tr, cfg.svm), lambda m, X: decision_scores(m, X), 0.0),
+}
+
+MODEL_NAMES = tuple(_LEARNERS)
 
 FORMATS = ("table", "csv", "structured")
 
@@ -140,29 +157,8 @@ def _stage(name: str):
 
 
 def _fit_and_score(name: str, cfg: RunConfig, train: Dataset, test: Dataset) -> ModelResult:
-    X = test.features
-    if name == "lightgbm-like":
-        model = fit_gbdt(train, cfg.gbdt_leafwise)
-        scores, _ = ensemble_scores(model, X)
-        threshold = 0.0
-    elif name == "xgboost-like":
-        model = fit_gbdt(train, cfg.gbdt_levelwise)
-        scores, _ = ensemble_scores(model, X)
-        threshold = 0.0
-    elif name == "adaboost":
-        model = fit_adaboost(train, cfg.adaboost)
-        scores, _ = ensemble_scores(model, X)
-        threshold = 0.0
-    elif name == "bagging":
-        model = fit_bagging(train, cfg.bagging, seed=cfg.seed)
-        scores, _ = ensemble_scores(model, X)
-        threshold = 0.5
-    elif name == "svm":
-        model = fit_svm(train, cfg.svm)
-        scores = decision_scores(model, X)
-        threshold = 0.0
-    else:  # pragma: no cover - guarded by RunConfig validation
-        raise ConfigError(f"unknown model {name!r}")
+    fit, score, threshold = _LEARNERS[name]
+    scores = score(fit(train, cfg), test.features)
     cm = confusion(scores, test.labels, threshold)
     curve, auc = roc_auc(scores, test.labels)
     return ModelResult(

@@ -11,7 +11,6 @@ Conventions used throughout:
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -167,15 +166,6 @@ def roc_auc(scores, labels) -> tuple[RocCurve, float]:
     thresholds = np.concatenate([[np.inf], s_sorted[group_end]])
     auc = float(np.sum(np.diff(fpr) * (tpr[1:] + tpr[:-1])) / 2.0)
     return RocCurve(thresholds=thresholds, fpr=fpr, tpr=tpr), auc
-
-
-def write_roc_csv(curve: RocCurve, path) -> None:
-    """Export (threshold, fpr, tpr) rows for external plotting."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(("threshold", "fpr", "tpr"))
-        for t, x, yv in zip(curve.thresholds, curve.fpr, curve.tpr):
-            writer.writerow((repr(float(t)), repr(float(x)), repr(float(yv))))
 
 
 def format_percent(value: float | None) -> str:

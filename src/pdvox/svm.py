@@ -101,16 +101,6 @@ class SvmModel:
             object.__setattr__(self, name, arr)
 
 
-def rbf_kernel(x, z, gamma: float) -> float:
-    """exp(-gamma * ||x - z||^2) for a single pair of vectors."""
-    a = np.asarray(x, dtype=np.float64)
-    b = np.asarray(z, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValidationError(f"shape mismatch: {a.shape} vs {b.shape}")
-    diff = a - b
-    return float(np.exp(-gamma * np.dot(diff, diff)))
-
-
 def _kernel_matrix(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
     """exp(-gamma * max(|a|^2 + |b|^2 - 2 a.b, 0)) for every row pair,
     finished in place over the one n x m buffer the matmul returns."""
@@ -345,11 +335,3 @@ def decision_scores(model: SvmModel, X) -> np.ndarray:
         return np.full(M.shape[0], model.bias, dtype=np.float64)
     K = _kernel_matrix(Ms, model.support_vectors, model.gamma)
     return K @ model.dual_coef + model.bias
-
-
-def decision_function(model: SvmModel, x) -> float:
-    """Margin for one raw feature vector; classify positive at f >= 0."""
-    v = np.asarray(x, dtype=np.float64)
-    if v.ndim != 1:
-        raise ValidationError("decision_function takes a single feature vector")
-    return float(decision_scores(model, v[None, :])[0])

@@ -242,13 +242,6 @@ def _bin_sums(flat, a_sub, b_sub, size):
     return out
 
 
-def _histogram(codes_sub, a_sub, b_sub, padded):
-    """Stacked (A, B, count) histograms, shape (3, d, padded)."""
-    d = codes_sub.shape[1]
-    flat = codes_sub.astype(np.int64) + np.arange(d) * padded
-    return _bin_sums(flat, a_sub, b_sub, d * padded).reshape(3, d, padded)
-
-
 def _leaf_value(totals, params) -> float:
     A, B, _ = totals
     if params.objective == "gini":
@@ -592,22 +585,6 @@ def fit_cart(features, targets, weights, params: TreeParams, bins: BinMap | None
     )
 
 
-def predict_tree(tree: Tree, x) -> float:
-    """Route one feature vector to its leaf value."""
-    v = np.asarray(x, dtype=np.float64)
-    if v.shape != (tree.n_features,):
-        raise ValidationError(
-            f"expected {tree.n_features} features, got shape {v.shape}"
-        )
-    node = 0
-    while tree.feature[node] >= 0:
-        if v[tree.feature[node]] <= tree.threshold[node]:
-            node = tree.left[node]
-        else:
-            node = tree.right[node]
-    return float(tree.value[node])
-
-
 def predict_many(tree: Tree, X) -> np.ndarray:
     """Leaf values for every row of X (batched routing)."""
     M = np.asarray(X, dtype=np.float64)
@@ -629,17 +606,3 @@ def predict_many(tree: Tree, X) -> np.ndarray:
         stack.append((int(tree.left[node]), idx[mask]))
         stack.append((int(tree.right[node]), idx[~mask]))
     return out
-
-
-def serialize_tree(tree: Tree) -> str:
-    """Readable node list for debugging; not a stability contract."""
-    lines = [f"tree nodes={tree.n_nodes} leaves={tree.n_leaves} features={tree.n_features}"]
-    for i in range(tree.n_nodes):
-        if tree.feature[i] < 0:
-            lines.append(f"{i}: leaf value={tree.value[i]!r}")
-        else:
-            lines.append(
-                f"{i}: if x[{tree.feature[i]}] <= {tree.threshold[i]!r} "
-                f"then {tree.left[i]} else {tree.right[i]}"
-            )
-    return "\n".join(lines)

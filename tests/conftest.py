@@ -95,7 +95,7 @@ def brute_force_auc(scores, labels) -> float:
 
 
 def walk_tree_naive(tree, x) -> float:
-    """Recursive single-row router, independent of predict_tree/predict_many."""
+    """Recursive single-row router, independent of predict_many."""
 
     def descend(node: int) -> float:
         feat = int(tree.feature[node])

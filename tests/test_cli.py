@@ -85,6 +85,14 @@ def test_non_utf8_data_names_file_and_line(tmp_path, capsys):
     assert "0xe9" in err
 
 
+def test_oversized_cell_names_file_and_line(tmp_path, capsys):
+    big = tmp_path / "huge.csv"
+    row = ["x" * 200_000] + ["1"] * (len(CANONICAL_HEADER) - 1)
+    big.write_text(",".join(CANONICAL_HEADER) + "\n" + ",".join(row) + "\n", encoding="utf-8")
+    assert main(["ingest", "--data", str(big)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {big}: line 2: unreadable CSV record")
+
+
 def test_correlate_stdout_shape(csv_path, capsys):
     assert main(["correlate", "--data", str(csv_path)]) == 0
     lines = capsys.readouterr().out.splitlines()

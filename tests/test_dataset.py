@@ -15,7 +15,6 @@ from pdvox.dataset import (
     CANONICAL_FEATURES,
     CANONICAL_HEADER,
     Dataset,
-    apply_standardizer,
     correlation_matrix,
     fit_standardizer,
     load_dataset,
@@ -24,7 +23,7 @@ from pdvox.dataset import (
     transform_features,
     write_dataset_csv,
 )
-from pdvox.errors import ConfigError, SchemaError, ValidationError
+from pdvox.errors import ConfigError, PdvoxError, SchemaError, ValidationError
 
 
 def canonical_dataset(n_rows: int, rng: np.random.Generator) -> Dataset:
@@ -165,6 +164,93 @@ def test_load_reports_first_nonfinite_cell(tmp_path, bad, first):
     assert str(info.value) == (
         f"line {line_no}: column {CANONICAL_HEADER[pos]!r} value {token!r} is not finite"
     )
+
+
+def test_load_oversized_cell_names_file_and_line(tmp_path):
+    # The CSV reader's field size limit (131,072 bytes by default) fails as
+    # a SchemaError naming the file and the record's line.
+    path = tmp_path / "huge.csv"
+    write_rows(path, CANONICAL_HEADER, [sample_row("a"), sample_row("x" * 200_000)])
+    with pytest.raises(SchemaError) as info:
+        load_dataset(path)
+    assert str(info.value).startswith(f"{path}: line 3: unreadable CSV record: field larger")
+
+
+def test_load_line_numbers_count_file_lines_across_quoted_newlines(tmp_path):
+    # A quoted id holding a newline spans lines 2-3, so the next record
+    # starts on file line 4, not on the third record's "line 3".
+    rows = [sample_row('"a\nb"'), sample_row("c")]
+    rows[1][3] = "oops"
+    path = tmp_path / "quoted.csv"
+    write_rows(path, CANONICAL_HEADER, rows)
+    with pytest.raises(ValidationError, match="^line 4: column 'MDVP:Flo"):
+        load_dataset(path)
+    rows[1][3] = "1.5"
+    write_rows(path, CANONICAL_HEADER, rows)
+    assert load_dataset(path).ids == ("a\nb", "c")
+
+
+_STRAY = (b"\x00", b'"', b"\r", b"\n", b",", b" ", b"\xff", b"\xe9", b"\xc3", b"\xef\xbb\xbf")
+
+
+@st.composite
+def malformed_csv(draw):
+    """Canonical header plus rows, then one to three random mutations."""
+    header = list(CANONICAL_HEADER)
+    rows = [
+        sample_row(f"rec-{i}", draw(st.sampled_from(["0", "1"])))
+        for i in range(draw(st.integers(0, 4)))
+    ]
+    text_cell = st.text(max_size=6)
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["header", "ragged", "cell", "quote", "huge", "none"]))
+        if kind == "header":
+            pos = draw(st.integers(0, len(header) - 1))
+            edit = draw(st.sampled_from(["rename", "extra", "drop"]))
+            if edit == "rename":
+                header[pos] = draw(text_cell)
+            elif edit == "extra":
+                header.insert(pos, draw(text_cell))
+            else:
+                del header[pos]
+        elif kind != "none" and rows:
+            row = rows[draw(st.integers(0, len(rows) - 1))]
+            pos = draw(st.integers(0, len(row) - 1))
+            if kind == "ragged":
+                if draw(st.booleans()):
+                    del row[pos]
+                else:
+                    row.insert(pos, draw(text_cell))
+            elif kind == "cell":
+                row[pos] = draw(text_cell)
+            elif kind == "huge":
+                row[pos] = "9" * 140_000  # past the CSV reader's field size limit
+            else:
+                row[pos] = '"' + row[pos]  # unbalanced quote
+    head = (",".join(header) + "\n").encode("utf-8", "surrogatepass")
+    body = "".join(",".join(row) + "\n" for row in rows).encode("utf-8", "surrogatepass")
+    content = bytearray(head + body)
+    for _ in range(draw(st.integers(0, 3))):
+        # mostly into the rows, which the header checks do not cover
+        at = draw(st.integers(len(head) if draw(st.booleans()) else 0, len(content)))
+        content[at:at] = draw(st.sampled_from(_STRAY) | st.binary(min_size=1, max_size=3))
+    if draw(st.integers(0, 9)) == 0:
+        content = bytearray(draw(st.sampled_from([b"", b"\n", b" \n\t\r\n", b"\r\n\r\n"])))
+    return bytes(content)
+
+
+@settings(max_examples=400, deadline=None)
+@given(malformed_csv())
+def test_load_fuzzed_csv_fails_only_with_toolkit_errors(content):
+    # Ragged rows, bad header names, stray or non-UTF-8 bytes, unbalanced
+    # quotes, oversized cells and empty files either load or fail as a
+    # PdvoxError.
+    try:
+        data = load_dataset("fuzz.csv", content)
+    except PdvoxError as exc:
+        assert str(exc)
+    else:
+        assert data.n_records >= 1
 
 
 @settings(max_examples=25, deadline=None)
@@ -339,25 +425,25 @@ def test_standardizer_closed_form():
     s = fit_standardizer(ds)
     assert s.means[0] == pytest.approx(2.0)
     assert s.stds[0] == pytest.approx(1.0)  # sample sd, n-1 denominator
-    out = apply_standardizer(s, ds)
-    assert np.allclose(out.features[:, 0], [-1.0, 0.0, 1.0])
+    out = transform_features(s, ds.features)
+    assert np.allclose(out[:, 0], [-1.0, 0.0, 1.0])
 
 
 def test_standardizer_self_application_centers():
     rng = np.random.default_rng(9)
     ds = make_dataset(rng.lognormal(size=(50, 4)), rng.integers(0, 2, size=50))
     s = fit_standardizer(ds)
-    out = apply_standardizer(s, ds)
-    assert np.all(np.abs(out.features.mean(axis=0)) < 1e-9)
-    assert np.allclose(out.features.std(axis=0, ddof=1), 1.0, atol=1e-9)
+    out = transform_features(s, ds.features)
+    assert np.all(np.abs(out.mean(axis=0)) < 1e-9)
+    assert np.allclose(out.std(axis=0, ddof=1), 1.0, atol=1e-9)
 
 
 def test_standardizer_constant_column_zeroed_with_warning():
     ds = make_dataset([[5.0, 1.0], [5.0, 2.0], [5.0, 4.0]], [0, 1, 1])
     with pytest.warns(UserWarning, match="constant"):
         s = fit_standardizer(ds)
-    out = apply_standardizer(s, ds)
-    assert np.all(out.features[:, 0] == 0.0)
+    out = transform_features(s, ds.features)
+    assert np.all(out[:, 0] == 0.0)
     # constant column zeroes even for unseen values
     other = transform_features(s, np.array([[7.0, 3.0]]))
     assert other[0, 0] == 0.0

@@ -9,19 +9,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_dataset
+from conftest import make_dataset, walk_tree_naive
 from pdvox.ensemble import (
     AdaBoostParams,
     BaggingParams,
     GbdtParams,
-    ensemble_predict,
     ensemble_scores,
     fit_adaboost,
     fit_bagging,
     fit_gbdt,
 )
 from pdvox.errors import ConfigError, ValidationError
-from pdvox.tree import predict_tree
+from pdvox.tree import predict_many
 
 
 def _toy(n=60, d=4, seed=0, sep=1.6):
@@ -59,8 +58,8 @@ def test_first_tree_leaf_values_two_row_case():
     )
     assert model.base_score == 0.0
     tree = model.trees[0]
-    left = predict_tree(tree, np.array([0.0]))
-    right = predict_tree(tree, np.array([1.0]))
+    left = walk_tree_naive(tree, np.array([0.0]))
+    right = walk_tree_naive(tree, np.array([1.0]))
     assert left == pytest.approx(-0.4, abs=1e-12)
     assert right == pytest.approx(0.4, abs=1e-12)
 
@@ -121,7 +120,7 @@ def test_gbdt_hand_walked_round():
     base = math.log(n1 / n0)
     p = 1 / (1 + np.exp(-base))
     margins = base + params.learning_rate * np.array(
-        [predict_tree(model.trees[0], row) for row in train.features]
+        [walk_tree_naive(model.trees[0], row) for row in train.features]
     )
     y = train.labels.astype(np.float64)
     expected_loss = np.mean(np.logaddexp(0.0, np.where(y == 1, -margins, margins)))
@@ -223,7 +222,7 @@ def test_bagging_identity_hook_reduces_to_single_fit():
     train = _toy(n=60, seed=3)
     model = fit_bagging(train, BaggingParams(n_trees=7, bootstrap=False), seed=5)
     q = train.features[:10]
-    votes = np.stack([np.array([predict_tree(t, r) for r in q]) for t in model.trees])
+    votes = np.stack([predict_many(t, q) for t in model.trees])
     # without bootstrap every tree sees identical data -> identical trees
     assert np.all(votes == votes[0])
     _, probs = ensemble_scores(model, q)
@@ -273,14 +272,6 @@ def test_scores_reject_wrong_width():
     model = fit_gbdt(train, GbdtParams(rounds=2))
     with pytest.raises(ValidationError):
         ensemble_scores(model, np.zeros((2, 5)))
-
-
-def test_ensemble_predict_single_row():
-    train = _toy(n=40, seed=15)
-    model = fit_gbdt(train, GbdtParams(rounds=3))
-    row = train.features[0]
-    scores, probs = ensemble_scores(model, row.reshape(1, -1))
-    assert ensemble_predict(model, row) == (scores[0], probs[0])
 
 
 @settings(max_examples=20, deadline=None)

@@ -6,10 +6,13 @@ import builtins
 import hashlib
 import json
 import math
+import types
 
 import numpy as np
 import pytest
 
+import pdvox
+from pdvox import experiment
 from pdvox.dataset import CANONICAL_FEATURES, Dataset, write_dataset_csv
 from pdvox.ensemble import AdaBoostParams, BaggingParams, GbdtParams
 from pdvox.errors import ConfigError
@@ -170,6 +173,18 @@ def test_single_model_config(csv_path):
     assert [r.model for r in rep.results] == ["svm"]
 
 
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_single_model_result_matches_its_entry_in_all(csv_path, report, name):
+    # A model's result does not depend on which other models run.
+    alone = json.loads(report_to_json(run_experiment(_fast_config(csv_path, model=name))))
+    together = json.loads(report_to_json(report))
+    [entry] = [r for r in together["results"] if r["model"] == name]
+    assert [json.dumps(r, sort_keys=True) for r in alone["results"]] == [
+        json.dumps(entry, sort_keys=True)
+    ]
+    assert alone["split"] == together["split"]
+
+
 def test_config_rejects_unknown_model(csv_path):
     with pytest.raises(ConfigError):
         RunConfig(data=str(csv_path), model="random-forest")
@@ -187,6 +202,44 @@ def test_config_rejects_swapped_variants(csv_path):
         RunConfig(
             data=str(csv_path), gbdt_leafwise=GbdtParams(variant="level-wise")
         )
+
+
+def test_learners_call_through_module_names(csv_path, monkeypatch):
+    # Wrappers set on experiment's names (as the benchmark tracer sets
+    # them) must see every fit and score; fit_gbdt gets its params as the
+    # second positional argument.
+    calls = []
+
+    def spy(name):
+        real = getattr(experiment, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(args[1].variant if name == "fit_gbdt" else name)
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    names = ("fit_gbdt", "fit_adaboost", "fit_bagging", "fit_svm",
+             "ensemble_scores", "decision_scores")
+    for name in names:
+        monkeypatch.setattr(experiment, name, spy(name))
+    run_experiment(_fast_config(csv_path))
+    assert calls == [
+        "leaf-wise", "ensemble_scores", "level-wise", "ensemble_scores",
+        "fit_adaboost", "ensemble_scores", "fit_bagging", "ensemble_scores",
+        "fit_svm", "decision_scores",
+    ]
+
+
+def test_top_level_exports_only_the_entry_points_and_errors():
+    exported = {
+        name for name, value in vars(pdvox).items()
+        if not name.startswith("__") and not isinstance(value, types.ModuleType)
+    }
+    assert exported == {
+        "RunConfig", "run_experiment", "emit_comparison", "parse_report",
+        "PdvoxError", "SchemaError", "ValidationError", "ConfigError",
+    }
 
 
 def test_missing_file_raises_oserror():

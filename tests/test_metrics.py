@@ -15,7 +15,6 @@ from pdvox.metrics import (
     confusion,
     format_percent,
     roc_auc,
-    write_roc_csv,
 )
 
 # Scores live on a 1e-4 grid: coarse enough that strictly monotone float
@@ -161,7 +160,7 @@ def test_auc_negation_complements(rows):
     assert neg == pytest.approx(1.0 - auc, abs=1e-9)
 
 
-def test_roc_curve_monotone_on_random(tmp_path):
+def test_roc_curve_monotone_on_random():
     rng = np.random.default_rng(3)
     scores = rng.normal(size=200)
     labels = rng.integers(0, 2, size=200)
@@ -169,12 +168,6 @@ def test_roc_curve_monotone_on_random(tmp_path):
     curve, auc = roc_auc(scores, labels)
     assert 0.0 <= auc <= 1.0
     assert np.all(np.diff(curve.fpr) >= 0) and np.all(np.diff(curve.tpr) >= 0)
-    out = tmp_path / "roc.csv"
-    write_roc_csv(curve, out)
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "threshold,fpr,tpr"
-    assert len(lines) == 1 + len(curve.fpr)
-    assert lines[1].startswith("inf,0.0,0.0")
 
 
 def test_format_percent_rounding():

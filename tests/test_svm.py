@@ -27,7 +27,7 @@ from pdvox import svm
 from pdvox.dataset import load_dataset, stratified_split, transform_features
 from pdvox.errors import ConfigError, ValidationError
 from pdvox.resample import SmoteConfig, smote
-from pdvox.svm import SvmParams, decision_function, decision_scores, fit_svm, rbf_kernel
+from pdvox.svm import SvmParams, decision_scores, fit_svm
 
 
 def _two_blobs(n_per=12, d=3, seed=0, sep=3.0):
@@ -65,12 +65,16 @@ def _kkt_violations(model, train, params, tol=1e-3):
 # ---------------------------------------------------------------- kernel
 
 
+def _pair_kernel(x, z, gamma):
+    return float(svm._kernel_matrix(np.array([x], float), np.array([z], float), gamma)[0, 0])
+
+
 def test_rbf_reference_values():
-    assert rbf_kernel([0.0, 0.0], [0.0, 0.0], gamma=0.5) == 1.0
-    assert rbf_kernel([1.0, 0.0], [0.0, 0.0], gamma=0.5) == pytest.approx(
+    assert _pair_kernel([0.0, 0.0], [0.0, 0.0], gamma=0.5) == 1.0
+    assert _pair_kernel([1.0, 0.0], [0.0, 0.0], gamma=0.5) == pytest.approx(
         math.exp(-0.5)
     )
-    assert rbf_kernel([1.0, 1.0], [-1.0, -1.0], gamma=0.25) == pytest.approx(
+    assert _pair_kernel([1.0, 1.0], [-1.0, -1.0], gamma=0.25) == pytest.approx(
         math.exp(-2.0)
     )
 
@@ -79,14 +83,15 @@ def test_rbf_bounds_and_symmetry():
     rng = np.random.default_rng(1)
     for _ in range(20):
         a, b = rng.normal(size=4), rng.normal(size=4)
-        k = rbf_kernel(a, b, gamma=0.7)
+        k = _pair_kernel(a, b, gamma=0.7)
         assert 0.0 < k <= 1.0
-        assert k == rbf_kernel(b, a, gamma=0.7)
+        assert k == _pair_kernel(b, a, gamma=0.7)
 
 
 def test_rbf_shape_mismatch():
+    model = fit_svm(make_dataset(np.array([[-1.0], [1.0]]), np.array([0, 1])), SvmParams())
     with pytest.raises(ValidationError):
-        rbf_kernel([1.0], [1.0, 2.0], gamma=0.5)
+        decision_scores(model, np.array([[1.0, 2.0]]))
 
 
 _BLOCK = svm._KERNEL_BLOCK_ROWS
@@ -132,8 +137,8 @@ def test_symmetric_pair_reference_solution():
     assert a[0] == pytest.approx(a[1], abs=1e-9)
     assert abs(model.bias) <= 1e-9
     assert np.dot(a, [-1.0, 1.0]) == pytest.approx(0.0, abs=1e-12)
-    f_pos = decision_function(model, np.array([1.0]))
-    f_neg = decision_function(model, np.array([-1.0]))
+    f_pos = decision_scores(model, np.array([[1.0]]))[0]
+    f_neg = decision_scores(model, np.array([[-1.0]]))[0]
     assert f_pos == pytest.approx(-f_neg, abs=1e-9)
     assert f_pos > 0
 
@@ -254,7 +259,7 @@ def test_decision_scores_shape_checks():
     with pytest.raises(ValidationError):
         decision_scores(model, np.zeros((2, 7)))
     with pytest.raises(ValidationError):
-        decision_function(model, np.zeros((2, 3)))
+        decision_scores(model, np.zeros(3))
 
 
 @settings(max_examples=8, deadline=None)

@@ -16,14 +16,19 @@ from pdvox.tree import (
     TreeParams,
     _best_split,
     _best_splits_packed,
-    _histogram,
+    _bin_sums,
     build_bins,
     fit_cart,
     predict_many,
-    predict_tree,
-    serialize_tree,
     take_rows,
 )
+
+
+def _histogram(codes_sub, a_sub, b_sub, padded):
+    """Stacked (A, B, count) histograms, shape (3, d, padded)."""
+    d = codes_sub.shape[1]
+    flat = codes_sub.astype(np.int64) + np.arange(d) * padded
+    return _bin_sums(flat, a_sub, b_sub, d * padded).reshape(3, d, padded)
 
 
 def _gini_params(**kw):
@@ -69,7 +74,7 @@ def test_bins_quantile_downsampling_respects_cap():
 
 def test_bins_codes_consistent_with_route_rule():
     # For every cut c: x <= c must be exactly the rows whose code falls in
-    # bins left of the cut, the same comparison predict_tree applies.
+    # bins left of the cut, the same comparison predict_many applies.
     rng = np.random.default_rng(0)
     X = rng.normal(size=(300, 3))
     X[:, 1] = np.round(X[:, 1], 1)  # heavy ties
@@ -109,8 +114,7 @@ def test_depth_one_stump_reference():
     root = 0
     assert tree.feature[root] == 0
     assert tree.threshold[root] == pytest.approx(2.5)
-    assert predict_tree(tree, np.array([2.0])) == 0.0
-    assert predict_tree(tree, np.array([2.6])) == 1.0
+    assert np.array_equal(predict_many(tree, np.array([[2.0], [2.6]])), [0.0, 1.0])
 
 
 def test_pure_node_never_splits():
@@ -456,13 +460,3 @@ def test_shape_mismatch_rejected():
         fit_cart(X, np.array([0.5, -0.5, 0.1]), np.ones(2), params=_newton_params())
     with pytest.raises(ValidationError):
         fit_cart(X, np.array([0.5, -0.5]), np.ones(3), params=_newton_params())
-
-
-def test_serialize_smoke():
-    X = np.array([[1.0], [2.0], [3.0], [4.0]])
-    y = np.array([0.0, 0.0, 1.0, 1.0])
-    tree = fit_cart(X, y, np.ones(4), params=_gini_params(max_depth=1))
-    blob = serialize_tree(tree)
-    assert isinstance(blob, str)
-    assert len(blob.splitlines()) == 1 + tree.n_nodes
-    assert "x[0] <= 2.5" in blob.replace("np.float64(2.5)", "2.5")
