@@ -128,18 +128,18 @@ def subset(data: Dataset, indices) -> Dataset:
     )
 
 
-def _parse_status(token: str, line_no: int) -> int:
+def _parse_status(token: str, path, line_no: int) -> int:
     try:
         value = float(token)
     except ValueError:
         raise ValidationError(
-            f"line {line_no}: status {token!r} is not numeric"
+            f"{path}: line {line_no}: status {token!r} is not numeric"
         ) from None
     if value == 0.0:
         return 0
     if value == 1.0:
         return 1
-    raise ValidationError(f"line {line_no}: status must be 0 or 1, saw {token!r}")
+    raise ValidationError(f"{path}: line {line_no}: status must be 0 or 1, saw {token!r}")
 
 
 def _csv_records(text: str, path):
@@ -160,13 +160,15 @@ def load_dataset(path, content: bytes | None = None) -> Dataset:
     """Read the canonical 24-column CSV into a validated Dataset.
 
     The header must match :data:`CANONICAL_HEADER` exactly; the first
-    mismatched column name is reported. Feature cells must parse as
-    finite numbers and ``status`` must be 0 or 1 (errors carry the 1-based
-    file line the record starts on). Bytes that are not UTF-8, and records
-    the CSV reader rejects (such as a cell over its field size limit), fail
-    as a SchemaError naming the file and the line. ``content`` is the file's
-    bytes when the caller has already read them; ``path`` then only names
-    the source in messages.
+    mismatched column name is reported, and a leading UTF-8 byte-order
+    mark is named as such. Feature cells must parse as finite numbers and
+    ``status`` must be 0 or 1. Bytes that are not UTF-8, and records the
+    CSV reader rejects (such as a cell over its field size limit), fail as
+    a SchemaError. Every error names the file; an error in a record or a
+    byte also gives the 1-based file line it starts on, counting line
+    breaks as the CSV reader does (LF, CR LF or a lone CR). ``content``
+    is the file's bytes when the caller has already read them; ``path``
+    then only names the source in messages.
     """
     if content is None:
         with open(path, "rb") as handle:
@@ -174,11 +176,14 @@ def load_dataset(path, content: bytes | None = None) -> Dataset:
     try:
         text = content.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line_no = content.count(b"\n", 0, exc.start) + 1
+        head = content[: exc.start]
+        line_no = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
         raise SchemaError(
             f"{path}: line {line_no}: not UTF-8 text "
             f"(byte 0x{content[exc.start]:02x} at offset {exc.start})"
         ) from None
+    if text.startswith("\ufeff"):
+        raise SchemaError(f"{path}: line 1: file starts with a UTF-8 byte-order mark")
     records = _csv_records(text, path)
     _, header = next(records, (None, None))
     if header is None:
@@ -201,11 +206,11 @@ def load_dataset(path, content: bytes | None = None) -> Dataset:
             continue
         if len(row) != len(CANONICAL_HEADER):
             raise ValidationError(
-                f"line {line_no}: expected {len(CANONICAL_HEADER)} fields, "
+                f"{path}: line {line_no}: expected {len(CANONICAL_HEADER)} fields, "
                 f"got {len(row)}"
             )
         ids.append(row[0])
-        labels.append(_parse_status(row[_STATUS_POS], line_no))
+        labels.append(_parse_status(row[_STATUS_POS], path, line_no))
         values = []
         for pos, token in enumerate(row):
             if pos == 0 or pos == _STATUS_POS:
@@ -214,12 +219,12 @@ def load_dataset(path, content: bytes | None = None) -> Dataset:
                 value = float(token)
             except ValueError:
                 raise ValidationError(
-                    f"line {line_no}: column {CANONICAL_HEADER[pos]!r} value "
+                    f"{path}: line {line_no}: column {CANONICAL_HEADER[pos]!r} value "
                     f"{token!r} is not numeric"
                 ) from None
             if not math.isfinite(value):
                 raise ValidationError(
-                    f"line {line_no}: column {CANONICAL_HEADER[pos]!r} value "
+                    f"{path}: line {line_no}: column {CANONICAL_HEADER[pos]!r} value "
                     f"{token!r} is not finite"
                 )
             values.append(value)

@@ -14,23 +14,28 @@ histogram is its parent's minus its sibling's. Routing uses the raw cut
 value: ``x[feature] <= threshold`` goes left, which agrees exactly with
 ``searchsorted(cuts, x, side="left")`` binning.
 
-Split search cost follows the node, not the bin grid:
+Split search cost follows the node, not the bin grid. Every search of
+a growth step goes through one entry point, ``_best_splits``:
 
 * No search runs where its result could not be used: at ``max_depth``,
   below ``2 * min_samples_leaf`` rows, on a gini node whose rows all
   carry one target, or, in leaf-wise growth, on the children of the
   split that reaches ``max_leaves`` (they are never popped).
 * A node with more than ``padded / PACKED_SEARCH_RATIO`` rows sweeps
-  prefix sums over the full bin grid. A smaller node sweeps only its
-  bins where A, B or count is nonzero (including the float dust that
-  histogram subtraction leaves in empty bins), packed left-aligned.
+  prefix sums over its full bin grid, as a one-node batch that is not
+  compacted. A smaller node sweeps only its bins where A, B or count is
+  nonzero (including the float dust that histogram subtraction leaves
+  in empty bins), packed left-aligned. The row count is the node's
+  count total: the count plane holds integer sums, so it is exact.
 
 Both sweeps pick the same split, bit for bit. A dropped bin adds an
 exact 0.0 to each sequential prefix sum, so the cut after it ties the
 kept cut before it, and the first-maximum tie-break (lowest feature,
 then lowest cut) still lands on the kept one. Per-feature totals come
 from the full bin rows in both, because pairwise summation depends on
-the row length.
+the row length. No cut lands on a padding column (past a feature's last
+real bin): everything right of it is empty, and ``min_samples_leaf >=
+1`` makes a cut with no rows on its right invalid.
 
 Histograms follow the same rule. A split decides which children will
 be searched before it builds anything:
@@ -54,10 +59,11 @@ Packed searches are batched: all of a depth level's in max-depth growth,
 a sibling pair's in leaf-wise growth. Each node is packed straight into
 one shared buffer, padded to the batch's width with zeroed slots (their
 cuts leave no rows on the right, so they are never valid), and the
-first maximum is taken per node. Nodes x shared width stays within
-``padded``, so a batch holds at most one full grid's worth of packed
-columns, and one per-fit workspace of that size serves every sweep; the
-nodes' full grids are never stacked.
+first maximum is taken per node, by the same code as a full-grid
+node's. Nodes x shared width stays within ``padded``, so a batch holds
+at most one full grid's worth of packed columns, and one per-fit
+workspace of that size serves every sweep; the nodes' full grids are
+never stacked.
 """
 
 from __future__ import annotations
@@ -305,60 +311,31 @@ def _cut_gains(hist, totals, params: TreeParams, ws: _Workspace):
     return gain
 
 
-def _first_max(gain):
-    """(gain, feature, column) of the first maximum in a feature-major,
-    column-ascending scan, or None when no gain clears GAIN_EPS."""
-    flat = int(np.argmax(gain))
-    best = gain.ravel()[flat]
-    if not best > GAIN_EPS:
-        return None
-    feat, col = divmod(flat, gain.shape[1])
-    return float(best), feat, col
+def _best_splits(hists, totals, bins: BinMap, params: TreeParams, ws: _Workspace):
+    """Highest-gain (gain, feature, bin, threshold) of every (3, d, padded)
+    histogram in ``hists``, or None where no cut clears GAIN_EPS.
 
-
-def _split_at(gain: float, feat: int, b: int, bins: BinMap):
-    if b >= bins.n_bins[feat] - 1:  # padding column; empty right side, never valid
-        return None
-    return gain, int(feat), int(b), float(bins.cuts[feat][b])
-
-
-def _best_split(hist, bins: BinMap, params: TreeParams, totals=None, ws=None):
-    """Highest-gain (gain, feature, bin, threshold) over the full bin grid,
-    or None.
-
-    Ties resolve to the lowest feature index, then the lowest threshold
-    (the first maximum in a feature-major, bin-ascending scan). ``totals``
-    (``hist``'s sums over axis 2) and ``ws`` are computed when omitted.
+    ``totals`` are each histogram's sums over axis 2. Ties resolve to the
+    lowest feature, then the lowest cut (the first maximum in a
+    feature-major, bin-ascending scan). A node with more than ``padded /
+    PACKED_SEARCH_RATIO`` rows (its count total) is a one-node batch swept
+    over its own full grid, in ``hists`` order. Smaller nodes keep only
+    the bins where any of A, B or C is nonzero, packed left-aligned per
+    feature in bin order, and share batches of at most one full grid's
+    worth of columns.
     """
-    if hist.shape[2] < 2:
-        return None
-    if totals is None:
-        totals = hist.sum(axis=2, keepdims=True)
-    if ws is None:
-        ws = _Workspace(hist.shape[1] * hist.shape[2])
-    found = _first_max(_cut_gains(hist, totals, params, ws))
-    return None if found is None else _split_at(*found, bins)
-
-
-def _best_splits_packed(hists, totals, bins: BinMap, params: TreeParams, ws=None):
-    """:func:`_best_split` of every (3, d, padded) histogram in ``hists``
-    (``totals``: each one's sums over axis 2), sweeping only the bins
-    where any of A, B or C is nonzero, packed left-aligned per feature in
-    bin order. Nodes are swept in batches padded to a shared width, each
-    holding at most one full bin grid's worth (d * padded) of packed
-    columns."""
     found = [None] * len(hists)
-    if not hists:
-        return found
-    _, d, padded = hists[0].shape
-    if ws is None:
-        ws = _Workspace(d * padded)
-    nodes = []
+    nodes = []  # packed: (shared width, index, kept bins, feature widths)
     for i, hist in enumerate(hists):
+        _, d, padded = hist.shape
+        if PACKED_SEARCH_RATIO * totals[i][2, 0, 0] > padded:
+            if padded >= 2:  # else no feature has two bins, so no cut
+                _sweep([(padded, i, None, None)], hists, totals, bins, params, ws, found)
+            continue
         kept = np.flatnonzero((hist != 0).any(axis=0))  # flat feature * padded + bin
         width = np.bincount(kept // padded, minlength=d)
         k = int(width.max())
-        if k >= 2:  # else no feature has two kept bins, so no cut
+        if k >= 2:  # else no feature has two kept bins
             nodes.append((k, i, kept, width))
     # nodes of similar width share a batch, so less of it is padding
     nodes.sort(key=lambda node: node[0])
@@ -366,38 +343,41 @@ def _best_splits_packed(hists, totals, bins: BinMap, params: TreeParams, ws=None
     for last in range(1, len(nodes) + 1):
         # nodes x shared width stays within padded columns per feature
         if last == len(nodes) or (last + 1 - first) * nodes[last][0] > padded:
-            _sweep_packed(nodes[first:last], hists, totals, bins, params, ws, found)
+            _sweep(nodes[first:last], hists, totals, bins, params, ws, found)
             first = last
     return found
 
 
-def _sweep_packed(batch, hists, totals, bins, params, ws, found):
-    """One :func:`_cut_gains` pass over a batch of (width, index, kept
-    bins, feature widths) nodes, sorted by width; sets ``found[index]``."""
+def _sweep(batch, hists, totals, bins, params, ws, found):
+    """One :func:`_cut_gains` pass over a batch of :func:`_best_splits`
+    nodes, sorted by width; sets ``found[index]`` to each node's first
+    maximum. A full-grid node (no kept bins) is swept in place."""
     n = len(batch)
-    k = batch[-1][0]
-    d = batch[0][3].size
-    padded = hists[0].shape[2]
-    width = np.concatenate([node[3] for node in batch])  # per node * d + feature
-    start = np.cumsum(width) - width
-    # packed column of each kept bin: row * k + its rank in the row; slots
-    # past a row's width stay zero
-    dest = np.arange(start[-1] + width[-1]) + np.repeat(np.arange(n * d) * k - start, width)
-    packed = ws.packed[: 3 * n * d * k].reshape(3, n * d, k)
-    packed.fill(0.0)
-    packed.reshape(3, -1)[:, dest] = np.concatenate(
-        [np.take(hists[i].reshape(3, -1), kept, axis=1) for _, i, kept, _ in batch], axis=1
-    )
-    node_totals = np.concatenate([totals[i] for _, i, _, _ in batch], axis=1)
-    gain = _cut_gains(packed, node_totals, params, ws).reshape(n, d * (k - 1))
-    # per node: the first maximum, as in _first_max
-    cols = np.argmax(gain, axis=1)
-    bests = gain[np.arange(n), cols]
-    for j, (_, i, kept, _) in enumerate(batch):
-        if bests[j] > GAIN_EPS:
-            f, c = divmod(int(cols[j]), k - 1)
-            b = int(kept[start[j * d + f] - start[j * d] + c]) - f * padded
-            found[i] = _split_at(float(bests[j]), f, b, bins)
+    k, i, kept, _ = batch[-1]
+    hist, node_totals = hists[i], totals[i]
+    if kept is not None:
+        _, d, padded = hist.shape
+        width = np.concatenate([node[3] for node in batch])  # per node * d + feature
+        start = width.cumsum() - width
+        # packed column of each kept bin: row * k + its rank in the row;
+        # slots past a row's width stay zero, and their cuts leave no rows
+        # on the right
+        dest = np.arange(start[-1] + width[-1]) + (np.arange(n * d) * k - start).repeat(width)
+        hist = ws.packed[: 3 * n * d * k].reshape(3, n * d, k)
+        hist.fill(0.0)
+        hist.reshape(3, -1)[:, dest] = np.concatenate(
+            [hists[i].reshape(3, -1).take(kept, axis=1) for _, i, kept, _ in batch], axis=1
+        )
+        node_totals = np.concatenate([totals[i] for _, i, _, _ in batch], axis=1)
+    gain = _cut_gains(hist, node_totals, params, ws).reshape(n, -1)
+    for j, col in enumerate(gain.argmax(axis=1).tolist()):
+        best = gain[j, col]
+        if best > GAIN_EPS:
+            _, i, kept, _ = batch[j]
+            f, b = divmod(col, k - 1)
+            if kept is not None:  # packed column -> bin
+                b = int(kept[start[j * d + f] - start[j * d] + b]) - f * padded
+            found[i] = (float(best), f, b, float(bins.cuts[f][b]))
 
 
 def fit_cart(features, targets, weights, params: TreeParams, bins: BinMap | None = None) -> Tree:
@@ -493,19 +473,12 @@ def fit_cart(features, targets, weights, params: TreeParams, bins: BinMap | None
         return node
 
     def search_pending() -> None:
-        small = []
-        for node, totals in pending:
-            if PACKED_SEARCH_RATIO * node.rows.size <= padded:
-                small.append((node, totals))
-            else:
-                node.best = _best_split(node.hist, bins, params, totals, ws)
-        found = _best_splits_packed(
-            [node.hist for node, _ in small], [totals for _, totals in small], bins, params, ws
+        found = _best_splits(
+            [node.hist for node, _ in pending], [totals for _, totals in pending], bins, params, ws
         )
-        for (node, _), best in zip(small, found):
+        for (node, _), best in zip(pending, found):
             node.best = best
-        for node, _ in pending:
-            if node.best is None:
+            if best is None:
                 node.hist = None  # free
         pending.clear()
 

@@ -145,14 +145,45 @@ def naive_gini_stump(X, y, w):
     return best
 
 
+def reference_best_split(hist, bins, params):
+    """Split search as ``fit_cart`` first did it: the highest-gain
+    (gain, feature, bin, threshold) over one node's full (3, d, padded)
+    bin grid, with freshly allocated temporaries, or None. Ties go to the
+    first maximum (lowest feature, then lowest cut), and a cut on a
+    padding column (past a feature's last real bin) is never returned.
+    """
+    padded = hist.shape[2]
+    if padded < 2:
+        return None
+    totals = hist.sum(axis=2, keepdims=True)
+    S_A, S_B, S_C = np.cumsum(hist[:, :, :-1], axis=2)
+    R_A, R_B, R_C = totals - np.cumsum(hist[:, :, :-1], axis=2)
+    At, Bt, _ = totals
+    valid = np.minimum(S_C, R_C) >= params.min_samples_leaf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if params.objective == "gini":
+            valid &= np.minimum(S_B, R_B) > 0
+            parent = At * (Bt - At) / Bt
+            gain = 2.0 * (parent - S_A * (S_B - S_A) / S_B - R_A * (R_B - R_A) / R_B)
+        else:
+            lam = params.lam
+            left, right = S_A * S_A / (S_B + lam), R_A * R_A / (R_B + lam)
+            gain = 0.5 * (left + right - At * At / (Bt + lam)) - params.gamma
+    gain = np.where(valid & np.isfinite(gain), gain, -np.inf)
+    f, cut = divmod(int(np.argmax(gain)), padded - 1)  # first maximum
+    if not gain[f, cut] > 1e-12 or cut >= bins.n_bins[f] - 1:
+        return None
+    return float(gain[f, cut]), f, cut, float(bins.cuts[f][cut])
+
+
 def reference_fit_cart(X, t, w, params, bins):
     """CART growth as ``fit_cart`` first did it, with the same skip rules.
 
     Every child gets a full (3, d, padded) histogram: the smaller child's
     by bincount over its rows, the larger one's by subtracting that from
-    its parent. Every node that may split is searched on its own over the
-    full bin grid, with freshly allocated temporaries, and leaf values
-    come from feature 0's bin row. Returns the five node arrays.
+    its parent. Every node that may split is searched on its own by
+    :func:`reference_best_split`, and leaf values come from feature 0's
+    bin row. Returns the five node arrays.
     """
     t = np.asarray(t, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
@@ -167,29 +198,6 @@ def reference_fit_cart(X, t, w, params, bins):
         a_hist = np.bincount(flat, weights=np.repeat(a[rows], d), minlength=size)
         b_hist = np.bincount(flat, weights=np.repeat(b[rows], d), minlength=size)
         return np.stack([h.reshape(d, padded) for h in (a_hist, b_hist, counts)])
-
-    def search(hist):
-        if padded < 2:
-            return None
-        totals = hist.sum(axis=2, keepdims=True)
-        S_A, S_B, S_C = np.cumsum(hist[:, :, :-1], axis=2)
-        R_A, R_B, R_C = totals - np.cumsum(hist[:, :, :-1], axis=2)
-        At, Bt, _ = totals
-        valid = np.minimum(S_C, R_C) >= params.min_samples_leaf
-        with np.errstate(divide="ignore", invalid="ignore"):
-            if params.objective == "gini":
-                valid &= np.minimum(S_B, R_B) > 0
-                parent = At * (Bt - At) / Bt
-                gain = 2.0 * (parent - S_A * (S_B - S_A) / S_B - R_A * (R_B - R_A) / R_B)
-            else:
-                lam = params.lam
-                left, right = S_A * S_A / (S_B + lam), R_A * R_A / (R_B + lam)
-                gain = 0.5 * (left + right - At * At / (Bt + lam)) - params.gamma
-        gain = np.where(valid & np.isfinite(gain), gain, -np.inf)
-        f, cut = divmod(int(np.argmax(gain)), padded - 1)  # first maximum
-        if not gain[f, cut] > 1e-12 or cut >= bins.n_bins[f] - 1:
-            return None
-        return float(gain[f, cut]), f, cut, float(bins.cuts[f][cut])
 
     def can_split(rows, depth):
         if params.max_depth is not None and depth >= params.max_depth:
@@ -211,7 +219,7 @@ def reference_fit_cart(X, t, w, params, bins):
             value.append(1.0 if A >= B - A else 0.0)
         else:
             value.append(-A / (B + params.lam) if B + params.lam > 0 else 0.0)
-        best = search(hist) if can_split(rows, depth) else None
+        best = reference_best_split(hist, bins, params) if can_split(rows, depth) else None
         return [i, rows, hist, depth, best]
 
     def split(state):

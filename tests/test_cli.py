@@ -93,6 +93,14 @@ def test_oversized_cell_names_file_and_line(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: {big}: line 2: unreadable CSV record")
 
 
+def test_ragged_row_names_file_and_line(tmp_path, capsys):
+    bad = tmp_path / "ragged.csv"
+    rows = [["a"] + ["1"] * (len(CANONICAL_HEADER) - 1), ["b"] + ["1"] * (len(CANONICAL_HEADER) - 2)]
+    bad.write_text("\n".join(",".join(row) for row in [CANONICAL_HEADER, *rows]) + "\n")
+    assert main(["ingest", "--data", str(bad)]) == 1
+    assert capsys.readouterr().err == f"error: {bad}: line 3: expected 24 fields, got 23\n"
+
+
 def test_correlate_stdout_shape(csv_path, capsys):
     assert main(["correlate", "--data", str(csv_path)]) == 0
     lines = capsys.readouterr().out.splitlines()

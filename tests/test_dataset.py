@@ -162,7 +162,8 @@ def test_load_reports_first_nonfinite_cell(tmp_path, bad, first):
     with pytest.raises(ValidationError) as info:
         load_dataset(path)
     assert str(info.value) == (
-        f"line {line_no}: column {CANONICAL_HEADER[pos]!r} value {token!r} is not finite"
+        f"{path}: line {line_no}: column {CANONICAL_HEADER[pos]!r} value {token!r} "
+        "is not finite"
     )
 
 
@@ -183,11 +184,36 @@ def test_load_line_numbers_count_file_lines_across_quoted_newlines(tmp_path):
     rows[1][3] = "oops"
     path = tmp_path / "quoted.csv"
     write_rows(path, CANONICAL_HEADER, rows)
-    with pytest.raises(ValidationError, match="^line 4: column 'MDVP:Flo"):
+    with pytest.raises(ValidationError) as info:
         load_dataset(path)
+    assert str(info.value).startswith(f"{path}: line 4: column 'MDVP:Flo")
     rows[1][3] = "1.5"
     write_rows(path, CANONICAL_HEADER, rows)
     assert load_dataset(path).ids == ("a\nb", "c")
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r", "\r\n"])
+def test_load_non_utf8_line_counts_line_breaks_as_the_reader_does(tmp_path, newline):
+    # The CSV reader ends lines at LF, CR LF and a lone CR alike, so a
+    # Latin-1 byte on the fourth line is on line 4 whichever the file uses.
+    rows = [sample_row("a"), sample_row("b"), sample_row("voix-\u00e9")]
+    text = newline.join([",".join(CANONICAL_HEADER)] + [",".join(row) for row in rows]) + newline
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(text.encode("latin-1"))
+    with pytest.raises(SchemaError) as info:
+        load_dataset(path)
+    assert str(info.value).startswith(f"{path}: line 4: not UTF-8 text (byte 0xe9")
+
+
+def test_load_names_a_leading_byte_order_mark(tmp_path):
+    path = tmp_path / "ok.csv"
+    write_rows(path, CANONICAL_HEADER, [sample_row("a")])
+    assert load_dataset(path).ids == ("a",)
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    with pytest.raises(SchemaError) as info:
+        load_dataset(bom)
+    assert str(info.value) == f"{bom}: line 1: file starts with a UTF-8 byte-order mark"
 
 
 _STRAY = (b"\x00", b'"', b"\r", b"\n", b",", b" ", b"\xff", b"\xe9", b"\xc3", b"\xef\xbb\xbf")

@@ -9,14 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import naive_gini_stump, reference_fit_cart, walk_tree_naive
+from conftest import naive_gini_stump, reference_best_split, reference_fit_cart, walk_tree_naive
+from pdvox import tree as tree_module
 from pdvox.errors import ConfigError, ValidationError
 from pdvox.tree import (
     BinMap,
     TreeParams,
-    _best_split,
-    _best_splits_packed,
+    _best_splits,
     _bin_sums,
+    _Workspace,
     build_bins,
     fit_cart,
     predict_many,
@@ -256,6 +257,22 @@ def _subtracted_node(rng, codes, a, b, padded, rounds):
     return hist, kept
 
 
+def _search(hists, bins, params, ratio):
+    """:func:`_best_splits` of every histogram in ``hists`` with the
+    packed-search gate at ``ratio``."""
+    _, d, padded = hists[0].shape
+    totals = [hist.sum(axis=2, keepdims=True) for hist in hists]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tree_module, "PACKED_SEARCH_RATIO", ratio)
+        return _best_splits(hists, totals, bins, params, _Workspace(d * padded))
+
+
+#: Gate ratios: every node packed, nodes either way by size, and every
+#: node with rows swept over its full grid.
+_RATIOS = [0, 4, 10**9]
+
+
+@pytest.mark.parametrize("ratio", _RATIOS)
 @settings(max_examples=300, deadline=None)
 @given(
     st.integers(0, 2**32 - 1),
@@ -265,15 +282,15 @@ def _subtracted_node(rng, codes, a, b, padded, rounds):
     st.booleans(),
     st.integers(0, 3),
 )
-def test_packed_search_matches_full_grid(seed, objective, msl, n, discrete, subtractions):
+def test_packed_search_matches_full_grid(ratio, seed, objective, msl, n, discrete, subtractions):
     rng = np.random.default_rng(seed)
     codes, a, b, bins, padded = _node_table(rng, objective, n, discrete)
     hist, _ = _subtracted_node(rng, codes, a, b, padded, subtractions)
     params = TreeParams(objective=objective, max_depth=4, min_samples_leaf=msl)
-    totals = hist.sum(axis=2, keepdims=True)
-    assert _best_splits_packed([hist], [totals], bins, params) == [_best_split(hist, bins, params)]
+    assert _search([hist], bins, params, ratio) == [reference_best_split(hist, bins, params)]
 
 
+@pytest.mark.parametrize("ratio", _RATIOS)
 @settings(max_examples=200, deadline=None)
 @given(
     st.integers(0, 2**32 - 1),
@@ -283,7 +300,9 @@ def test_packed_search_matches_full_grid(seed, objective, msl, n, discrete, subt
     st.booleans(),
     st.integers(1, 14),
 )
-def test_batched_packed_search_matches_each_node(seed, objective, msl, n, discrete, n_nodes):
+def test_batched_packed_search_matches_each_node(
+    ratio, seed, objective, msl, n, discrete, n_nodes
+):
     # One call sweeps nodes of mixed widths together: each is padded to its
     # batch's shared width, and a batch closes once nodes x width would
     # pass the padded bin count, so many or wide nodes make several batches.
@@ -295,9 +314,31 @@ def test_batched_packed_search_matches_each_node(seed, objective, msl, n, discre
         if rows.size:
             hists.append(hist)
     params = TreeParams(objective=objective, max_depth=4, min_samples_leaf=msl)
-    totals = [hist.sum(axis=2, keepdims=True) for hist in hists]
-    batched = _best_splits_packed(hists, totals, bins, params)
-    assert batched == [_best_split(hist, bins, params) for hist in hists]
+    batched = _search(hists, bins, params, ratio)
+    assert batched == [reference_best_split(hist, bins, params) for hist in hists]
+
+
+def test_gate_sweeps_large_nodes_over_their_own_grid(monkeypatch):
+    # Both sweeps pick the same split, so only the histogram that reaches
+    # _cut_gains shows the gate: a node with more than padded / 4 rows is
+    # swept in place, every other node through the packed buffer.
+    cut_gains = tree_module._cut_gains
+    swept = []
+
+    def spy(hist, *args):
+        swept.append(hist)
+        return cut_gains(hist, *args)
+
+    monkeypatch.setattr(tree_module, "_cut_gains", spy)
+    rng = np.random.default_rng(5)
+    params = TreeParams(objective="newton", max_depth=4)
+    for _ in range(40):
+        codes, a, b, bins, padded = _node_table(rng, "newton", int(rng.integers(2, 90)), False)
+        nodes = [_subtracted_node(rng, codes, a, b, padded, int(rng.integers(0, 4))) for _ in range(6)]
+        swept.clear()
+        _search([hist for hist, _ in nodes], bins, params, 4)
+        in_place = [any(s is hist for s in swept) for hist, _ in nodes]
+        assert in_place == [padded >= 2 and 4 * rows.size > padded for _, rows in nodes]
 
 
 @settings(max_examples=150, deadline=None)
