@@ -21,7 +21,7 @@ import numpy as np
 from .dataset import Dataset
 from .errors import ConfigError, ValidationError
 from .rng import derive_key, stream
-from .tree import Tree, TreeParams, build_bins, fit_cart, predict_many, take_rows
+from .tree import MAX_BINS_LIMIT, Tree, TreeParams, build_bins, fit_cart, predict_many, take_rows
 
 VARIANTS = ("leaf-wise", "level-wise")
 
@@ -77,6 +77,9 @@ class GbdtParams:
             raise ConfigError("rounds must be >= 0")
         if not 0.0 < self.learning_rate <= 1.0:
             raise ConfigError("learning_rate must be in (0, 1]")
+        if not 2 <= self.max_bins <= MAX_BINS_LIMIT:
+            raise ConfigError(f"max_bins must be in [2, {MAX_BINS_LIMIT}], got {self.max_bins}")
+        self.tree_params()  # raises ConfigError on bad growth settings
 
     def resolved_min_samples_leaf(self) -> int:
         if self.min_samples_leaf is not None:
@@ -272,6 +275,8 @@ def _check_matrix(X, n_features: int) -> np.ndarray:
         raise ValidationError(
             f"expected (n, {n_features}) feature matrix, got shape {M.shape}"
         )
+    if not np.isfinite(M).all():
+        raise ValidationError("features must be finite (no NaN/inf)")
     return M
 
 

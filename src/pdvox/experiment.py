@@ -99,6 +99,8 @@ class RunConfig:
             )
         if not 0.0 < self.test_fraction < 1.0:
             raise ConfigError("test_fraction must be in (0, 1)")
+        if self.smote_k < 1:
+            raise ConfigError("smote_k must be >= 1")
         if self.gbdt_leafwise.variant != "leaf-wise":
             raise ConfigError("gbdt_leafwise must use the leaf-wise variant")
         if self.gbdt_levelwise.variant != "level-wise":

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .errors import ValidationError
+from .errors import ConfigError, ValidationError
 from .rng import stream
 
 
@@ -26,7 +26,7 @@ class SmoteConfig:
 
     def __post_init__(self):
         if self.k_neighbors < 1:
-            raise ValidationError("k_neighbors must be >= 1")
+            raise ConfigError("k_neighbors must be >= 1")
 
 
 def _minority_neighbor_table(minority: np.ndarray, k: int) -> np.ndarray:

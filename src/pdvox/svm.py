@@ -330,6 +330,8 @@ def decision_scores(model: SvmModel, X) -> np.ndarray:
         raise ValidationError(
             f"expected (n, {model.n_features}) feature matrix, got shape {M.shape}"
         )
+    if not np.isfinite(M).all():
+        raise ValidationError("features must be finite (no NaN/inf)")
     Ms = transform_features(model.standardizer, M)
     if model.support_vectors.shape[0] == 0:
         return np.full(M.shape[0], model.bias, dtype=np.float64)

@@ -17,10 +17,9 @@ value: ``x[feature] <= threshold`` goes left, which agrees exactly with
 Split search cost follows the node, not the bin grid. Every search of
 a growth step goes through one entry point, ``_best_splits``:
 
-* No search runs where its result could not be used: at ``max_depth``,
-  below ``2 * min_samples_leaf`` rows, on a gini node whose rows all
-  carry one target, or, in leaf-wise growth, on the children of the
-  split that reaches ``max_leaves`` (they are never popped).
+* No search runs where it could only find nothing: at ``max_depth``,
+  below ``2 * min_samples_leaf`` rows, or on a gini node whose rows all
+  carry one target.
 * A node with more than ``padded / PACKED_SEARCH_RATIO`` rows sweeps
   prefix sums over its full bin grid, as a one-node batch that is not
   compacted. A smaller node sweeps only its bins where A, B or count is
@@ -61,9 +60,8 @@ one shared buffer, padded to the batch's width with zeroed slots (their
 cuts leave no rows on the right, so they are never valid), and the
 first maximum is taken per node, by the same code as a full-grid
 node's. Nodes x shared width stays within ``padded``, so a batch holds
-at most one full grid's worth of packed columns, and one per-fit
-workspace of that size serves every sweep; the nodes' full grids are
-never stacked.
+at most one full grid's worth of packed columns; the nodes' full grids
+are never stacked.
 """
 
 from __future__ import annotations
@@ -221,21 +219,6 @@ class _Node:
         self.best = None  # (gain, feature, bin, threshold) once a search finds one
 
 
-class _Workspace:
-    """Scratch buffers one fit's split searches share.
-
-    ``cells`` bounds each search: its cut grid (rows x cuts) and, for a
-    batch of packed nodes, its packed columns (rows x shared width).
-    """
-
-    def __init__(self, cells: int):
-        self.sides = np.empty(6 * cells)
-        self.gain = np.empty(cells)
-        self.valid = np.empty(cells, dtype=bool)
-        self.ok = np.empty(cells, dtype=bool)
-        self.packed = np.empty(3 * cells)
-
-
 def _bin_sums(flat, a_sub, b_sub, size):
     """(A, B, count) sums of m rows over flat bin indices ``flat`` (m, k),
     as one (3, size) buffer."""
@@ -256,62 +239,35 @@ def _leaf_value(totals, params) -> float:
     return -A / denom if denom > 0 else 0.0
 
 
-def _cut_gains(hist, totals, params: TreeParams, ws: _Workspace):
+def _cut_gains(hist, totals, params: TreeParams):
     """Gain of the cut after every column but the last of a (3, r, m)
     histogram, shape (r, m - 1); -inf where the cut is not allowed.
 
     ``totals`` are the (A, B, C) sums over each row's full bin row, shape
-    (3, r, 1). The result is a view into ``ws``, valid until its next use.
+    (3, r, 1).
     """
-    _, r, m = hist.shape
-    shape = (r, m - 1)
-    cells = r * (m - 1)
-    # sides[0] holds the left (A, B, C) prefix sums, sides[1] the right
-    # remainders, so each child term below is one pass over both sides
-    sides = ws.sides[: 6 * cells].reshape((2, 3) + shape)
-    gain = ws.gain[:cells].reshape(shape)
-    valid = ws.valid[:cells].reshape(shape)
-    ok = ws.ok[:cells].reshape(shape)
-    np.cumsum(hist[:, :, :-1], axis=2, out=sides[0])
-    np.subtract(totals, sides[0], out=sides[1])
-    S_A, S_B, S_C = sides[:, 0], sides[:, 1], sides[:, 2]
+    left = hist[:, :, :-1].cumsum(axis=2)
+    right = totals - left
+    S_A, S_B, S_C = left
+    R_A, R_B, R_C = right
     At, Bt, _ = totals
+    valid = np.minimum(S_C, R_C) >= params.min_samples_leaf
     with np.errstate(divide="ignore", invalid="ignore"):
-        np.minimum(S_C[0], S_C[1], out=gain)
-        np.greater_equal(gain, params.min_samples_leaf, out=valid)
-        child = S_C  # the counts are spent; the child terms take their place
         if params.objective == "gini":
-            np.minimum(S_B[0], S_B[1], out=gain)
-            np.greater(gain, 0, out=ok)
-            valid &= ok
+            valid &= np.minimum(S_B, R_B) > 0
             parent = At * (Bt - At) / Bt
-            # child = S_A * (S_B - S_A) / S_B
-            np.subtract(S_B, S_A, out=child)
-            np.multiply(S_A, child, out=child)
-            np.divide(child, S_B, out=child)
-            # gain = 2.0 * (parent - child[0] - child[1])
-            np.subtract(parent, child[0], out=gain)
-            gain -= child[1]
-            gain *= 2.0
+            cL, cR = S_A * (S_B - S_A) / S_B, R_A * (R_B - R_A) / R_B
+            gain = 2.0 * (parent - cL - cR)
         else:
             lam = params.lam
-            # child = S_A * S_A / (S_B + lam)
-            np.add(S_B, lam, out=child)
-            np.multiply(S_A, S_A, out=S_A)
-            np.divide(S_A, child, out=child)
-            # gain = 0.5 * (child[0] + child[1] - At * At / (Bt + lam)) - gamma
-            np.add(child[0], child[1], out=gain)
-            gain -= At * At / (Bt + lam)
-            gain *= 0.5
-            gain -= params.gamma
-        np.isfinite(gain, out=ok)
-    valid &= ok
-    np.logical_not(valid, out=valid)
-    np.copyto(gain, -np.inf, where=valid)
+            cL, cR = S_A * S_A / (S_B + lam), R_A * R_A / (R_B + lam)
+            gain = 0.5 * (cL + cR - At * At / (Bt + lam)) - params.gamma
+    valid &= np.isfinite(gain)
+    gain[~valid] = -np.inf
     return gain
 
 
-def _best_splits(hists, totals, bins: BinMap, params: TreeParams, ws: _Workspace):
+def _best_splits(hists, totals, bins: BinMap, params: TreeParams):
     """Highest-gain (gain, feature, bin, threshold) of every (3, d, padded)
     histogram in ``hists``, or None where no cut clears GAIN_EPS.
 
@@ -330,7 +286,7 @@ def _best_splits(hists, totals, bins: BinMap, params: TreeParams, ws: _Workspace
         _, d, padded = hist.shape
         if PACKED_SEARCH_RATIO * totals[i][2, 0, 0] > padded:
             if padded >= 2:  # else no feature has two bins, so no cut
-                _sweep([(padded, i, None, None)], hists, totals, bins, params, ws, found)
+                _sweep([(padded, i, None, None)], hists, totals, bins, params, found)
             continue
         kept = np.flatnonzero((hist != 0).any(axis=0))  # flat feature * padded + bin
         width = np.bincount(kept // padded, minlength=d)
@@ -343,12 +299,12 @@ def _best_splits(hists, totals, bins: BinMap, params: TreeParams, ws: _Workspace
     for last in range(1, len(nodes) + 1):
         # nodes x shared width stays within padded columns per feature
         if last == len(nodes) or (last + 1 - first) * nodes[last][0] > padded:
-            _sweep(nodes[first:last], hists, totals, bins, params, ws, found)
+            _sweep(nodes[first:last], hists, totals, bins, params, found)
             first = last
     return found
 
 
-def _sweep(batch, hists, totals, bins, params, ws, found):
+def _sweep(batch, hists, totals, bins, params, found):
     """One :func:`_cut_gains` pass over a batch of :func:`_best_splits`
     nodes, sorted by width; sets ``found[index]`` to each node's first
     maximum. A full-grid node (no kept bins) is swept in place."""
@@ -363,13 +319,12 @@ def _sweep(batch, hists, totals, bins, params, ws, found):
         # slots past a row's width stay zero, and their cuts leave no rows
         # on the right
         dest = np.arange(start[-1] + width[-1]) + (np.arange(n * d) * k - start).repeat(width)
-        hist = ws.packed[: 3 * n * d * k].reshape(3, n * d, k)
-        hist.fill(0.0)
+        hist = np.zeros((3, n * d, k))
         hist.reshape(3, -1)[:, dest] = np.concatenate(
             [hists[i].reshape(3, -1).take(kept, axis=1) for _, i, kept, _ in batch], axis=1
         )
         node_totals = np.concatenate([totals[i] for _, i, _, _ in batch], axis=1)
-    gain = _cut_gains(hist, node_totals, params, ws).reshape(n, -1)
+    gain = _cut_gains(hist, node_totals, params).reshape(n, -1)
     for j, col in enumerate(gain.argmax(axis=1).tolist()):
         best = gain[j, col]
         if best > GAIN_EPS:
@@ -420,7 +375,6 @@ def fit_cart(features, targets, weights, params: TreeParams, bins: BinMap | None
     padded = int(bins.n_bins.max())
     # feature f's bins are the flat histogram columns f*padded .. f*padded+padded-1
     flat_codes = bins.codes + np.arange(d) * padded
-    ws = _Workspace(d * padded)
 
     node_feature: list[int] = []
     node_threshold: list[float] = []
@@ -440,15 +394,11 @@ def fit_cart(features, targets, weights, params: TreeParams, bins: BinMap | None
         """(A, B, count) of ``rows`` over the bins of features 0..k-1."""
         return _bin_sums(flat_codes[rows, :k], a[rows], b[rows], k * padded).reshape(3, k, padded)
 
-    def can_split(rows, depth, leaves) -> bool:
-        # a search here could only return None or be discarded: ``leaves``
-        # is the tree's leaf count once this node exists, and a node made
-        # at the leaf budget is never popped. Purity is tested on the
+    def can_split(rows, depth) -> bool:
+        # a search here could only return None. Purity is tested on the
         # targets because the float totals of an impure weighted node can
         # round to A == B
         if params.max_depth is not None and depth >= params.max_depth:
-            return False
-        if params.max_leaves is not None and leaves >= params.max_leaves:
             return False
         if rows.size < 2 * params.min_samples_leaf:
             return False
@@ -474,7 +424,7 @@ def fit_cart(features, targets, weights, params: TreeParams, bins: BinMap | None
 
     def search_pending() -> None:
         found = _best_splits(
-            [node.hist for node, _ in pending], [totals for _, totals in pending], bins, params, ws
+            [node.hist for node, _ in pending], [totals for _, totals in pending], bins, params
         )
         for (node, _), best in zip(pending, found):
             node.best = best
@@ -482,14 +432,14 @@ def fit_cart(features, targets, weights, params: TreeParams, bins: BinMap | None
                 node.hist = None  # free
         pending.clear()
 
-    def split(state: _Node, leaves: int) -> tuple[_Node, _Node]:
+    def split(state: _Node) -> tuple[_Node, _Node]:
         gain, feat, cut_bin, threshold = state.best
         rows, depth = state.rows, state.depth + 1
         left_mask = bins.codes[rows, feat] <= cut_bin
         left_rows = rows[left_mask]
         right_rows = rows[~left_mask]
-        search_left = can_split(left_rows, depth, leaves)
-        search_right = can_split(right_rows, depth, leaves)
+        search_left = can_split(left_rows, depth)
+        search_right = can_split(right_rows, depth)
         small_is_left = left_rows.size <= right_rows.size
         if small_is_left:
             small_rows, search_big = left_rows, search_right
@@ -519,7 +469,7 @@ def fit_cart(features, targets, weights, params: TreeParams, bins: BinMap | None
         )
 
     root_rows = np.arange(n, dtype=np.int64)
-    search_root = can_split(root_rows, 0, 1)
+    search_root = can_split(root_rows, 0)
     root_hist = histogram(root_rows, d if search_root else 1)
     root = new_node(alloc(), root_rows, root_hist, 0, search_root)
     search_pending()
@@ -528,7 +478,7 @@ def fit_cart(features, targets, weights, params: TreeParams, bins: BinMap | None
         # one level at a time, so a level's packed searches share batches
         frontier = [root]
         while frontier:
-            children = [c for state in frontier if state.best is not None for c in split(state, 0)]
+            children = [c for state in frontier if state.best is not None for c in split(state)]
             search_pending()
             frontier = children
     else:
@@ -541,7 +491,7 @@ def fit_cart(features, targets, weights, params: TreeParams, bins: BinMap | None
         while heap and leaves < params.max_leaves:
             _, _, state = heapq.heappop(heap)
             leaves += 1
-            children = split(state, leaves)
+            children = split(state)
             search_pending()  # the sibling pair shares one packed batch
             for child in children:
                 if child.best is not None:

@@ -274,6 +274,26 @@ def test_scores_reject_wrong_width():
         ensemble_scores(model, np.zeros((2, 5)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "fit",
+    [
+        lambda train: fit_gbdt(train, GbdtParams(rounds=2)),
+        lambda train: fit_adaboost(train, AdaBoostParams(rounds=5)),
+        lambda train: fit_bagging(train, BaggingParams(n_trees=2), seed=0),
+    ],
+    ids=["gbdt", "adaboost", "bagging"],
+)
+def test_scores_reject_nonfinite_features(fit, bad):
+    # a NaN row routes right at every split, so it used to get a score
+    train = _toy(n=30, d=3, seed=14)
+    model = fit(train)
+    X = train.features[:3].copy()
+    X[1] = bad
+    with pytest.raises(ValidationError, match=r"features must be finite \(no NaN/inf\)"):
+        ensemble_scores(model, X)
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_gbdt_loss_trace_monotone_property(seed):

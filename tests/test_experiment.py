@@ -197,6 +197,27 @@ def test_config_rejects_bad_fraction(csv_path):
         RunConfig(data=str(csv_path), test_fraction=1.0)
 
 
+@pytest.mark.parametrize(
+    "settings",
+    [
+        lambda: {"gbdt_levelwise": GbdtParams(variant="level-wise", max_depth=-1)},
+        lambda: {"gbdt_leafwise": GbdtParams(variant="leaf-wise", max_leaves=0)},
+        lambda: {"gbdt_leafwise": GbdtParams(max_bins=1)},
+        lambda: {"gbdt_leafwise": GbdtParams(max_bins=300)},
+        lambda: {"gbdt_levelwise": GbdtParams(variant="level-wise", lam=-1)},
+        lambda: {"gbdt_leafwise": GbdtParams(min_samples_leaf=0)},
+        lambda: {"smote_k": 0},
+    ],
+    ids=["max_depth", "max_leaves", "max_bins-low", "max_bins-high", "lam", "min_samples_leaf",
+         "smote_k"],
+)
+def test_config_rejects_bad_gbdt_and_smote_settings(csv_path, settings):
+    # caught when the config is built, not after load, split, SMOTE and
+    # the fits of the models before the one that uses the setting
+    with pytest.raises(ConfigError):
+        RunConfig(data=str(csv_path), **settings())
+
+
 def test_config_rejects_swapped_variants(csv_path):
     with pytest.raises(ConfigError):
         RunConfig(

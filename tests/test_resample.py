@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import make_dataset, recover_interpolation_u
 from pdvox.dataset import load_dataset, stratified_split
-from pdvox.errors import ValidationError
+from pdvox.errors import ConfigError, ValidationError
 from pdvox.resample import SmoteConfig, smote
 
 
@@ -69,6 +69,11 @@ def test_minority_singleton_cannot_interpolate():
     y = np.array([0] * 5 + [1])
     with pytest.raises(ValidationError, match="cannot interpolate"):
         smote(make_dataset(X, y), SmoteConfig(seed=0))
+
+
+def test_config_rejects_no_neighbors():
+    with pytest.raises(ConfigError):
+        SmoteConfig(k_neighbors=0)
 
 
 def test_single_class_rejected():

@@ -94,6 +94,16 @@ def test_rbf_shape_mismatch():
         decision_scores(model, np.array([[1.0, 2.0]]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_scores_reject_nonfinite_features(bad):
+    train = _two_blobs(seed=3)
+    model = fit_svm(train, SvmParams())
+    X = train.features[:3].copy()
+    X[1] = bad
+    with pytest.raises(ValidationError, match=r"features must be finite \(no NaN/inf\)"):
+        decision_scores(model, X)
+
+
 _BLOCK = svm._KERNEL_BLOCK_ROWS
 
 

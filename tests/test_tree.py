@@ -17,7 +17,6 @@ from pdvox.tree import (
     TreeParams,
     _best_splits,
     _bin_sums,
-    _Workspace,
     build_bins,
     fit_cart,
     predict_many,
@@ -260,11 +259,10 @@ def _subtracted_node(rng, codes, a, b, padded, rounds):
 def _search(hists, bins, params, ratio):
     """:func:`_best_splits` of every histogram in ``hists`` with the
     packed-search gate at ``ratio``."""
-    _, d, padded = hists[0].shape
     totals = [hist.sum(axis=2, keepdims=True) for hist in hists]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tree_module, "PACKED_SEARCH_RATIO", ratio)
-        return _best_splits(hists, totals, bins, params, _Workspace(d * padded))
+        return _best_splits(hists, totals, bins, params)
 
 
 #: Gate ratios: every node packed, nodes either way by size, and every
@@ -281,12 +279,24 @@ _RATIOS = [0, 4, 10**9]
     st.integers(1, 90),
     st.booleans(),
     st.integers(0, 3),
+    st.booleans(),
 )
-def test_packed_search_matches_full_grid(ratio, seed, objective, msl, n, discrete, subtractions):
+def test_packed_search_matches_full_grid(
+    ratio, seed, objective, msl, n, discrete, subtractions, zero_weights
+):
     rng = np.random.default_rng(seed)
     codes, a, b, bins, padded = _node_table(rng, objective, n, discrete)
+    if zero_weights:
+        # rows with zero weight (gini) or zero hessian (newton with lam=0)
+        # can leave a cut's side with B == 0; its gain term divides by
+        # zero, and the cut must be skipped, not won with an inf or NaN gain
+        zero = rng.random(n) < 0.5
+        if objective == "gini":
+            a[zero] = 0.0
+        b[zero] = 0.0
     hist, _ = _subtracted_node(rng, codes, a, b, padded, subtractions)
-    params = TreeParams(objective=objective, max_depth=4, min_samples_leaf=msl)
+    lam = 0.0 if zero_weights else 1.0
+    params = TreeParams(objective=objective, max_depth=4, min_samples_leaf=msl, lam=lam)
     assert _search([hist], bins, params, ratio) == [reference_best_split(hist, bins, params)]
 
 
