@@ -117,6 +117,19 @@ class Dataset:
         return int(counts[0]), int(counts[1])
 
 
+def check_matrix(X, n_features: int) -> np.ndarray:
+    """``X`` as a float64 matrix of ``n_features`` columns, for scoring;
+    ValidationError on another shape or a NaN/inf value."""
+    M = np.asarray(X, dtype=np.float64)
+    if M.ndim != 2 or M.shape[1] != n_features:
+        raise ValidationError(
+            f"expected (n, {n_features}) feature matrix, got shape {M.shape}"
+        )
+    if not np.isfinite(M).all():
+        raise ValidationError("features must be finite (no NaN/inf)")
+    return M
+
+
 def subset(data: Dataset, indices) -> Dataset:
     """New Dataset holding ``data``'s rows at ``indices`` (order kept)."""
     idx = np.asarray(indices, dtype=np.int64)

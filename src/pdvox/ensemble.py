@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, check_matrix
 from .errors import ConfigError, ValidationError
 from .rng import derive_key, stream
 from .tree import MAX_BINS_LIMIT, Tree, TreeParams, build_bins, fit_cart, predict_many, take_rows
@@ -173,7 +173,7 @@ def fit_gbdt(train: Dataset, params: GbdtParams = GbdtParams()) -> GbdtModel:
         h = p * (1.0 - p)
         if not np.any(h > 0):
             break  # numerically saturated fit; further rounds are no-ops
-        tree = fit_cart(X, g, h, tree_params, bins)
+        tree = fit_cart(bins, g, h, tree_params)
         margins += params.learning_rate * predict_many(tree, X)
         trees.append(tree)
         trace.append(_log_loss(margins, y))
@@ -208,26 +208,22 @@ def fit_adaboost(train: Dataset, params: AdaBoostParams = AdaBoostParams()) -> A
     epsilons: list[float] = []
     weight_sums: list[float] = []
     for _ in range(params.rounds):
-        stump = fit_cart(X, y, w, stump_params, bins)
+        stump = fit_cart(bins, y, w, stump_params)
         predicted = predict_many(stump, X)
         miss = predicted != y
         eps = float(np.sum(w[miss]))
         if eps >= 0.5:
             break
-        if eps == 0.0:
-            alpha = 0.5 * np.log((1.0 - eps) / (eps + 1e-10))
-            stumps.append(stump)
-            alphas.append(float(alpha))
-            epsilons.append(eps)
-            weight_sums.append(float(w.sum()))
-            break
-        alpha = 0.5 * np.log((1.0 - eps) / eps)
+        alpha = 0.5 * np.log((1.0 - eps) / (eps if eps > 0.0 else 1e-10))
         stumps.append(stump)
         alphas.append(float(alpha))
         epsilons.append(eps)
-        w *= np.exp(np.where(miss, alpha, -alpha))
-        w /= w.sum()
+        if eps > 0.0:
+            w *= np.exp(np.where(miss, alpha, -alpha))
+            w /= w.sum()
         weight_sums.append(float(w.sum()))
+        if eps == 0.0:
+            break
     return AdaBoostModel(
         stumps=tuple(stumps),
         alphas=tuple(alphas),
@@ -248,10 +244,9 @@ def fit_bagging(
     """
     if train.n_records == 0:
         raise ValidationError("bagging needs a non-empty training set")
-    X = train.features
     y = train.labels.astype(np.float64)
     n = train.n_records
-    bins = build_bins(X)
+    bins = build_bins(train.features)
     tree_params = TreeParams(objective="gini", max_depth=params.max_depth)
     trees: list[Tree] = []
     seeds: list[int] = []
@@ -263,39 +258,26 @@ def fit_bagging(
             idx = np.fromiter((gen.below(n) for _ in range(n)), dtype=np.int64, count=n)
         else:
             idx = np.arange(n, dtype=np.int64)
-        trees.append(
-            fit_cart(X[idx], y[idx], ones, tree_params, take_rows(bins, idx))
-        )
+        trees.append(fit_cart(take_rows(bins, idx), y[idx], ones, tree_params))
     return BaggingModel(trees=tuple(trees), seeds=tuple(seeds), n_features=train.n_features)
-
-
-def _check_matrix(X, n_features: int) -> np.ndarray:
-    M = np.asarray(X, dtype=np.float64)
-    if M.ndim != 2 or M.shape[1] != n_features:
-        raise ValidationError(
-            f"expected (n, {n_features}) feature matrix, got shape {M.shape}"
-        )
-    if not np.isfinite(M).all():
-        raise ValidationError("features must be finite (no NaN/inf)")
-    return M
 
 
 def ensemble_scores(model, X) -> tuple[np.ndarray, np.ndarray]:
     """(scores, probabilities) for every row of X, per the model's link."""
     if isinstance(model, GbdtModel):
-        M = _check_matrix(X, model.n_features)
+        M = check_matrix(X, model.n_features)
         scores = np.full(M.shape[0], model.base_score, dtype=np.float64)
         for tree in model.trees:
             scores += model.learning_rate * predict_many(tree, M)
         return scores, _sigmoid(scores)
     if isinstance(model, AdaBoostModel):
-        M = _check_matrix(X, model.n_features)
+        M = check_matrix(X, model.n_features)
         scores = np.zeros(M.shape[0], dtype=np.float64)
         for alpha, stump in zip(model.alphas, model.stumps):
             scores += alpha * (2.0 * predict_many(stump, M) - 1.0)
         return scores, _sigmoid(2.0 * scores)
     if isinstance(model, BaggingModel):
-        M = _check_matrix(X, model.n_features)
+        M = check_matrix(X, model.n_features)
         votes = np.zeros(M.shape[0], dtype=np.float64)
         for tree in model.trees:
             votes += predict_many(tree, M)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, Standardizer, fit_standardizer, transform_features
+from .dataset import Dataset, Standardizer, check_matrix, fit_standardizer, transform_features
 from .errors import ConfigError, ValidationError
 
 #: Minimum multiplier movement for a step to count as progress.
@@ -50,9 +50,9 @@ _KERNEL_BLOCK_ROWS = 128
 
 @dataclass(frozen=True)
 class SvmParams:
-    """gamma may be a positive real or the string "scale", which resolves
-    to 1 / (n_features * mean per-feature sample variance) on the
-    standardized training matrix (variance with n-1 denominator)."""
+    """gamma may be a positive finite real or the string "scale", which
+    resolves to 1 / (n_features * mean per-feature sample variance) on
+    the standardized training matrix (variance with n-1 denominator)."""
 
     C: float = 1.0
     gamma: float | str = "scale"
@@ -60,15 +60,16 @@ class SvmParams:
     max_passes: int = 10
 
     def __post_init__(self):
-        if self.C <= 0:
-            raise ConfigError("C must be > 0")
+        # written so that NaN fails each check
+        if not 0.0 < self.C < np.inf:
+            raise ConfigError(f"C must be finite and > 0, got {self.C}")
         if isinstance(self.gamma, str):
             if self.gamma != "scale":
                 raise ConfigError(f"gamma must be positive or 'scale', got {self.gamma!r}")
-        elif self.gamma <= 0:
-            raise ConfigError("gamma must be > 0")
-        if self.tol <= 0:
-            raise ConfigError("tol must be > 0")
+        elif not 0.0 < self.gamma < np.inf:
+            raise ConfigError(f"gamma must be finite and > 0, got {self.gamma}")
+        if not 0.0 < self.tol < np.inf:
+            raise ConfigError(f"tol must be finite and > 0, got {self.tol}")
         if self.max_passes < 1:
             raise ConfigError("max_passes must be >= 1")
 
@@ -325,13 +326,7 @@ def fit_svm(train: Dataset, params: SvmParams = SvmParams()) -> SvmModel:
 
 def decision_scores(model: SvmModel, X) -> np.ndarray:
     """Margin f(x) for every row of a raw (unstandardized) matrix."""
-    M = np.asarray(X, dtype=np.float64)
-    if M.ndim != 2 or M.shape[1] != model.n_features:
-        raise ValidationError(
-            f"expected (n, {model.n_features}) feature matrix, got shape {M.shape}"
-        )
-    if not np.isfinite(M).all():
-        raise ValidationError("features must be finite (no NaN/inf)")
+    M = check_matrix(X, model.n_features)
     Ms = transform_features(model.standardizer, M)
     if model.support_vectors.shape[0] == 0:
         return np.full(M.shape[0], model.bias, dtype=np.float64)

@@ -7,11 +7,12 @@ One tree engine serves every ensemble in the toolkit:
 * ``newton`` objective — second-order gain on (gradient, hessian) rows;
   leaves predict -G/(H+lambda).
 
-Features are pre-binned (at most 255 bins per feature, cut points at
-midpoints between adjacent unique values on quantile boundaries), and
-each node keeps (A, B, count) histograms over the bins; a child's
-histogram is its parent's minus its sibling's. Routing uses the raw cut
-value: ``x[feature] <= threshold`` goes left, which agrees exactly with
+Features are binned once, by ``build_bins`` (at most 255 bins per
+feature, cut points at midpoints between adjacent unique values on
+quantile boundaries), and a tree grows from that ``BinMap`` alone. Each
+node keeps (A, B, count) histograms over the bins; a child's histogram
+is its parent's minus its sibling's. Routing uses the raw cut value:
+``x[feature] <= threshold`` goes left, which agrees exactly with
 ``searchsorted(cuts, x, side="left")`` binning.
 
 Split search cost follows the node, not the bin grid. Every search of
@@ -88,19 +89,15 @@ PACKED_SEARCH_RATIO = 4
 
 @dataclass(frozen=True)
 class BinMap:
-    """Per-feature cut points plus the binned codes of the source rows."""
+    """Per-feature cut points plus the binned codes of a set of rows.
+
+    A tree's training rows are a BinMap: growth reads only ``codes``,
+    ``cuts`` and ``n_bins``, never the raw feature values.
+    """
 
     cuts: tuple[np.ndarray, ...]
     codes: np.ndarray  # (n, d) uint8
     n_bins: np.ndarray  # (d,) int64
-
-    @property
-    def n_rows(self) -> int:
-        return self.codes.shape[0]
-
-    @property
-    def n_features(self) -> int:
-        return self.codes.shape[1]
 
 
 def build_bins(features, max_bins: int = MAX_BINS_LIMIT) -> BinMap:
@@ -172,8 +169,11 @@ class TreeParams:
             raise ConfigError("max_leaves must be >= 1")
         if self.min_samples_leaf < 1:
             raise ConfigError("min_samples_leaf must be >= 1")
-        if self.lam < 0 or self.gamma < 0:
-            raise ConfigError("lam and gamma must be >= 0")
+        # written so that NaN fails the check
+        if not (0.0 <= self.lam < np.inf and 0.0 <= self.gamma < np.inf):
+            raise ConfigError(
+                f"lam and gamma must be finite and >= 0, got {self.lam} and {self.gamma}"
+            )
 
 
 @dataclass(frozen=True)
@@ -335,20 +335,17 @@ def _sweep(batch, hists, totals, bins, params, found):
             found[i] = (float(best), f, b, float(bins.cuts[f][b]))
 
 
-def fit_cart(features, targets, weights, params: TreeParams, bins: BinMap | None = None) -> Tree:
-    """Grow one tree.
+def fit_cart(bins: BinMap, targets, weights, params: TreeParams) -> Tree:
+    """Grow one tree on the rows of ``bins`` (see :func:`build_bins` and
+    :func:`take_rows`), one target and one weight per row.
 
     gini objective: ``targets`` are 0/1 labels, ``weights`` are sample
     weights (>= 0, not all zero). newton objective: ``targets`` are
-    per-row gradients, ``weights`` are hessians. ``bins`` must describe
-    exactly these rows; omitted, it is built here with 255 bins.
+    per-row gradients, ``weights`` are hessians.
     """
-    X = np.asarray(features, dtype=np.float64)
     t = np.asarray(targets, dtype=np.float64)
     w = np.asarray(weights, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] == 0:
-        raise ValidationError("features must be a 2-D matrix with at least one column")
-    n, d = X.shape
+    n, d = bins.codes.shape
     if t.shape != (n,) or w.shape != (n,):
         raise ValidationError(
             f"dimension mismatch: {n} rows vs {t.shape} targets, {w.shape} weights"
@@ -359,13 +356,6 @@ def fit_cart(features, targets, weights, params: TreeParams, bins: BinMap | None
         raise ValidationError("weights must be >= 0 and not all zero")
     if params.objective == "gini" and not np.isin(t, (0.0, 1.0)).all():
         raise ValidationError("gini objective requires 0/1 targets")
-    if bins is None:
-        bins = build_bins(X)
-    elif bins.n_rows != n or bins.n_features != d:
-        raise ValidationError(
-            f"bin map shape ({bins.n_rows}, {bins.n_features}) does not match "
-            f"features ({n}, {d})"
-        )
     if params.objective == "gini":
         a = w * t
         b = w

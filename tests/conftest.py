@@ -176,7 +176,7 @@ def reference_best_split(hist, bins, params):
     return float(gain[f, cut]), f, cut, float(bins.cuts[f][cut])
 
 
-def reference_fit_cart(X, t, w, params, bins):
+def reference_fit_cart(bins, t, w, params):
     """CART growth as ``fit_cart`` first did it, with the same skip rules.
 
     Every child gets a full (3, d, padded) histogram: the smaller child's

@@ -36,7 +36,7 @@ from pdvox.experiment import MODEL_NAMES, RunConfig, report_to_json, run_experim
 from pdvox.metrics import ConfusionMatrix, classification_metrics, format_percent, roc_auc
 from pdvox.resample import SmoteConfig, smote
 from pdvox.svm import SvmParams, decision_scores, fit_svm
-from pdvox.tree import TreeParams, fit_cart, predict_many
+from pdvox.tree import TreeParams, build_bins, fit_cart, predict_many
 
 pytestmark = pytest.mark.acceptance
 
@@ -198,11 +198,10 @@ def test_tree_routing_matches_naive_walker():
     rng = np.random.default_rng(7120)
     X = rng.normal(size=(200, 6))
     y = (X[:, 0] + 0.5 * X[:, 3] ** 2 + 0.3 * rng.normal(size=200) > 0.4).astype(float)
-    gini_tree = fit_cart(
-        X, y, np.ones(200), TreeParams(objective="gini", max_depth=5)
-    )
+    bins = build_bins(X)
+    gini_tree = fit_cart(bins, y, np.ones(200), TreeParams(objective="gini", max_depth=5))
     newton_tree = fit_cart(
-        X,
+        bins,
         2.0 * y - 1.0,
         np.full(200, 0.25),
         TreeParams(objective="newton", max_leaves=12, min_samples_leaf=2),

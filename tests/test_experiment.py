@@ -26,6 +26,7 @@ from pdvox.experiment import (
     run_experiment,
 )
 from pdvox.svm import SvmParams
+from pdvox.tree import TreeParams
 
 
 def _make_csv(path, n_pos=40, n_neg=20, seed=0):
@@ -216,6 +217,33 @@ def test_config_rejects_bad_gbdt_and_smote_settings(csv_path, settings):
     # the fits of the models before the one that uses the setting
     with pytest.raises(ConfigError):
         RunConfig(data=str(csv_path), **settings())
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: SvmParams(C=math.nan),
+        lambda: SvmParams(C=math.inf),
+        lambda: SvmParams(gamma=math.nan),
+        lambda: SvmParams(gamma=math.inf),
+        lambda: SvmParams(tol=math.nan),
+        lambda: SvmParams(tol=math.inf),
+        lambda: TreeParams(objective="newton", max_leaves=8, lam=math.nan),
+        lambda: TreeParams(objective="newton", max_leaves=8, lam=math.inf),
+        lambda: TreeParams(objective="newton", max_leaves=8, gamma=math.nan),
+        lambda: TreeParams(objective="newton", max_leaves=8, gamma=math.inf),
+        lambda: GbdtParams(lam=math.nan),
+        lambda: GbdtParams(gamma=math.inf),
+    ],
+    ids=["svm-C-nan", "svm-C-inf", "svm-gamma-nan", "svm-gamma-inf", "svm-tol-nan",
+         "svm-tol-inf", "tree-lam-nan", "tree-lam-inf", "tree-gamma-nan", "tree-gamma-inf",
+         "gbdt-lam-nan", "gbdt-gamma-inf"],
+)
+def test_params_reject_nonfinite_values(make):
+    # a NaN fails no `x <= 0` check; such a run used to end in a degenerate
+    # model and a report that JSON output could not encode
+    with pytest.raises(ConfigError, match="must be finite"):
+        make()
 
 
 def test_config_rejects_swapped_variants(csv_path):

@@ -109,7 +109,7 @@ def test_take_rows_subsets_codes():
 def test_depth_one_stump_reference():
     X = np.array([[1.0], [2.0], [3.0], [4.0]])
     y = np.array([0.0, 0.0, 1.0, 1.0])
-    tree = fit_cart(X, y, np.ones(4), params=_gini_params(max_depth=1))
+    tree = fit_cart(build_bins(X), y, np.ones(4), params=_gini_params(max_depth=1))
     assert tree.n_leaves == 2
     root = 0
     assert tree.feature[root] == 0
@@ -120,7 +120,7 @@ def test_depth_one_stump_reference():
 def test_pure_node_never_splits():
     X = np.array([[1.0], [2.0], [3.0]])
     y = np.array([1.0, 1.0, 1.0])
-    tree = fit_cart(X, y, np.ones(3), params=_gini_params(max_depth=4))
+    tree = fit_cart(build_bins(X), y, np.ones(3), params=_gini_params(max_depth=4))
     assert tree.n_nodes == 1
     assert tree.value[0] == 1.0
 
@@ -129,13 +129,13 @@ def test_tie_break_prefers_lowest_feature_then_lowest_threshold():
     # Duplicate the separating feature; both columns give identical gain.
     X = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0], [4.0, 4.0]])
     y = np.array([0.0, 0.0, 1.0, 1.0])
-    tree = fit_cart(X, y, np.ones(4), params=_gini_params(max_depth=1))
+    tree = fit_cart(build_bins(X), y, np.ones(4), params=_gini_params(max_depth=1))
     assert tree.feature[0] == 0
     # Symmetric labels make thresholds 1.5 / 2.5 / 3.5... only 2.5 is max
     # gain; check threshold ties with a label layout where two cuts tie.
     X2 = np.array([[1.0], [2.0], [3.0], [4.0]])
     y2 = np.array([0.0, 1.0, 0.0, 1.0])
-    tree2 = fit_cart(X2, y2, np.ones(4), params=_gini_params(max_depth=1))
+    tree2 = fit_cart(build_bins(X2), y2, np.ones(4), params=_gini_params(max_depth=1))
     stump = naive_gini_stump(X2, y2, np.ones(4))
     assert stump is not None
     assert tree2.feature[0] == stump[1]
@@ -145,7 +145,8 @@ def test_tie_break_prefers_lowest_feature_then_lowest_threshold():
 def test_min_samples_leaf_blocks_unbalanced_cut():
     X = np.array([[1.0], [2.0], [3.0], [4.0], [5.0]])
     y = np.array([1.0, 0.0, 0.0, 0.0, 0.0])
-    tree = fit_cart(X, y, np.ones(5), params=_gini_params(max_depth=1, min_samples_leaf=2))
+    params = _gini_params(max_depth=1, min_samples_leaf=2)
+    tree = fit_cart(build_bins(X), y, np.ones(5), params=params)
     if tree.n_nodes > 1:
         # any surviving split must leave >= 2 rows on each side
         thr = tree.threshold[0]
@@ -156,7 +157,8 @@ def test_unrestricted_gini_tree_fits_training_data():
     rng = np.random.default_rng(7)
     X = rng.normal(size=(80, 5))
     y = (X[:, 0] + 0.5 * X[:, 2] > 0).astype(np.float64)
-    tree = fit_cart(X, y, np.ones(80), params=_gini_params(max_depth=None, max_leaves=80))
+    params = _gini_params(max_depth=None, max_leaves=80)
+    tree = fit_cart(build_bins(X), y, np.ones(80), params=params)
     preds = predict_many(tree, X)
     assert np.array_equal(preds, y)
 
@@ -164,7 +166,7 @@ def test_unrestricted_gini_tree_fits_training_data():
 def test_majority_leaf_tie_goes_positive():
     X = np.array([[1.0], [1.0]])
     y = np.array([0.0, 1.0])
-    tree = fit_cart(X, y, np.ones(2), params=_gini_params(max_depth=3))
+    tree = fit_cart(build_bins(X), y, np.ones(2), params=_gini_params(max_depth=3))
     assert tree.n_nodes == 1
     assert tree.value[0] == 1.0
 
@@ -199,7 +201,7 @@ def test_stump_matches_naive_oracle(n, d, seed):
     y = rng.integers(0, 2, size=n).astype(np.float64)
     w = np.ones(n)
     stump = naive_gini_stump(X, y, w)
-    tree = fit_cart(X, y, w, params=_gini_params(max_depth=1))
+    tree = fit_cart(build_bins(X), y, w, params=_gini_params(max_depth=1))
     if stump is None:
         assert tree.n_nodes == 1
         return
@@ -351,6 +353,18 @@ def test_gate_sweeps_large_nodes_over_their_own_grid(monkeypatch):
         assert in_place == [padded >= 2 and 4 * rows.size > padded for _, rows in nodes]
 
 
+def test_gini_cut_with_negative_dust_weight_is_skipped():
+    # One feature, three bins. The first cut's left side holds one row of
+    # weight zero, whose B sum histogram subtraction left at -1e-17: its
+    # gini term S_A * (S_B - S_A) / S_B is a finite 0, so only the B > 0 guard keeps
+    # that cut from being taken with a gain of 0.
+    hist = np.array([[[0.0, 1.0, 0.0]], [[-1e-17, 2.0, 1.0]], [[1.0, 2.0, 1.0]]])
+    totals = hist.sum(axis=2, keepdims=True)
+    gain = tree_module._cut_gains(hist, totals, _gini_params(max_depth=1))
+    assert gain[0, 0] == -np.inf
+    assert gain[0, 1] == pytest.approx(1.0 / 3.0)
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     st.integers(0, 2**32 - 1),
@@ -389,9 +403,9 @@ def test_fit_cart_matches_reference_growth(seed, objective, growth, msl, weighti
         budget = {"max_leaves": int(rng.integers(1, 40))}
     params = TreeParams(objective=objective, min_samples_leaf=msl, **budget)
     bins = build_bins(X, max_bins=int(rng.integers(2, 256)))
-    tree = fit_cart(X, t, w, params, bins)
+    tree = fit_cart(bins, t, w, params)
     got = (tree.feature, tree.threshold, tree.left, tree.right, tree.value)
-    for mine, ref in zip(got, reference_fit_cart(X, t, w, params, bins)):
+    for mine, ref in zip(got, reference_fit_cart(bins, t, w, params)):
         assert mine.dtype == ref.dtype
         assert np.array_equal(mine, ref, equal_nan=True)
 
@@ -403,11 +417,11 @@ def test_predictions_match_naive_walker(seed, objective):
     X = rng.normal(size=(60, 4))
     if objective == "gini":
         y = rng.integers(0, 2, size=60).astype(np.float64)
-        tree = fit_cart(X, y, np.ones(60), params=_gini_params(max_depth=4))
+        tree = fit_cart(build_bins(X), y, np.ones(60), params=_gini_params(max_depth=4))
     else:
         g = rng.normal(size=60)
         h = rng.uniform(0.1, 2.0, size=60)
-        tree = fit_cart(X, g, h, params=_newton_params())
+        tree = fit_cart(build_bins(X), g, h, params=_newton_params())
     Q = rng.normal(size=(25, 4))
     fast = predict_many(tree, Q)
     slow = np.array([walk_tree_naive(tree, q) for q in Q])
@@ -422,7 +436,7 @@ def test_newton_leaf_value_reference():
     X = np.array([[0.0], [0.0]])
     g = np.array([-1.0, -1.0])
     h = np.array([2.0, 2.0])
-    tree = fit_cart(X, g, h, params=_newton_params(max_leaves=4))
+    tree = fit_cart(build_bins(X), g, h, params=_newton_params(max_leaves=4))
     assert tree.n_nodes == 1
     assert tree.value[0] == pytest.approx(0.4)
 
@@ -433,7 +447,7 @@ def test_newton_leaves_equal_closed_form_on_partition():
     g = rng.normal(size=50)
     h = rng.uniform(0.2, 1.5, size=50)
     lam = 1.3
-    tree = fit_cart(X, g, h, params=_newton_params(max_leaves=6, lam=lam, gamma=0.0))
+    tree = fit_cart(build_bins(X), g, h, params=_newton_params(max_leaves=6, lam=lam, gamma=0.0))
     # group rows by the leaf they land in and verify -G/(H+lam) per leaf
     leaf_of = np.zeros(50, dtype=int)
     for i in range(50):
@@ -455,8 +469,8 @@ def test_newton_gamma_blocks_weak_splits():
     X = rng.normal(size=(40, 2))
     g = rng.normal(scale=0.01, size=40)
     h = np.ones(40)
-    eager = fit_cart(X, g, h, params=_newton_params(max_leaves=8, gamma=0.0))
-    pruned = fit_cart(X, g, h, params=_newton_params(max_leaves=8, gamma=10.0))
+    eager = fit_cart(build_bins(X), g, h, params=_newton_params(max_leaves=8, gamma=0.0))
+    pruned = fit_cart(build_bins(X), g, h, params=_newton_params(max_leaves=8, gamma=10.0))
     assert pruned.n_leaves == 1
     assert eager.n_leaves >= pruned.n_leaves
 
@@ -476,7 +490,7 @@ def test_leafwise_split_order_takes_best_gain_first():
     )
     g = np.where(X[:, 0] > 0.5, -4.0, 4.0) + np.where(X[:, 1] > 0.5, -0.5, 0.5)
     h = np.ones(len(X))
-    tree = fit_cart(X, g, h, params=_newton_params(max_leaves=2))
+    tree = fit_cart(build_bins(X), g, h, params=_newton_params(max_leaves=2))
     assert tree.feature[0] == 0
 
 
@@ -493,21 +507,21 @@ def test_params_require_exactly_one_growth_limit():
 def test_gini_requires_binary_targets():
     X = np.array([[0.0], [1.0]])
     with pytest.raises(ValidationError):
-        fit_cart(X, np.array([0.0, 2.0]), np.ones(2), params=_gini_params())
+        fit_cart(build_bins(X), np.array([0.0, 2.0]), np.ones(2), params=_gini_params())
 
 
 def test_negative_weights_rejected():
     X = np.array([[0.0], [1.0]])
     y = np.array([0.0, 1.0])
     with pytest.raises(ValidationError):
-        fit_cart(X, y, np.array([1.0, -1.0]), params=_gini_params())
+        fit_cart(build_bins(X), y, np.array([1.0, -1.0]), params=_gini_params())
     with pytest.raises(ValidationError):
-        fit_cart(X, y, np.zeros(2), params=_gini_params())
+        fit_cart(build_bins(X), y, np.zeros(2), params=_gini_params())
 
 
 def test_shape_mismatch_rejected():
     X = np.array([[0.0], [1.0]])
     with pytest.raises(ValidationError):
-        fit_cart(X, np.array([0.5, -0.5, 0.1]), np.ones(2), params=_newton_params())
+        fit_cart(build_bins(X), np.array([0.5, -0.5, 0.1]), np.ones(2), params=_newton_params())
     with pytest.raises(ValidationError):
-        fit_cart(X, np.array([0.5, -0.5]), np.ones(3), params=_newton_params())
+        fit_cart(build_bins(X), np.array([0.5, -0.5]), np.ones(3), params=_newton_params())
