@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from itertools import zip_longest
@@ -128,6 +129,22 @@ def check_matrix(X, n_features: int) -> np.ndarray:
     if not np.isfinite(M).all():
         raise ValidationError("features must be finite (no NaN/inf)")
     return M
+
+
+def require_both_classes(data: Dataset, learner: str) -> None:
+    n0, n1 = data.class_counts()
+    if n0 == 0 or n1 == 0:
+        raise ValidationError(
+            f"{learner} needs both classes in the training set "
+            f"(got {n1} positive, {n0} negative)"
+        )
+
+
+def check_int(name: str, value, low: float = -math.inf, high: float = math.inf) -> None:
+    """ConfigError unless ``value`` is an integer in [low, high], so a NaN
+    or 2.5 setting fails where it is built, not in a later fit."""
+    if not (isinstance(value, numbers.Integral) and low <= value <= high):
+        raise ConfigError(f"{name} must be an integer in [{low}, {high}], got {value!r}")
 
 
 def subset(data: Dataset, indices) -> Dataset:
@@ -334,12 +351,10 @@ def _round_half_up(x: float) -> int:
 
 @dataclass(frozen=True)
 class SplitPair:
-    """A stratified train/test partition plus the settings that made it."""
+    """A stratified train/test partition."""
 
     train: Dataset
     test: Dataset
-    seed: int
-    test_fraction: float
 
 
 def stratified_split(data: Dataset, test_fraction: float, seed: int) -> SplitPair:
@@ -369,12 +384,7 @@ def stratified_split(data: Dataset, test_fraction: float, seed: int) -> SplitPai
     mask = np.ones(data.n_records, dtype=bool)
     mask[test_idx] = False
     train_idx = np.flatnonzero(mask)
-    return SplitPair(
-        train=subset(data, train_idx),
-        test=subset(data, test_idx),
-        seed=seed,
-        test_fraction=test_fraction,
-    )
+    return SplitPair(train=subset(data, train_idx), test=subset(data, test_idx))
 
 
 @dataclass(frozen=True)

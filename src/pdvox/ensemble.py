@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, check_matrix
+from .dataset import Dataset, check_int, check_matrix, require_both_classes
 from .errors import ConfigError, ValidationError
 from .rng import derive_key, stream
 from .tree import MAX_BINS_LIMIT, Tree, TreeParams, build_bins, fit_cart, predict_many, take_rows
@@ -40,15 +40,6 @@ def _log_loss(margins: np.ndarray, y: np.ndarray) -> float:
     """Mean logistic loss of raw margins against 0/1 labels."""
     signed = np.where(y == 1, -margins, margins)
     return float(np.mean(np.logaddexp(0.0, signed)))
-
-
-def _require_both_classes(data: Dataset, learner: str) -> None:
-    n0, n1 = data.class_counts()
-    if n0 == 0 or n1 == 0:
-        raise ValidationError(
-            f"{learner} needs both classes in the training set "
-            f"(got {n1} positive, {n0} negative)"
-        )
 
 
 @dataclass(frozen=True)
@@ -73,12 +64,12 @@ class GbdtParams:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if self.rounds < 0:
-            raise ConfigError("rounds must be >= 0")
+        check_int("rounds", self.rounds, 0)
+        check_int("max_leaves", self.max_leaves, 1)
+        check_int("max_depth", self.max_depth, 0)
+        check_int("max_bins", self.max_bins, 2, MAX_BINS_LIMIT)
         if not 0.0 < self.learning_rate <= 1.0:
             raise ConfigError("learning_rate must be in (0, 1]")
-        if not 2 <= self.max_bins <= MAX_BINS_LIMIT:
-            raise ConfigError(f"max_bins must be in [2, {MAX_BINS_LIMIT}], got {self.max_bins}")
         self.tree_params()  # raises ConfigError on bad growth settings
 
     def resolved_min_samples_leaf(self) -> int:
@@ -106,7 +97,6 @@ class GbdtModel:
     base_score: float
     trees: tuple[Tree, ...]
     learning_rate: float
-    variant: str
     loss_trace: tuple[float, ...]  # entry 0 at base_score, then one per round
     n_features: int
 
@@ -116,8 +106,7 @@ class AdaBoostParams:
     rounds: int = 100
 
     def __post_init__(self):
-        if self.rounds < 0:
-            raise ConfigError("rounds must be >= 0")
+        check_int("rounds", self.rounds, 0)
 
 
 @dataclass(frozen=True)
@@ -136,10 +125,8 @@ class BaggingParams:
     bootstrap: bool = True  # test hook: False fits every tree on the full set
 
     def __post_init__(self):
-        if self.n_trees < 1:
-            raise ConfigError("n_trees must be >= 1")
-        if self.max_depth < 0:
-            raise ConfigError("max_depth must be >= 0")
+        check_int("n_trees", self.n_trees, 1)
+        check_int("max_depth", self.max_depth, 0)
 
 
 @dataclass(frozen=True)
@@ -157,7 +144,7 @@ def fit_gbdt(train: Dataset, params: GbdtParams = GbdtParams()) -> GbdtModel:
     ``learning_rate`` times its prediction to every margin. Training
     log-loss is recorded at the base score and after every round.
     """
-    _require_both_classes(train, "gradient boosting")
+    require_both_classes(train, "gradient boosting")
     n0, n1 = train.class_counts()
     X = train.features
     y = train.labels
@@ -181,7 +168,6 @@ def fit_gbdt(train: Dataset, params: GbdtParams = GbdtParams()) -> GbdtModel:
         base_score=base,
         trees=tuple(trees),
         learning_rate=params.learning_rate,
-        variant=params.variant,
         loss_trace=tuple(trace),
         n_features=train.n_features,
     )
@@ -196,7 +182,7 @@ def fit_adaboost(train: Dataset, params: AdaBoostParams = AdaBoostParams()) -> A
     0.5 ln((1-eps)/eps), misclassified rows are up-weighted by e^alpha,
     the rest down-weighted, and weights renormalize to sum 1.
     """
-    _require_both_classes(train, "adaboost")
+    require_both_classes(train, "adaboost")
     X = train.features
     y = train.labels.astype(np.float64)
     n = train.n_records

@@ -17,7 +17,7 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 
 from . import __version__
-from .dataset import Dataset, SplitPair, load_dataset, stratified_split
+from .dataset import Dataset, SplitPair, check_int, load_dataset, stratified_split
 from .ensemble import (
     AdaBoostParams,
     BaggingParams,
@@ -99,8 +99,8 @@ class RunConfig:
             )
         if not 0.0 < self.test_fraction < 1.0:
             raise ConfigError("test_fraction must be in (0, 1)")
-        if self.smote_k < 1:
-            raise ConfigError("smote_k must be >= 1")
+        check_int("seed", self.seed)
+        check_int("smote_k", self.smote_k, 1)
         if self.gbdt_leafwise.variant != "leaf-wise":
             raise ConfigError("gbdt_leafwise must use the leaf-wise variant")
         if self.gbdt_levelwise.variant != "level-wise":

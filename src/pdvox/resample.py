@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset
-from .errors import ConfigError, ValidationError
+from .dataset import Dataset, check_int
+from .errors import ValidationError
 from .rng import stream
 
 
@@ -25,8 +25,8 @@ class SmoteConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.k_neighbors < 1:
-            raise ConfigError("k_neighbors must be >= 1")
+        check_int("k_neighbors", self.k_neighbors, 1)
+        check_int("seed", self.seed)
 
 
 def _minority_neighbor_table(minority: np.ndarray, k: int) -> np.ndarray:

@@ -41,7 +41,7 @@ def derive_key(seed: int, *labels: str | int) -> int:
     the running key with one splitmix64 scramble, so ("bagging", 3) and
     ("bagging", 4) give unrelated streams.
     """
-    key = seed & MASK64
+    key = int(seed) & MASK64  # a numpy integer seed would overflow the mask
     for label in labels:
         raw = label.to_bytes(8, "little") if isinstance(label, int) else str(label).encode()
         _, key = splitmix64(key ^ fnv1a64(raw))

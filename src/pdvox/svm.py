@@ -24,17 +24,26 @@ and K[i2], contiguous O(n) reads, in place of the strided columns the
 update is defined by. That is exact because the training kernel is
 exactly symmetric: numpy evaluates X @ X.T as a symmetric rank-k update,
 and the squared norms enter as a2[i] + a2[j], which commutes.
+
+Candidate order (Platt 1998): a sweep visits the rows in index order, and
+a row that violates KKT tries partners until a step is taken: the
+non-bound row with the largest |E_i - E_j|, then the non-bound rows, then
+all rows, each in index order. The pinned fit digests depend on it.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from .dataset import Dataset, Standardizer, check_matrix, fit_standardizer, transform_features
-from .errors import ConfigError, ValidationError
+from .dataset import (
+    Dataset, Standardizer, check_int, check_matrix, fit_standardizer, require_both_classes,
+    transform_features,
+)
+from .errors import ConfigError
 
 #: Minimum multiplier movement for a step to count as progress.
 _STEP_EPS = 1e-12
@@ -70,8 +79,7 @@ class SvmParams:
             raise ConfigError(f"gamma must be finite and > 0, got {self.gamma}")
         if not 0.0 < self.tol < np.inf:
             raise ConfigError(f"tol must be finite and > 0, got {self.tol}")
-        if self.max_passes < 1:
-            raise ConfigError("max_passes must be >= 1")
+        check_int("max_passes", self.max_passes, 1)
 
 
 @dataclass(frozen=True)
@@ -125,8 +133,6 @@ def _resolve_gamma(params: SvmParams, Xs: np.ndarray) -> float:
     if not isinstance(params.gamma, str):
         return float(params.gamma)
     d = Xs.shape[1]
-    if Xs.shape[0] < 2:
-        return 1.0
     mean_var = float(np.mean(Xs.var(axis=0, ddof=1)))
     if mean_var <= 0 or d == 0:
         return 1.0
@@ -150,17 +156,13 @@ class _SmoState:
         self.b = 0.0
         self.E = -y.astype(np.float64)  # f(x) = 0 everywhere at the start
         self.trace: list[float] = [0.0]
-        self._delta = np.empty(self.n, dtype=np.float64)
-        self._term = np.empty(self.n, dtype=np.float64)
-        self._F = np.empty(self.n, dtype=np.float64)
 
     def refresh_errors(self) -> None:
         self.E = self.K @ self.alpha_y + self.b - self.y
 
     def objective(self) -> float:
         """Dual objective from the (incrementally maintained) error cache."""
-        F = np.add(self.E, self.y, out=self._F)
-        F -= self.b
+        F = self.E + self.y - self.b
         return float(np.sum(self.alpha) - 0.5 * np.dot(self.alpha_y, F))
 
     def take_step(self, i1: int, i2: int) -> bool:
@@ -202,8 +204,6 @@ class _SmoState:
                 )
                 if gain > best_gain + _STEP_EPS:
                     best_gain, a2 = gain, cand
-            if a2 == a2o:
-                return False
         if abs(a2 - a2o) < _STEP_EPS * (a2 + a2o + _STEP_EPS):
             return False
         a1 = a1o + s * (a2o - a2)
@@ -226,10 +226,7 @@ class _SmoState:
         else:
             b_new = 0.5 * (b1 + b2)
         # K is symmetric, so the contiguous rows K[i] stand in for the columns
-        delta = np.multiply(K[i1], y1 * d1, out=self._delta)
-        delta += np.multiply(K[i2], y2 * d2, out=self._term)
-        delta += b_new - self.b
-        self.E += delta
+        self.E += K[i1] * (y1 * d1) + K[i2] * (y2 * d2) + (b_new - self.b)
         alpha[i1], alpha[i2] = a1, a2
         self.alpha_y[i1], self.alpha_y[i2] = a1 * y1, a2 * y2
         self.free[i1], self.free[i2] = 0.0 < a1 < C, 0.0 < a2 < C
@@ -239,16 +236,12 @@ class _SmoState:
 
     def examine(self, i: int) -> bool:
         """Try to improve the pair (j, i) for the best-looking j."""
-        E = self.E
         non_bound = np.flatnonzero(self.free)
         if non_bound.size > 1:
-            j = int(non_bound[np.argmax(np.abs(E[i] - E[non_bound]))])
+            j = int(non_bound[np.argmax(np.abs(self.E[i] - self.E[non_bound]))])
             if self.take_step(j, i):
                 return True
-        for j in non_bound:
-            if self.take_step(int(j), i):
-                return True
-        for j in range(self.n):
+        for j in chain(non_bound.tolist(), range(self.n)):
             if self.take_step(j, i):
                 return True
         return False
@@ -261,7 +254,6 @@ class _SmoState:
         """
         quiet = 0
         sweeps = 0
-        converged = False
         while quiet < max_passes and sweeps < _SWEEP_CAP:
             self.refresh_errors()
             violations = 0
@@ -276,19 +268,14 @@ class _SmoState:
                         changed += 1
             sweeps += 1
             if violations == 0:
-                converged = True
-                break
+                return sweeps, True
             quiet = quiet + 1 if changed == 0 else 0
-        return sweeps, converged
+        return sweeps, False
 
 
 def fit_svm(train: Dataset, params: SvmParams = SvmParams()) -> SvmModel:
     """Train on a Dataset; see the module docstring for the procedure."""
-    n0, n1 = train.class_counts()
-    if n0 == 0 or n1 == 0:
-        raise ValidationError(
-            f"SVM needs both classes in the training set (got {n1} positive, {n0} negative)"
-        )
+    require_both_classes(train, "SVM")
     standardizer = fit_standardizer(train)
     Xs = transform_features(standardizer, train.features)
     y = (2 * train.labels - 1).astype(np.float64)
@@ -328,7 +315,5 @@ def decision_scores(model: SvmModel, X) -> np.ndarray:
     """Margin f(x) for every row of a raw (unstandardized) matrix."""
     M = check_matrix(X, model.n_features)
     Ms = transform_features(model.standardizer, M)
-    if model.support_vectors.shape[0] == 0:
-        return np.full(M.shape[0], model.bias, dtype=np.float64)
     K = _kernel_matrix(Ms, model.support_vectors, model.gamma)
     return K @ model.dual_coef + model.bias

@@ -72,6 +72,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset import check_int
 from .errors import ConfigError, ValidationError
 
 #: Positive-gain floor: splits must clear this to be accepted, which keeps
@@ -111,8 +112,7 @@ def build_bins(features, max_bins: int = MAX_BINS_LIMIT) -> BinMap:
     X = np.asarray(features, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] == 0:
         raise ValidationError("features must be a 2-D matrix with at least one column")
-    if not 2 <= max_bins <= MAX_BINS_LIMIT:
-        raise ConfigError(f"max_bins must be in [2, {MAX_BINS_LIMIT}], got {max_bins}")
+    check_int("max_bins", max_bins, 2, MAX_BINS_LIMIT)
     n, d = X.shape
     cuts: list[np.ndarray] = []
     codes = np.empty((n, d), dtype=np.uint8)
@@ -163,12 +163,11 @@ class TreeParams:
             raise ConfigError(f"unknown objective {self.objective!r}")
         if (self.max_depth is None) == (self.max_leaves is None):
             raise ConfigError("set exactly one of max_depth / max_leaves")
-        if self.max_depth is not None and self.max_depth < 0:
-            raise ConfigError("max_depth must be >= 0")
-        if self.max_leaves is not None and self.max_leaves < 1:
-            raise ConfigError("max_leaves must be >= 1")
-        if self.min_samples_leaf < 1:
-            raise ConfigError("min_samples_leaf must be >= 1")
+        if self.max_depth is not None:
+            check_int("max_depth", self.max_depth, 0)
+        if self.max_leaves is not None:
+            check_int("max_leaves", self.max_leaves, 1)
+        check_int("min_samples_leaf", self.min_samples_leaf, 1)
         # written so that NaN fails the check
         if not (0.0 <= self.lam < np.inf and 0.0 <= self.gamma < np.inf):
             raise ConfigError(

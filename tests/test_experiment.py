@@ -25,6 +25,7 @@ from pdvox.experiment import (
     report_to_json,
     run_experiment,
 )
+from pdvox.resample import SmoteConfig
 from pdvox.svm import SvmParams
 from pdvox.tree import TreeParams
 
@@ -244,6 +245,40 @@ def test_params_reject_nonfinite_values(make):
     # model and a report that JSON output could not encode
     with pytest.raises(ConfigError, match="must be finite"):
         make()
+
+
+_INTEGER_SETTINGS = {
+    "gbdt-rounds": lambda v: GbdtParams(rounds=v),
+    "gbdt-max_leaves": lambda v: GbdtParams(max_leaves=v),
+    "gbdt-max_depth": lambda v: GbdtParams(max_depth=v),
+    "gbdt-min_samples_leaf": lambda v: GbdtParams(min_samples_leaf=v),
+    "gbdt-max_bins": lambda v: GbdtParams(max_bins=v),
+    "tree-max_leaves": lambda v: TreeParams(objective="newton", max_leaves=v),
+    "tree-max_depth": lambda v: TreeParams(objective="gini", max_depth=v),
+    "tree-min_samples_leaf": lambda v: TreeParams(objective="gini", max_depth=3, min_samples_leaf=v),
+    "adaboost-rounds": lambda v: AdaBoostParams(rounds=v),
+    "bagging-n_trees": lambda v: BaggingParams(n_trees=v),
+    "bagging-max_depth": lambda v: BaggingParams(max_depth=v),
+    "svm-max_passes": lambda v: SvmParams(max_passes=v),
+    "smote-k_neighbors": lambda v: SmoteConfig(k_neighbors=v),
+    "smote-seed": lambda v: SmoteConfig(seed=v),
+    "run-smote_k": lambda v: RunConfig(data="unused.csv", smote_k=v),
+    "run-seed": lambda v: RunConfig(data="unused.csv", seed=v),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, 2.5], ids=["nan", "2.5"])
+@pytest.mark.parametrize("make", list(_INTEGER_SETTINGS.values()), ids=list(_INTEGER_SETTINGS))
+def test_integer_settings_reject_nan_and_fractions(make, value):
+    # NaN fails no `x < 1` check, and 2.5 used to fail later as a bare
+    # TypeError from range()
+    with pytest.raises(ConfigError, match="must be an integer"):
+        make(value)
+
+
+def test_integer_settings_accept_numpy_integers():
+    assert GbdtParams(rounds=np.int64(3), max_bins=np.int64(16)).rounds == 3
+    assert RunConfig(data="unused.csv", seed=np.int32(7), smote_k=np.int64(2)).seed == 7
 
 
 def test_config_rejects_swapped_variants(csv_path):

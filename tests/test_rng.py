@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -38,6 +39,12 @@ def test_derive_key_label_types_and_order_matter():
     assert derive_key(seed, "split") != derive_key(seed + 1, "split")
     # int labels are not conflated with their decimal-string spelling
     assert derive_key(seed, 7) != derive_key(seed, "7")
+
+
+def test_derive_key_takes_numpy_integer_seeds():
+    for seed in (7, -1):
+        for np_seed in (np.int64(seed), np.int32(seed)):
+            assert derive_key(np_seed, "split") == derive_key(seed, "split")
 
 
 def test_same_stream_replays_identically():

@@ -24,7 +24,7 @@ def _plain_kernel(X, gamma):
     sq = np.sum((X[:, None, :] - X[None, :, :]) ** 2, axis=-1)
     return np.exp(-gamma * sq)
 from pdvox import svm
-from pdvox.dataset import load_dataset, stratified_split, transform_features
+from pdvox.dataset import Standardizer, load_dataset, stratified_split, transform_features
 from pdvox.errors import ConfigError, ValidationError
 from pdvox.resample import SmoteConfig, smote
 from pdvox.svm import SvmParams, decision_scores, fit_svm
@@ -229,7 +229,7 @@ def test_gamma_explicit_value_respected():
 
 def test_single_class_rejected():
     X = np.zeros((4, 2))
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="SVM needs both classes in the training set"):
         fit_svm(make_dataset(X, np.ones(4, dtype=int)), SvmParams())
 
 
@@ -270,6 +270,38 @@ def test_decision_scores_shape_checks():
         decision_scores(model, np.zeros((2, 7)))
     with pytest.raises(ValidationError):
         decision_scores(model, np.zeros(3))
+
+
+def test_decision_scores_without_support_vectors_are_the_bias():
+    # the empty (m, 0) kernel contributes 0 to every row
+    d = 3
+    model = svm.SvmModel(
+        support_vectors=np.empty((0, d)),
+        dual_coef=np.empty(0),
+        bias=-0.25,
+        gamma=0.5,
+        standardizer=Standardizer(means=np.zeros(d), stds=np.ones(d), constant=np.zeros(d, bool)),
+        alphas=(),
+        objective_trace=(0.0,),
+        sweeps=0,
+        converged=True,
+        n_features=d,
+    )
+    X = np.random.default_rng(0).normal(size=(5, d))
+    assert decision_scores(model, X).tolist() == [-0.25] * 5
+
+
+def test_flat_direction_step_without_a_better_endpoint_changes_nothing():
+    # K = ones makes eta = 0, so both steps take the endpoint comparison
+    state = svm._SmoState(np.ones((2, 2)), np.array([1.0, -1.0]), 1.0, 1e-3)
+    assert state.take_step(0, 1)
+    assert state.alpha.tolist() == [1.0, 1.0]
+    alpha, b, E, trace = state.alpha.copy(), state.b, state.E.copy(), list(state.trace)
+    assert not state.take_step(0, 1)
+    assert state.alpha.tolist() == alpha.tolist()
+    assert state.b == b
+    assert state.E.tolist() == E.tolist()
+    assert state.trace == trace
 
 
 @settings(max_examples=8, deadline=None)
