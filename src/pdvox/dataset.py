@@ -142,8 +142,12 @@ def require_both_classes(data: Dataset, learner: str) -> None:
 
 def check_int(name: str, value, low: float = -math.inf, high: float = math.inf) -> None:
     """ConfigError unless ``value`` is an integer in [low, high], so a NaN
-    or 2.5 setting fails where it is built, not in a later fit."""
-    if not (isinstance(value, numbers.Integral) and low <= value <= high):
+    or 2.5 setting fails where it is built, not in a later fit. A bool is
+    an int to Python but not a setting's value, so it fails too."""
+    if not (
+        isinstance(value, numbers.Integral) and not isinstance(value, bool)
+        and low <= value <= high
+    ):
         raise ConfigError(f"{name} must be an integer in [{low}, {high}], got {value!r}")
 
 

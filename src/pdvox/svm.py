@@ -29,6 +29,17 @@ Candidate order (Platt 1998): a sweep visits the rows in index order, and
 a row that violates KKT tries partners until a step is taken: the
 non-bound row with the largest |E_i - E_j|, then the non-bound rows, then
 all rows, each in index order. The pinned fit digests depend on it.
+
+The per-pair arithmetic (bounds, eta, clipping, the endpoint comparison,
+snapping, the bias) and the per-row KKT check run on Python floats read
+from list mirrors of alpha, y and the kernel diagonal and from ``.item()``
+reads of E and K, not on numpy float64 scalars, which cost several times
+more per operation. That is exact: both are IEEE binary64 with
+round-to-nearest, so + - * /, comparisons, min, max and abs give the same
+bits, and the results enter the array expressions as the same values.
+The per-step reductions call the array methods (``.sum()``,
+``.nonzero()``, ``.argmax()``), which skip about a microsecond of numpy's
+module-level dispatch per call and reduce in the same order.
 """
 
 from __future__ import annotations
@@ -69,17 +80,21 @@ class SvmParams:
     max_passes: int = 10
 
     def __post_init__(self):
-        # written so that NaN fails each check
-        if not 0.0 < self.C < np.inf:
-            raise ConfigError(f"C must be finite and > 0, got {self.C}")
+        _check_positive("C", self.C)
         if isinstance(self.gamma, str):
             if self.gamma != "scale":
                 raise ConfigError(f"gamma must be positive or 'scale', got {self.gamma!r}")
-        elif not 0.0 < self.gamma < np.inf:
-            raise ConfigError(f"gamma must be finite and > 0, got {self.gamma}")
-        if not 0.0 < self.tol < np.inf:
-            raise ConfigError(f"tol must be finite and > 0, got {self.tol}")
+        else:
+            _check_positive("gamma", self.gamma)
+        _check_positive("tol", self.tol)
         check_int("max_passes", self.max_passes, 1)
+
+
+def _check_positive(name: str, value) -> None:
+    # written so that NaN fails; a bool is an int to Python, and True
+    # would pass as 1
+    if isinstance(value, bool) or not 0.0 < value < np.inf:
+        raise ConfigError(f"{name} must be finite and > 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -145,10 +160,14 @@ class _SmoState:
     def __init__(self, K: np.ndarray, y: np.ndarray, C: float, tol: float):
         self.K = K
         self.y = y
-        self.C = C
+        self.C = float(C)
         self.tol = tol
         self.n = y.shape[0]
         self.alpha = np.zeros(self.n, dtype=np.float64)
+        # Python-float mirrors for the scalar path (module docstring)
+        self.alpha_list = self.alpha.tolist()
+        self.y_list = y.tolist()
+        self.diag_list = K.diagonal().tolist()
         # alpha * y and the 0 < alpha < C mask, kept current at the two
         # positions each step changes
         self.alpha_y = self.alpha * y
@@ -163,15 +182,15 @@ class _SmoState:
     def objective(self) -> float:
         """Dual objective from the (incrementally maintained) error cache."""
         F = self.E + self.y - self.b
-        return float(np.sum(self.alpha) - 0.5 * np.dot(self.alpha_y, F))
+        return float(self.alpha.sum() - 0.5 * np.dot(self.alpha_y, F))
 
     def take_step(self, i1: int, i2: int) -> bool:
         if i1 == i2:
             return False
-        alpha, y, K, C = self.alpha, self.y, self.K, self.C
+        alpha, y, K, C = self.alpha_list, self.y_list, self.K, self.C
         a1o, a2o = alpha[i1], alpha[i2]
         y1, y2 = y[i1], y[i2]
-        E1, E2 = self.E[i1], self.E[i2]
+        E1, E2 = self.E.item(i1), self.E.item(i2)
         s = y1 * y2
         if s < 0:
             L = max(0.0, a2o - a1o)
@@ -181,7 +200,7 @@ class _SmoState:
             H = min(C, a1o + a2o)
         if L >= H:
             return False
-        k11, k22, k12 = K[i1, i1], K[i2, i2], K[i1, i2]
+        k11, k22, k12 = self.diag_list[i1], self.diag_list[i2], K.item(i1, i2)
         eta = k11 + k22 - 2.0 * k12
         if eta > 0:
             a2 = a2o + y2 * (E1 - E2) / eta
@@ -228,6 +247,7 @@ class _SmoState:
         # K is symmetric, so the contiguous rows K[i] stand in for the columns
         self.E += K[i1] * (y1 * d1) + K[i2] * (y2 * d2) + (b_new - self.b)
         alpha[i1], alpha[i2] = a1, a2
+        self.alpha[i1], self.alpha[i2] = a1, a2
         self.alpha_y[i1], self.alpha_y[i2] = a1 * y1, a2 * y2
         self.free[i1], self.free[i2] = 0.0 < a1 < C, 0.0 < a2 < C
         self.b = b_new
@@ -236,9 +256,9 @@ class _SmoState:
 
     def examine(self, i: int) -> bool:
         """Try to improve the pair (j, i) for the best-looking j."""
-        non_bound = np.flatnonzero(self.free)
+        non_bound = self.free.nonzero()[0]
         if non_bound.size > 1:
-            j = int(non_bound[np.argmax(np.abs(self.E[i] - self.E[non_bound]))])
+            j = int(non_bound[np.abs(self.E.item(i) - self.E[non_bound]).argmax()])
             if self.take_step(j, i):
                 return True
         for j in chain(non_bound.tolist(), range(self.n)):
@@ -252,6 +272,7 @@ class _SmoState:
         Returns (sweeps, converged); converged means a full sweep saw no
         KKT violation beyond tol.
         """
+        y, alpha, C, tol = self.y_list, self.alpha_list, self.C, self.tol
         quiet = 0
         sweeps = 0
         while quiet < max_passes and sweeps < _SWEEP_CAP:
@@ -259,10 +280,8 @@ class _SmoState:
             violations = 0
             changed = 0
             for i in range(self.n):
-                r = self.y[i] * self.E[i]
-                if (r < -self.tol and self.alpha[i] < self.C) or (
-                    r > self.tol and self.alpha[i] > 0
-                ):
+                r = y[i] * self.E.item(i)
+                if (r < -tol and alpha[i] < C) or (r > tol and alpha[i] > 0):
                     violations += 1
                     if self.examine(i):
                         changed += 1
@@ -303,7 +322,7 @@ def fit_svm(train: Dataset, params: SvmParams = SvmParams()) -> SvmModel:
         bias=state.b,
         gamma=gamma,
         standardizer=standardizer,
-        alphas=tuple(float(a) for a in state.alpha),
+        alphas=tuple(state.alpha_list),
         objective_trace=tuple(state.trace),
         sweeps=sweeps,
         converged=converged,

@@ -267,11 +267,12 @@ _INTEGER_SETTINGS = {
 }
 
 
-@pytest.mark.parametrize("value", [math.nan, 2.5], ids=["nan", "2.5"])
+@pytest.mark.parametrize("value", [math.nan, 2.5, True], ids=["nan", "2.5", "bool"])
 @pytest.mark.parametrize("make", list(_INTEGER_SETTINGS.values()), ids=list(_INTEGER_SETTINGS))
 def test_integer_settings_reject_nan_and_fractions(make, value):
-    # NaN fails no `x < 1` check, and 2.5 used to fail later as a bare
-    # TypeError from range()
+    # NaN fails no `x < 1` check, 2.5 used to fail later as a bare
+    # TypeError from range(), and True is an int to Python, so a report
+    # recorded "seed": true
     with pytest.raises(ConfigError, match="must be an integer"):
         make(value)
 

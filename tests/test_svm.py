@@ -246,6 +246,13 @@ def test_param_validation():
         SvmParams(max_passes=0)
 
 
+@pytest.mark.parametrize("setting", ["C", "gamma", "tol"])
+def test_float_params_reject_booleans(setting):
+    # True compares as 1 and would pass the range check
+    with pytest.raises(ConfigError, match=f"{setting} must be finite and > 0, got True"):
+        SvmParams(**{setting: True})
+
+
 def test_deterministic_fit():
     train = _two_blobs(seed=9)
     a = fit_svm(train, SvmParams())
@@ -367,6 +374,58 @@ def test_fit_on_committed_file_matches_pinned_digest(seed):
     train = smote(stratified_split(data, 0.2, seed).train, SmoteConfig(k_neighbors=5, seed=seed))
     model = fit_svm(train, SvmParams())
     assert _fit_digest(model) == PINNED_FIT_DIGESTS[seed]
+
+
+# Hand-built fits that reach take_step branches the committed file's fits
+# at seeds 42-44 never take, pinned with _fit_digest like the fits above.
+# "flat": rows 0 and 1 coincide with opposite labels, so K11 = K22 = K12 and
+# eta = 0; the endpoint comparison moves both to C, and with neither
+# multiplier strictly inside the box the bias is 0.5 * (b1 + b2).
+# "snaps": multiplier dust within _STEP_EPS of 0 and of C is snapped onto
+# the box, and one step ends with both multipliers at bounds (averaged bias).
+PINNED_BRANCH_FITS = {
+    "flat": (
+        [[0.5, 0.5], [0.5, 0.5], [-2.0, 1.0], [2.0, -1.0]],
+        [1, 0, 0, 1],
+        SvmParams(C=1.0, gamma=0.5),
+        "6c6c897f993a4eb7beee0b2d389a9592b071af236b6d9e0d38c92043e2adb525",
+    ),
+    "snaps": (
+        [[-1.2, -1.6], [-0.9, -0.2], [0.4, -0.5], [2.2, -0.8],
+         [-0.5, -0.6], [0.7, 0.3], [-1.8, 1.1], [-0.7, -0.3]],
+        [0, 1, 1, 0, 1, 0, 1, 1],
+        SvmParams(C=0.7, gamma=1.0),
+        "62553c6602aa3dc319646a0599fdf1ae8203677f0f7b23d252ea70f3ccd4ea09",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_BRANCH_FITS))
+def test_branch_fit_matches_pinned_digest(name):
+    X, y, params, digest = PINNED_BRANCH_FITS[name]
+    model = fit_svm(make_dataset(np.array(X), np.array(y)), params)
+    assert model.converged
+    assert _fit_digest(model) == digest
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(2, 24),
+    C=st.sampled_from([0.1, 0.7, 1.0, 10.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_list_mirrors_match_arrays_after_solve(n, C, seed):
+    # take_step reads the Python-float mirrors, the array expressions read
+    # the arrays; a missed mirror update would only show as a digest change
+    rng = np.random.default_rng(seed)
+    X = np.round(rng.normal(size=(n, 2)), 1)
+    y = np.where(rng.integers(0, 2, size=n) == 1, 1.0, -1.0)
+    y[0], y[1] = -1.0, 1.0
+    state = svm._SmoState(svm._kernel_matrix(X, X, 1.0), y, C, 1e-3)
+    state.solve(max_passes=10)
+    assert state.alpha_list == state.alpha.tolist()
+    assert state.y_list == state.y.tolist()
+    assert state.diag_list == state.K.diagonal().tolist()
 
 
 def test_sweep_cap_stop_warns(monkeypatch):
