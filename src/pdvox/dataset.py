@@ -13,6 +13,7 @@ import csv
 import io
 import math
 import numbers
+import operator
 import warnings
 from dataclasses import dataclass
 from itertools import zip_longest
@@ -149,6 +150,24 @@ def check_int(name: str, value, low: float = -math.inf, high: float = math.inf) 
         and low <= value <= high
     ):
         raise ConfigError(f"{name} must be an integer in [{low}, {high}], got {value!r}")
+
+
+_COMPARE = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator.le}
+
+
+def check_float(name: str, value, *, gt=None, ge=None, lt=None, le=None) -> None:
+    """ConfigError unless ``value`` is a finite real number that is > gt,
+    >= ge, < lt and <= le, for each bound given. As in :func:`check_int`,
+    a bool fails (numpy's is not a ``numbers.Real`` at all), and a string
+    fails here rather than as a bare TypeError in a comparison."""
+    bounds = [(op, b) for op, b in ((">", gt), (">=", ge), ("<", lt), ("<=", le)) if b is not None]
+    if not (
+        isinstance(value, numbers.Real) and not isinstance(value, bool)
+        and -math.inf < value < math.inf  # written so that NaN fails
+        and all(_COMPARE[op](value, b) for op, b in bounds)
+    ):
+        limits = "".join(f" and {op} {b}" for op, b in bounds)
+        raise ConfigError(f"{name} must be finite{limits}, got {value!r}")
 
 
 def subset(data: Dataset, indices) -> Dataset:
@@ -369,8 +388,7 @@ def stratified_split(data: Dataset, test_fraction: float, seed: int) -> SplitPai
     test side. Surviving indices are re-sorted so both partitions keep the
     source row order.
     """
-    if not 0.0 < test_fraction < 1.0:
-        raise ConfigError(f"test_fraction must be in (0,1), got {test_fraction}")
+    check_float("test_fraction", test_fraction, gt=0, lt=1)
     gen = stream(seed, "split")
     test_parts: list[np.ndarray] = []
     for cls in (0, 1):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, check_int, check_matrix, require_both_classes
+from .dataset import Dataset, check_float, check_int, check_matrix, require_both_classes
 from .errors import ConfigError, ValidationError
 from .rng import derive_key, stream
 from .tree import MAX_BINS_LIMIT, Tree, TreeParams, build_bins, fit_cart, predict_many, take_rows
@@ -68,8 +68,7 @@ class GbdtParams:
         check_int("max_leaves", self.max_leaves, 1)
         check_int("max_depth", self.max_depth, 0)
         check_int("max_bins", self.max_bins, 2, MAX_BINS_LIMIT)
-        if not 0.0 < self.learning_rate <= 1.0:
-            raise ConfigError("learning_rate must be in (0, 1]")
+        check_float("learning_rate", self.learning_rate, gt=0, le=1)
         self.tree_params()  # raises ConfigError on bad growth settings
 
     def resolved_min_samples_leaf(self) -> int:

@@ -17,7 +17,7 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 
 from . import __version__
-from .dataset import Dataset, SplitPair, check_int, load_dataset, stratified_split
+from .dataset import Dataset, SplitPair, check_float, check_int, load_dataset, stratified_split
 from .ensemble import (
     AdaBoostParams,
     BaggingParams,
@@ -97,8 +97,7 @@ class RunConfig:
             raise ConfigError(
                 f"model must be 'all' or one of {MODEL_NAMES}, got {self.model!r}"
             )
-        if not 0.0 < self.test_fraction < 1.0:
-            raise ConfigError("test_fraction must be in (0, 1)")
+        check_float("test_fraction", self.test_fraction, gt=0, lt=1)
         check_int("seed", self.seed)
         check_int("smote_k", self.smote_k, 1)
         if self.gbdt_leafwise.variant != "leaf-wise":

@@ -51,8 +51,8 @@ from itertools import chain
 import numpy as np
 
 from .dataset import (
-    Dataset, Standardizer, check_int, check_matrix, fit_standardizer, require_both_classes,
-    transform_features,
+    Dataset, Standardizer, check_float, check_int, check_matrix, fit_standardizer,
+    require_both_classes, transform_features,
 )
 from .errors import ConfigError
 
@@ -80,21 +80,14 @@ class SvmParams:
     max_passes: int = 10
 
     def __post_init__(self):
-        _check_positive("C", self.C)
+        check_float("C", self.C, gt=0)
         if isinstance(self.gamma, str):
             if self.gamma != "scale":
                 raise ConfigError(f"gamma must be positive or 'scale', got {self.gamma!r}")
         else:
-            _check_positive("gamma", self.gamma)
-        _check_positive("tol", self.tol)
+            check_float("gamma", self.gamma, gt=0)
+        check_float("tol", self.tol, gt=0)
         check_int("max_passes", self.max_passes, 1)
-
-
-def _check_positive(name: str, value) -> None:
-    # written so that NaN fails; a bool is an int to Python, and True
-    # would pass as 1
-    if isinstance(value, bool) or not 0.0 < value < np.inf:
-        raise ConfigError(f"{name} must be finite and > 0, got {value}")
 
 
 @dataclass(frozen=True)

@@ -15,18 +15,19 @@ is its parent's minus its sibling's. Routing uses the raw cut value:
 ``x[feature] <= threshold`` goes left, which agrees exactly with
 ``searchsorted(cuts, x, side="left")`` binning.
 
-Split search cost follows the node, not the bin grid. Every search of
-a growth step goes through one entry point, ``_best_splits``:
+Split search cost follows the node, not the bin grid. A node that can
+split is swept once, when it is made, at its own width, by
+``_best_split``:
 
 * No search runs where it could only find nothing: at ``max_depth``,
   below ``2 * min_samples_leaf`` rows, or on a gini node whose rows all
   carry one target.
 * A node with more than ``padded / PACKED_SEARCH_RATIO`` rows sweeps
-  prefix sums over its full bin grid, as a one-node batch that is not
-  compacted. A smaller node sweeps only its bins where A, B or count is
-  nonzero (including the float dust that histogram subtraction leaves
-  in empty bins), packed left-aligned. The row count is the node's
-  count total: the count plane holds integer sums, so it is exact.
+  prefix sums over its full bin grid, in place. A smaller node sweeps
+  only its bins where A, B or count is nonzero (including the float dust
+  that histogram subtraction leaves in empty bins), packed left-aligned
+  to its own widest feature. The row count is the node's count total:
+  the count plane holds integer sums, so it is exact.
 
 Both sweeps pick the same split, bit for bit. A dropped bin adds an
 exact 0.0 to each sequential prefix sum, so the cut after it ties the
@@ -34,8 +35,9 @@ kept cut before it, and the first-maximum tie-break (lowest feature,
 then lowest cut) still lands on the kept one. Per-feature totals come
 from the full bin rows in both, because pairwise summation depends on
 the row length. No cut lands on a padding column (past a feature's last
-real bin): everything right of it is empty, and ``min_samples_leaf >=
-1`` makes a cut with no rows on its right invalid.
+real bin, or past its last kept bin when packed): everything right of
+it is empty, and ``min_samples_leaf >= 1`` makes a cut with no rows on
+its right invalid.
 
 Histograms follow the same rule. A split decides which children will
 be searched before it builds anything:
@@ -54,15 +56,6 @@ short rows are elementwise equal to row 0 of the full grid (bincount
 adds each row's weight to its bin in row order whatever the other
 features are, and subtraction is elementwise), so totals and leaf
 values do not change.
-
-Packed searches are batched: all of a depth level's in max-depth growth,
-a sibling pair's in leaf-wise growth. Each node is packed straight into
-one shared buffer, padded to the batch's width with zeroed slots (their
-cuts leave no rows on the right, so they are never valid), and the
-first maximum is taken per node, by the same code as a full-grid
-node's. Nodes x shared width stays within ``padded``, so a batch holds
-at most one full grid's worth of packed columns; the nodes' full grids
-are never stacked.
 """
 
 from __future__ import annotations
@@ -72,7 +65,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import check_int
+from .dataset import check_float, check_int
 from .errors import ConfigError, ValidationError
 
 #: Positive-gain floor: splits must clear this to be accepted, which keeps
@@ -168,11 +161,8 @@ class TreeParams:
         if self.max_leaves is not None:
             check_int("max_leaves", self.max_leaves, 1)
         check_int("min_samples_leaf", self.min_samples_leaf, 1)
-        # written so that NaN fails the check
-        if not (0.0 <= self.lam < np.inf and 0.0 <= self.gamma < np.inf):
-            raise ConfigError(
-                f"lam and gamma must be finite and >= 0, got {self.lam} and {self.gamma}"
-            )
+        check_float("lam", self.lam, ge=0)
+        check_float("gamma", self.gamma, ge=0)
 
 
 @dataclass(frozen=True)
@@ -213,7 +203,7 @@ class _Node:
     def __init__(self, node_id, rows, depth):
         self.node_id = node_id
         self.rows = rows
-        self.hist = None  # full (3, d, padded) grid while a search or split needs it
+        self.hist = None  # full (3, d, padded) grid while a split needs it
         self.depth = depth
         self.best = None  # (gain, feature, bin, threshold) once a search finds one
 
@@ -266,72 +256,43 @@ def _cut_gains(hist, totals, params: TreeParams):
     return gain
 
 
-def _best_splits(hists, totals, bins: BinMap, params: TreeParams):
-    """Highest-gain (gain, feature, bin, threshold) of every (3, d, padded)
-    histogram in ``hists``, or None where no cut clears GAIN_EPS.
+def _best_split(hist, totals, bins: BinMap, params: TreeParams):
+    """Highest-gain (gain, feature, bin, threshold) of one node's
+    (3, d, padded) histogram, or None if no cut clears GAIN_EPS.
 
-    ``totals`` are each histogram's sums over axis 2. Ties resolve to the
+    ``totals`` are the histogram's sums over axis 2. Ties resolve to the
     lowest feature, then the lowest cut (the first maximum in a
     feature-major, bin-ascending scan). A node with more than ``padded /
-    PACKED_SEARCH_RATIO`` rows (its count total) is a one-node batch swept
-    over its own full grid, in ``hists`` order. Smaller nodes keep only
-    the bins where any of A, B or C is nonzero, packed left-aligned per
-    feature in bin order, and share batches of at most one full grid's
-    worth of columns.
+    PACKED_SEARCH_RATIO`` rows (its count total) is swept over its own
+    full grid, in place. A smaller node keeps only the bins where any of
+    A, B or C is nonzero, packed left-aligned per feature in bin order to
+    its widest feature's width.
     """
-    found = [None] * len(hists)
-    nodes = []  # packed: (shared width, index, kept bins, feature widths)
-    for i, hist in enumerate(hists):
-        _, d, padded = hist.shape
-        if PACKED_SEARCH_RATIO * totals[i][2, 0, 0] > padded:
-            if padded >= 2:  # else no feature has two bins, so no cut
-                _sweep([(padded, i, None, None)], hists, totals, bins, params, found)
-            continue
+    _, d, padded = hist.shape
+    kept = None
+    if PACKED_SEARCH_RATIO * totals[2, 0, 0] <= padded:
         kept = np.flatnonzero((hist != 0).any(axis=0))  # flat feature * padded + bin
         width = np.bincount(kept // padded, minlength=d)
-        k = int(width.max())
-        if k >= 2:  # else no feature has two kept bins
-            nodes.append((k, i, kept, width))
-    # nodes of similar width share a batch, so less of it is padding
-    nodes.sort(key=lambda node: node[0])
-    first = 0
-    for last in range(1, len(nodes) + 1):
-        # nodes x shared width stays within padded columns per feature
-        if last == len(nodes) or (last + 1 - first) * nodes[last][0] > padded:
-            _sweep(nodes[first:last], hists, totals, bins, params, found)
-            first = last
-    return found
-
-
-def _sweep(batch, hists, totals, bins, params, found):
-    """One :func:`_cut_gains` pass over a batch of :func:`_best_splits`
-    nodes, sorted by width; sets ``found[index]`` to each node's first
-    maximum. A full-grid node (no kept bins) is swept in place."""
-    n = len(batch)
-    k, i, kept, _ = batch[-1]
-    hist, node_totals = hists[i], totals[i]
-    if kept is not None:
-        _, d, padded = hist.shape
-        width = np.concatenate([node[3] for node in batch])  # per node * d + feature
         start = width.cumsum() - width
-        # packed column of each kept bin: row * k + its rank in the row;
-        # slots past a row's width stay zero, and their cuts leave no rows
-        # on the right
-        dest = np.arange(start[-1] + width[-1]) + (np.arange(n * d) * k - start).repeat(width)
-        hist = np.zeros((3, n * d, k))
-        hist.reshape(3, -1)[:, dest] = np.concatenate(
-            [hists[i].reshape(3, -1).take(kept, axis=1) for _, i, kept, _ in batch], axis=1
-        )
-        node_totals = np.concatenate([totals[i] for _, i, _, _ in batch], axis=1)
-    gain = _cut_gains(hist, node_totals, params).reshape(n, -1)
-    for j, col in enumerate(gain.argmax(axis=1).tolist()):
-        best = gain[j, col]
-        if best > GAIN_EPS:
-            _, i, kept, _ = batch[j]
-            f, b = divmod(col, k - 1)
-            if kept is not None:  # packed column -> bin
-                b = int(kept[start[j * d + f] - start[j * d] + b]) - f * padded
-            found[i] = (float(best), f, b, float(bins.cuts[f][b]))
+        k = int(width.max())
+        # packed column of each kept bin: feature * k + its rank in the
+        # row; slots past a row's width stay zero, and their cuts leave no
+        # rows on the right
+        dest = np.arange(kept.size) + (np.arange(d) * k - start).repeat(width)
+        packed = np.zeros((3, d * k))
+        packed[:, dest] = hist.reshape(3, -1).take(kept, axis=1)
+        hist = packed.reshape(3, d, k)
+    k = hist.shape[2]
+    if k < 2:  # no feature has two (kept) bins, so no cut
+        return None
+    gain = _cut_gains(hist, totals, params).ravel()
+    col = int(gain.argmax())
+    if not gain[col] > GAIN_EPS:
+        return None
+    f, b = divmod(col, k - 1)
+    if kept is not None:  # packed column -> bin
+        b = int(kept[start[f] + b]) - f * padded
+    return (float(gain[col]), f, b, float(bins.cuts[f][b]))
 
 
 def fit_cart(bins: BinMap, targets, weights, params: TreeParams) -> Tree:
@@ -396,8 +357,6 @@ def fit_cart(bins: BinMap, targets, weights, params: TreeParams) -> Tree:
             return bool(np.any(node_t != node_t[0]))
         return True
 
-    pending: list[tuple[_Node, np.ndarray]] = []  # nodes to search, with their totals
-
     def new_node(node_id, rows, hist, depth, search) -> _Node:
         # every feature's bins partition the same rows, so feature 0 alone
         # carries the node totals (summing all features would count each
@@ -407,19 +366,10 @@ def fit_cart(bins: BinMap, targets, weights, params: TreeParams) -> Tree:
         node_value[node_id] = _leaf_value(totals[:, 0, 0].tolist(), params)
         node = _Node(node_id, rows, depth)
         if search:
-            node.hist = hist
-            pending.append((node, totals))
+            node.best = _best_split(hist, totals, bins, params)
+            if node.best is not None:
+                node.hist = hist  # kept for the split
         return node
-
-    def search_pending() -> None:
-        found = _best_splits(
-            [node.hist for node, _ in pending], [totals for _, totals in pending], bins, params
-        )
-        for (node, _), best in zip(pending, found):
-            node.best = best
-            if best is None:
-                node.hist = None  # free
-        pending.clear()
 
     def split(state: _Node) -> tuple[_Node, _Node]:
         gain, feat, cut_bin, threshold = state.best
@@ -461,15 +411,13 @@ def fit_cart(bins: BinMap, targets, weights, params: TreeParams) -> Tree:
     search_root = can_split(root_rows, 0)
     root_hist = histogram(root_rows, d if search_root else 1)
     root = new_node(alloc(), root_rows, root_hist, 0, search_root)
-    search_pending()
 
     if params.max_depth is not None:
-        # one level at a time, so a level's packed searches share batches
+        # one level at a time, because node ids are numbered breadth
+        # first: level by level, left to right within a level
         frontier = [root]
         while frontier:
-            children = [c for state in frontier if state.best is not None for c in split(state)]
-            search_pending()
-            frontier = children
+            frontier = [c for state in frontier if state.best is not None for c in split(state)]
     else:
         heap: list[tuple[float, int, _Node]] = []
         seq = 0
@@ -480,9 +428,7 @@ def fit_cart(bins: BinMap, targets, weights, params: TreeParams) -> Tree:
         while heap and leaves < params.max_leaves:
             _, _, state = heapq.heappop(heap)
             leaves += 1
-            children = split(state)
-            search_pending()  # the sibling pair shares one packed batch
-            for child in children:
+            for child in split(state):
                 if child.best is not None:
                     heapq.heappush(heap, (-child.best[0], seq, child))
                     seq += 1

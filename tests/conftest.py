@@ -15,8 +15,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from pdvox.dataset import Dataset
+
+# CI runs with --hypothesis-profile=ci: every run draws the same examples,
+# so a red run means the code changed, and a failure prints the blob that
+# reproduces it (@reproduce_failure). Local runs keep the random default.
+settings.register_profile("ci", derandomize=True, print_blob=True)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SYNTHETIC_CSV = REPO_ROOT / "data" / "synthetic_vocal.csv"

@@ -277,6 +277,34 @@ def test_integer_settings_reject_nan_and_fractions(make, value):
         make(value)
 
 
+_FLOAT_SETTINGS = {
+    "gbdt-learning_rate": lambda v: GbdtParams(learning_rate=v),
+    "gbdt-lam": lambda v: GbdtParams(lam=v),
+    "gbdt-gamma": lambda v: GbdtParams(gamma=v),
+    "tree-lam": lambda v: TreeParams(objective="newton", max_leaves=8, lam=v),
+    "tree-gamma": lambda v: TreeParams(objective="newton", max_leaves=8, gamma=v),
+    "svm-C": lambda v: SvmParams(C=v),
+    "svm-gamma": lambda v: SvmParams(gamma=v),
+    "svm-tol": lambda v: SvmParams(tol=v),
+    "run-test_fraction": lambda v: RunConfig(data="unused.csv", test_fraction=v),
+}
+
+
+@pytest.mark.parametrize("value", [True, np.True_, "0.1"], ids=["bool", "numpy-bool", "str"])
+@pytest.mark.parametrize("setting", list(_FLOAT_SETTINGS))
+def test_float_settings_reject_bools_and_strings(setting, value):
+    # True compares as 1, so it passed every range check and a report
+    # recorded "learning_rate": true; a string failed as a bare TypeError
+    name = setting.split("-", 1)[1]
+    with pytest.raises(ConfigError, match=f"{name} must be"):
+        _FLOAT_SETTINGS[setting](value)
+
+
+def test_float_settings_accept_numpy_floats():
+    assert GbdtParams(learning_rate=np.float32(0.5), lam=np.float64(2.0)).lam == 2.0
+    assert RunConfig(data="unused.csv", test_fraction=np.float64(0.25)).test_fraction == 0.25
+
+
 def test_integer_settings_accept_numpy_integers():
     assert GbdtParams(rounds=np.int64(3), max_bins=np.int64(16)).rounds == 3
     assert RunConfig(data="unused.csv", seed=np.int32(7), smote_k=np.int64(2)).seed == 7

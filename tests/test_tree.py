@@ -9,13 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import conftest
 from conftest import naive_gini_stump, reference_best_split, reference_fit_cart, walk_tree_naive
 from pdvox import tree as tree_module
 from pdvox.errors import ConfigError, ValidationError
 from pdvox.tree import (
     BinMap,
     TreeParams,
-    _best_splits,
+    _best_split,
     _bin_sums,
     build_bins,
     fit_cart,
@@ -258,13 +259,12 @@ def _subtracted_node(rng, codes, a, b, padded, rounds):
     return hist, kept
 
 
-def _search(hists, bins, params, ratio):
-    """:func:`_best_splits` of every histogram in ``hists`` with the
-    packed-search gate at ``ratio``."""
-    totals = [hist.sum(axis=2, keepdims=True) for hist in hists]
+def _search(hist, bins, params, ratio):
+    """:func:`_best_split` of one node's histogram with the packed-search
+    gate at ``ratio``."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tree_module, "PACKED_SEARCH_RATIO", ratio)
-        return _best_splits(hists, totals, bins, params)
+        return _best_split(hist, hist.sum(axis=2, keepdims=True), bins, params)
 
 
 #: Gate ratios: every node packed, nodes either way by size, and every
@@ -299,41 +299,13 @@ def test_packed_search_matches_full_grid(
     hist, _ = _subtracted_node(rng, codes, a, b, padded, subtractions)
     lam = 0.0 if zero_weights else 1.0
     params = TreeParams(objective=objective, max_depth=4, min_samples_leaf=msl, lam=lam)
-    assert _search([hist], bins, params, ratio) == [reference_best_split(hist, bins, params)]
-
-
-@pytest.mark.parametrize("ratio", _RATIOS)
-@settings(max_examples=200, deadline=None)
-@given(
-    st.integers(0, 2**32 - 1),
-    st.sampled_from(["gini", "newton"]),
-    st.sampled_from([1, 20]),
-    st.integers(2, 90),
-    st.booleans(),
-    st.integers(1, 14),
-)
-def test_batched_packed_search_matches_each_node(
-    ratio, seed, objective, msl, n, discrete, n_nodes
-):
-    # One call sweeps nodes of mixed widths together: each is padded to its
-    # batch's shared width, and a batch closes once nodes x width would
-    # pass the padded bin count, so many or wide nodes make several batches.
-    rng = np.random.default_rng(seed)
-    codes, a, b, bins, padded = _node_table(rng, objective, n, discrete)
-    hists = []
-    while len(hists) < n_nodes:
-        hist, rows = _subtracted_node(rng, codes, a, b, padded, int(rng.integers(0, 4)))
-        if rows.size:
-            hists.append(hist)
-    params = TreeParams(objective=objective, max_depth=4, min_samples_leaf=msl)
-    batched = _search(hists, bins, params, ratio)
-    assert batched == [reference_best_split(hist, bins, params) for hist in hists]
+    assert _search(hist, bins, params, ratio) == reference_best_split(hist, bins, params)
 
 
 def test_gate_sweeps_large_nodes_over_their_own_grid(monkeypatch):
     # Both sweeps pick the same split, so only the histogram that reaches
     # _cut_gains shows the gate: a node with more than padded / 4 rows is
-    # swept in place, every other node through the packed buffer.
+    # swept in place, every other node through its packed buffer.
     cut_gains = tree_module._cut_gains
     swept = []
 
@@ -346,11 +318,12 @@ def test_gate_sweeps_large_nodes_over_their_own_grid(monkeypatch):
     params = TreeParams(objective="newton", max_depth=4)
     for _ in range(40):
         codes, a, b, bins, padded = _node_table(rng, "newton", int(rng.integers(2, 90)), False)
-        nodes = [_subtracted_node(rng, codes, a, b, padded, int(rng.integers(0, 4))) for _ in range(6)]
-        swept.clear()
-        _search([hist for hist, _ in nodes], bins, params, 4)
-        in_place = [any(s is hist for s in swept) for hist, _ in nodes]
-        assert in_place == [padded >= 2 and 4 * rows.size > padded for _, rows in nodes]
+        for _ in range(6):
+            hist, rows = _subtracted_node(rng, codes, a, b, padded, int(rng.integers(0, 4)))
+            swept.clear()
+            _search(hist, bins, params, 4)
+            in_place = any(s is hist for s in swept)
+            assert in_place == (padded >= 2 and 4 * rows.size > padded)
 
 
 def test_gini_cut_with_negative_dust_weight_is_skipped():
@@ -365,6 +338,16 @@ def test_gini_cut_with_negative_dust_weight_is_skipped():
     assert gain[0, 1] == pytest.approx(1.0 / 3.0)
 
 
+def _counted(func, calls, key):
+    """``func``, adding one to ``calls[key]`` per call."""
+
+    def wrapper(*args):
+        calls[key] += 1
+        return func(*args)
+
+    return wrapper
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     st.integers(0, 2**32 - 1),
@@ -376,9 +359,11 @@ def test_gini_cut_with_negative_dust_weight_is_skipped():
 )
 def test_fit_cart_matches_reference_growth(seed, objective, growth, msl, weighting, n):
     # fit_cart builds only feature 0's bin row for a child it will not
-    # search, subtracts the larger child in place and sweeps small nodes in
-    # batches; the reference builds every full grid and searches each node
-    # alone. Every node array must match bit for bit.
+    # search, subtracts the larger child in place and packs small nodes'
+    # non-empty bins; the reference builds every full grid and sweeps it
+    # whole. Every node array must match bit for bit, and both must search
+    # the same nodes: none at max_depth, below 2 * min_samples_leaf rows or
+    # on a pure gini node.
     rng = np.random.default_rng(seed)
     d = int(rng.integers(1, 7))
     levels = rng.integers(2, 400, size=d)  # repeated values, some tied gains
@@ -403,9 +388,18 @@ def test_fit_cart_matches_reference_growth(seed, objective, growth, msl, weighti
         budget = {"max_leaves": int(rng.integers(1, 40))}
     params = TreeParams(objective=objective, min_samples_leaf=msl, **budget)
     bins = build_bins(X, max_bins=int(rng.integers(2, 256)))
-    tree = fit_cart(bins, t, w, params)
+    searches = {"fit_cart": 0, "reference": 0}
+    with pytest.MonkeyPatch.context() as mp:
+        for module, name, key in [
+            (tree_module, "_best_split", "fit_cart"),
+            (conftest, "reference_best_split", "reference"),
+        ]:
+            mp.setattr(module, name, _counted(getattr(module, name), searches, key))
+        tree = fit_cart(bins, t, w, params)
+        ref_arrays = reference_fit_cart(bins, t, w, params)
+    assert searches["fit_cart"] == searches["reference"]
     got = (tree.feature, tree.threshold, tree.left, tree.right, tree.value)
-    for mine, ref in zip(got, reference_fit_cart(bins, t, w, params)):
+    for mine, ref in zip(got, ref_arrays):
         assert mine.dtype == ref.dtype
         assert np.array_equal(mine, ref, equal_nan=True)
 
