@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 
 from .dataset import correlation_csv_text, load_dataset
 from .errors import ConfigError, PdvoxError
@@ -124,17 +125,21 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     return 0
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    # one line per warning, like errors: no source path, no code line
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return _dispatch(parser, args)
-    except PdvoxError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            return _dispatch(parser, args)
+        except (PdvoxError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

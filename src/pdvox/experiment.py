@@ -14,7 +14,7 @@ import hashlib
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from . import __version__
 from .dataset import Dataset, SplitPair, check_float, check_int, load_dataset, stratified_split
@@ -27,7 +27,7 @@ from .ensemble import (
     fit_bagging,
     fit_gbdt,
 )
-from .errors import ConfigError, PdvoxError, ValidationError
+from .errors import ConfigError, PdvoxError, SchemaError, ValidationError
 from .metrics import (
     ConfusionMatrix,
     MetricSet,
@@ -254,46 +254,79 @@ def report_to_json(report: ExperimentReport) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def _config_from_dict(obj: dict) -> RunConfig:
-    return RunConfig(
-        data=obj["data"],
-        model=obj["model"],
-        seed=obj["seed"],
-        test_fraction=obj["test_fraction"],
-        smote=obj["smote"],
-        smote_before_split=obj["smote_before_split"],
-        smote_k=obj["smote_k"],
-        gbdt_leafwise=GbdtParams(**obj["gbdt_leafwise"]),
-        gbdt_levelwise=GbdtParams(**obj["gbdt_levelwise"]),
-        adaboost=AdaBoostParams(**obj["adaboost"]),
-        bagging=BaggingParams(**obj["bagging"]),
-        svm=SvmParams(**obj["svm"]),
-    )
+#: RunConfig's params sections: field name -> the dataclass it holds.
+_PARAMS_SECTIONS = {
+    "gbdt_leafwise": GbdtParams,
+    "gbdt_levelwise": GbdtParams,
+    "adaboost": AdaBoostParams,
+    "bagging": BaggingParams,
+    "svm": SvmParams,
+}
+
+
+def _json_object(cls, obj, path: str) -> dict:
+    """``obj``, once it is a JSON object with exactly the fields of the
+    dataclass ``cls``; else a SchemaError naming ``path`` ("" for the whole
+    report) or the first field that is missing or unknown."""
+    if not isinstance(obj, dict):
+        where = f"report field {path!r}" if path else "report"
+        raise SchemaError(f"{where} is not a JSON object")
+    names = [f.name for f in fields(cls)]
+    prefix = f"{path}." if path else ""
+    for name in names:
+        if name not in obj:
+            raise SchemaError(f"report field {prefix + name!r} is missing")
+    for key in obj:
+        if key not in names:
+            raise SchemaError(f"report field {prefix + key!r} is unknown")
+    return obj
 
 
 def parse_report(text: str) -> ExperimentReport:
-    """Inverse of :func:`report_to_json` (structured-format round trip)."""
-    obj = json.loads(text)
-    results = tuple(
-        ModelResult(
-            model=r["model"],
-            threshold=float(r["threshold"]),
-            confusion=ConfusionMatrix(**r["confusion"]),
-            metrics=MetricSet(**r["metrics"]),
-            roc=RocCurve(
-                thresholds=[math.inf if t is None else t for t in r["roc"]["thresholds"]],
-                fpr=r["roc"]["fpr"],
-                tpr=r["roc"]["tpr"],
-            ),
+    """Inverse of :func:`report_to_json` (structured-format round trip).
+
+    Text that is not JSON, and a field that is missing, unknown or not an
+    object, raise SchemaError.
+    """
+    try:
+        obj = _json_object(ExperimentReport, json.loads(text), "")
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"report is not JSON: {exc}") from None
+    config = _json_object(RunConfig, obj["config"], "config")
+    sections = {
+        name: cls(**_json_object(cls, config[name], f"config.{name}"))
+        for name, cls in _PARAMS_SECTIONS.items()
+    }
+    if not isinstance(obj["results"], list):
+        raise SchemaError("report field 'results' is not a JSON array")
+    results = []
+    for i, r in enumerate(obj["results"]):
+        path = f"results[{i}]"
+        r = _json_object(ModelResult, r, path)
+        roc = _json_object(RocCurve, r["roc"], f"{path}.roc")
+        results.append(
+            ModelResult(
+                model=r["model"],
+                threshold=float(r["threshold"]),
+                confusion=ConfusionMatrix(
+                    **_json_object(ConfusionMatrix, r["confusion"], f"{path}.confusion")
+                ),
+                metrics=MetricSet(**_json_object(MetricSet, r["metrics"], f"{path}.metrics")),
+                roc=RocCurve(
+                    thresholds=[math.inf if t is None else t for t in roc["thresholds"]],
+                    fpr=roc["fpr"],
+                    tpr=roc["tpr"],
+                ),
+            )
         )
-        for r in obj["results"]
-    )
     return ExperimentReport(
         toolkit_version=obj["toolkit_version"],
-        config=_config_from_dict(obj["config"]),
-        fingerprint=DatasetFingerprint(**obj["fingerprint"]),
-        split=SplitSummary(**obj["split"]),
-        results=results,
+        config=RunConfig(**{**config, **sections}),
+        fingerprint=DatasetFingerprint(
+            **_json_object(DatasetFingerprint, obj["fingerprint"], "fingerprint")
+        ),
+        split=SplitSummary(**_json_object(SplitSummary, obj["split"], "split")),
+        results=tuple(results),
     )
 
 

@@ -15,6 +15,11 @@ is its parent's minus its sibling's. Routing uses the raw cut value:
 ``x[feature] <= threshold`` goes left, which agrees exactly with
 ``searchsorted(cuts, x, side="left")`` binning.
 
+Growth pops nodes that can split from one heap, keyed by (depth, node
+id) under ``max_depth`` and by (-gain, node id) under ``max_leaves``;
+ids count creation, and a depth-limited tree pops each level whole, in
+id order, before the next, so its ids stay breadth first.
+
 Split search cost follows the node, not the bin grid. A node that can
 split is swept once, when it is made, at its own width, by
 ``_best_split``:
@@ -326,19 +331,7 @@ def fit_cart(bins: BinMap, targets, weights, params: TreeParams) -> Tree:
     # feature f's bins are the flat histogram columns f*padded .. f*padded+padded-1
     flat_codes = bins.codes + np.arange(d) * padded
 
-    node_feature: list[int] = []
-    node_threshold: list[float] = []
-    node_left: list[int] = []
-    node_right: list[int] = []
-    node_value: list[float] = []
-
-    def alloc() -> int:
-        node_feature.append(-1)
-        node_threshold.append(np.nan)
-        node_left.append(-1)
-        node_right.append(-1)
-        node_value.append(np.nan)
-        return len(node_feature) - 1
+    nodes: list[list] = []  # [feature, threshold, left, right, value] by node id
 
     def histogram(rows, k):
         """(A, B, count) of ``rows`` over the bins of features 0..k-1."""
@@ -357,14 +350,14 @@ def fit_cart(bins: BinMap, targets, weights, params: TreeParams) -> Tree:
             return bool(np.any(node_t != node_t[0]))
         return True
 
-    def new_node(node_id, rows, hist, depth, search) -> _Node:
+    def new_node(rows, hist, depth, search) -> _Node:
         # every feature's bins partition the same rows, so feature 0 alone
         # carries the node totals (summing all features would count each
         # row d times); a searched node's sums over all features feed its
         # sweep too
         totals = (hist if search else hist[:, :1]).sum(axis=2, keepdims=True)
-        node_value[node_id] = _leaf_value(totals[:, 0, 0].tolist(), params)
-        node = _Node(node_id, rows, depth)
+        node = _Node(len(nodes), rows, depth)
+        nodes.append([-1, np.nan, -1, -1, _leaf_value(totals[:, 0, 0].tolist(), params)])
         if search:
             node.best = _best_split(hist, totals, bins, params)
             if node.best is not None:
@@ -395,50 +388,38 @@ def fit_cart(bins: BinMap, targets, weights, params: TreeParams) -> Tree:
         left_hist, right_hist = (
             (small_hist, big_hist) if small_is_left else (big_hist, small_hist)
         )
-        left_id = alloc()
-        right_id = alloc()
-        node_feature[state.node_id] = feat
-        node_threshold[state.node_id] = threshold
-        node_left[state.node_id] = left_id
-        node_right[state.node_id] = right_id
-        node_value[state.node_id] = np.nan
-        return (
-            new_node(left_id, left_rows, left_hist, depth, search_left),
-            new_node(right_id, right_rows, right_hist, depth, search_right),
-        )
+        left = new_node(left_rows, left_hist, depth, search_left)
+        right = new_node(right_rows, right_hist, depth, search_right)
+        nodes[state.node_id] = [feat, threshold, left.node_id, right.node_id, np.nan]
+        return left, right
+
+    # one frontier for both limits. Depth limits pop by (depth, id): a
+    # level pops whole, in id order, before the next, so ids stay breadth
+    # first. Leaf budgets pop by (-gain, id), the best split first; ids
+    # count creation, so equal gains go to the node made first
+    heap: list[tuple[float, int, _Node]] = []
+
+    def push(node: _Node) -> None:
+        if node.best is not None:
+            key = -node.best[0] if params.max_depth is None else node.depth
+            heapq.heappush(heap, (key, node.node_id, node))
 
     root_rows = np.arange(n, dtype=np.int64)
     search_root = can_split(root_rows, 0)
-    root_hist = histogram(root_rows, d if search_root else 1)
-    root = new_node(alloc(), root_rows, root_hist, 0, search_root)
+    push(new_node(root_rows, histogram(root_rows, d if search_root else 1), 0, search_root))
+    leaves = 1
+    while heap and (params.max_leaves is None or leaves < params.max_leaves):
+        leaves += 1
+        for child in split(heapq.heappop(heap)[2]):
+            push(child)
 
-    if params.max_depth is not None:
-        # one level at a time, because node ids are numbered breadth
-        # first: level by level, left to right within a level
-        frontier = [root]
-        while frontier:
-            frontier = [c for state in frontier if state.best is not None for c in split(state)]
-    else:
-        heap: list[tuple[float, int, _Node]] = []
-        seq = 0
-        if root.best is not None:
-            heapq.heappush(heap, (-root.best[0], seq, root))
-            seq += 1
-        leaves = 1
-        while heap and leaves < params.max_leaves:
-            _, _, state = heapq.heappop(heap)
-            leaves += 1
-            for child in split(state):
-                if child.best is not None:
-                    heapq.heappush(heap, (-child.best[0], seq, child))
-                    seq += 1
-
+    feature, threshold, left, right, value = zip(*nodes)
     return Tree(
-        feature=np.asarray(node_feature, dtype=np.int32),
-        threshold=np.asarray(node_threshold, dtype=np.float64),
-        left=np.asarray(node_left, dtype=np.int32),
-        right=np.asarray(node_right, dtype=np.int32),
-        value=np.asarray(node_value, dtype=np.float64),
+        feature=np.asarray(feature, dtype=np.int32),
+        threshold=np.asarray(threshold, dtype=np.float64),
+        left=np.asarray(left, dtype=np.int32),
+        right=np.asarray(right, dtype=np.int32),
+        value=np.asarray(value, dtype=np.float64),
         n_features=d,
     )
 

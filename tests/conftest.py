@@ -324,6 +324,15 @@ def dual_objective(K, y, alpha) -> float:
     return float(np.sum(alpha) - 0.5 * v @ K @ v)
 
 
+def reference_neighbor_table(minority, k) -> np.ndarray:
+    """SMOTE's (m, k) nearest-neighbour indices from the whole (m, m, d)
+    difference tensor at once: own row excluded, ties to the lower index."""
+    diffs = minority[:, None, :] - minority[None, :, :]
+    sq_dist = np.einsum("ijk,ijk->ij", diffs, diffs)
+    np.fill_diagonal(sq_dist, np.inf)
+    return np.argsort(sq_dist, axis=1, kind="stable")[:, :k]
+
+
 def recover_interpolation_u(base, neighbor, synth, tol=1e-9):
     """The single u with synth = base + u*(neighbor - base), or None.
 

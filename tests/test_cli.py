@@ -2,11 +2,19 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from pdvox.cli import main
-from pdvox.dataset import CANONICAL_FEATURES, CANONICAL_HEADER, Dataset, write_dataset_csv
+from pdvox.dataset import (
+    CANONICAL_FEATURES,
+    CANONICAL_HEADER,
+    Dataset,
+    load_dataset,
+    write_dataset_csv,
+)
 from pdvox.experiment import TABLE_HEADER, parse_report
 
 
@@ -108,6 +116,18 @@ def test_correlate_stdout_shape(csv_path, capsys):
     assert lines[0].split(",")[1:] == list(CANONICAL_FEATURES)
     # unit diagonal
     assert lines[1].split(",")[1] == "1.0"
+
+
+def test_correlate_warning_is_one_line(csv_path, tmp_path, capsys):
+    data = load_dataset(csv_path)
+    features = data.features.copy()
+    features[:, 0] = 150.0
+    flat = tmp_path / "flat.csv"
+    write_dataset_csv(replace(data, features=features), flat)
+    assert main(["correlate", "--data", str(flat)]) == 0
+    assert capsys.readouterr().err == (
+        "warning: constant columns have undefined correlation, reported as 0: ['MDVP:Fo(Hz)']\n"
+    )
 
 
 def test_correlate_out_file(csv_path, tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib.util
 import statistics
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import make_dataset
+from conftest import REPO_ROOT, SYNTHETIC_CSV, make_dataset
 from pdvox.dataset import (
     CANONICAL_FEATURES,
     CANONICAL_HEADER,
@@ -306,6 +307,18 @@ def test_csv_roundtrip_is_bit_exact(tmp_path_factory, X, data):
     assert loaded.ids == ds.ids
     assert np.array_equal(loaded.features, ds.features)
     assert np.array_equal(loaded.labels, ds.labels)
+
+
+def test_generator_reproduces_committed_file(tmp_path):
+    # every benchmark table and pinned digest comes from this generator;
+    # at its default seed it must write the committed file byte for byte
+    path = REPO_ROOT / "scripts" / "make_synthetic_vocal.py"
+    spec = importlib.util.spec_from_file_location("make_synthetic_vocal", path)
+    generator = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generator)
+    out = tmp_path / "synthetic_vocal.csv"
+    assert generator.main(["--out", str(out)]) == 0
+    assert out.read_bytes() == SYNTHETIC_CSV.read_bytes()
 
 
 # -------------------------------------------------------------- correlation

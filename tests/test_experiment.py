@@ -15,7 +15,7 @@ import pdvox
 from pdvox import experiment
 from pdvox.dataset import CANONICAL_FEATURES, Dataset, write_dataset_csv
 from pdvox.ensemble import AdaBoostParams, BaggingParams, GbdtParams
-from pdvox.errors import ConfigError
+from pdvox.errors import ConfigError, SchemaError
 from pdvox.experiment import (
     MODEL_NAMES,
     TABLE_HEADER,
@@ -124,6 +124,67 @@ def test_report_json_round_trip(report):
     text = report_to_json(report)
     back = parse_report(text)
     assert back == report
+
+
+def _drop(obj, *path):
+    *outer, last = path
+    for key in outer:
+        obj = obj[key]
+    del obj[last]
+
+
+def _add(obj, *path):
+    *outer, last = path
+    for key in outer:
+        obj = obj[key]
+    obj[last] = 1
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda r: _drop(r, "config", "svm"), "report field 'config.svm' is missing"),
+        (lambda r: _drop(r, "config", "seed"), "report field 'config.seed' is missing"),
+        (lambda r: _drop(r, "split"), "report field 'split' is missing"),
+        (lambda r: _drop(r, "results", 1, "roc", "fpr"),
+         "report field 'results[1].roc.fpr' is missing"),
+        (lambda r: _add(r, "config", "svm", "kernel"),
+         "report field 'config.svm.kernel' is unknown"),
+        (lambda r: _add(r, "schema"), "report field 'schema' is unknown"),
+        (lambda r: _add(r, "config", "adaboost"),
+         "report field 'config.adaboost' is not a JSON object"),
+        (lambda r: _add(r, "results"), "report field 'results' is not a JSON array"),
+    ],
+)
+def test_parse_report_names_the_bad_field(report, edit, message):
+    obj = json.loads(report_to_json(report))
+    edit(obj)
+    with pytest.raises(SchemaError) as info:
+        parse_report(json.dumps(obj))
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "report is not JSON: "),
+        ("{", "report is not JSON: "),
+        ("not a report", "report is not JSON: "),
+        ('{"config": {', "report is not JSON: "),
+        ("[1, 2]", "report is not a JSON object"),
+    ],
+)
+def test_parse_report_rejects_text_that_is_not_a_report(text, message):
+    with pytest.raises(SchemaError) as info:
+        parse_report(text)
+    assert str(info.value).startswith(message)
+
+
+def test_parse_report_keeps_constructor_errors(report):
+    obj = json.loads(report_to_json(report))
+    obj["config"]["svm"]["C"] = -1.0
+    with pytest.raises(ConfigError, match="C"):
+        parse_report(json.dumps(obj))
 
 
 def test_report_json_is_sorted_and_newline_terminated(report):

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_dataset, recover_interpolation_u
+from conftest import make_dataset, recover_interpolation_u, reference_neighbor_table
 from pdvox.dataset import load_dataset, stratified_split
 from pdvox.errors import ConfigError, ValidationError
-from pdvox.resample import SmoteConfig, smote
+from pdvox.resample import _NEIGHBOR_BLOCK_ROWS, SmoteConfig, _minority_neighbor_table, smote
 
 
 def _imbalanced(n_min=6, n_maj=20, d=4, seed=0):
@@ -133,6 +133,29 @@ def test_synthetics_stay_in_coordinate_hull(seed):
     synth = out.features[train.n_records :]
     eps = 1e-9 * (1.0 + np.abs(hi - lo))
     assert np.all(synth >= lo - eps) and np.all(synth <= hi + eps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([2, _NEIGHBOR_BLOCK_ROWS - 1, _NEIGHBOR_BLOCK_ROWS, _NEIGHBOR_BLOCK_ROWS + 1,
+                     2 * _NEIGHBOR_BLOCK_ROWS + 2]),
+    st.integers(1, 5),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+)
+def test_neighbor_table_in_blocks_matches_whole_tensor(m, d, seed, coarse):
+    # m on both sides of the block height. Coarse rows sit on a 3-point
+    # grid, so rows repeat and distances tie; the stable sort must still
+    # send every tie to the lower row index, block by block
+    rng = np.random.default_rng(seed)
+    if coarse:
+        minority = rng.integers(0, 3, size=(m, d)) * rng.uniform(0.5, 2.0, size=d)
+    else:
+        minority = rng.normal(size=(m, d))
+    k = int(rng.integers(1, m))
+    got = _minority_neighbor_table(minority, k)
+    assert got.shape == (m, k)
+    assert np.array_equal(got, reference_neighbor_table(minority, k))
 
 
 def test_pipeline_scale_counts(data_path):

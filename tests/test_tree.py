@@ -488,6 +488,30 @@ def test_leafwise_split_order_takes_best_gain_first():
     assert tree.feature[0] == 0
 
 
+def test_leaf_budget_gain_tie_goes_to_node_made_first(monkeypatch):
+    # The root splits on feature 0 into two 4-row children whose best
+    # cuts (feature 1) have bit-equal gains: with unit weights every gini
+    # sum is a small integer. With one split left in the budget, the left
+    # child, made before the right one, takes it.
+    X = np.array([[0, 0]] * 3 + [[0, 1]] + [[1, 0]] * 3 + [[1, 1]], dtype=np.float64)
+    y = np.array([0, 0, 0, 1, 1, 1, 1, 0], dtype=np.float64)
+    search = tree_module._best_split
+    found = []
+
+    def recording(*args):
+        found.append(search(*args))
+        return found[-1]
+
+    monkeypatch.setattr(tree_module, "_best_split", recording)
+    tree = fit_cart(build_bins(X), y, np.ones(8), _gini_params(max_depth=None, max_leaves=3))
+    root, left, right = found  # searched in creation order; grandchildren are pure
+    assert root[1] == 0
+    assert left[1] == right[1] == 1
+    assert left[0] == right[0] > 0
+    assert tree.feature.tolist() == [0, 1, -1, -1, -1]
+    assert tree.left.tolist() == [1, 3, -1, -1, -1]
+
+
 # ----------------------------------------------------------- validation
 
 
