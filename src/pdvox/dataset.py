@@ -1,4 +1,4 @@
-"""Vocal-feature table ingestion, validation, splitting, and standardization.
+"""Vocal-feature table ingestion, validation, correlation, and splitting.
 
 The on-disk format is the 24-column comma-separated layout used by the
 sustained-phonation recordings table: a text ``name`` identifier, 22
@@ -144,12 +144,15 @@ def require_both_classes(data: Dataset, learner: str) -> None:
 def check_int(name: str, value, low: float = -math.inf, high: float = math.inf) -> None:
     """ConfigError unless ``value`` is an integer in [low, high], so a NaN
     or 2.5 setting fails where it is built, not in a later fit. A bool is
-    an int to Python but not a setting's value, so it fails too."""
+    an int to Python but not a setting's value, so it fails too. The
+    message names only the finite bounds."""
     if not (
         isinstance(value, numbers.Integral) and not isinstance(value, bool)
         and low <= value <= high
     ):
-        raise ConfigError(f"{name} must be an integer in [{low}, {high}], got {value!r}")
+        finite = [(op, b) for op, b in ((">=", low), ("<=", high)) if math.isfinite(b)]
+        bounds = " and ".join(f"{op} {b}" for op, b in finite)
+        raise ConfigError(f"{name} must be an integer {bounds}".rstrip() + f", got {value!r}")
 
 
 _COMPARE = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator.le}
@@ -407,48 +410,3 @@ def stratified_split(data: Dataset, test_fraction: float, seed: int) -> SplitPai
     mask[test_idx] = False
     train_idx = np.flatnonzero(mask)
     return SplitPair(train=subset(data, train_idx), test=subset(data, test_idx))
-
-
-@dataclass(frozen=True)
-class Standardizer:
-    """Per-column z-score transform fitted on training rows only.
-
-    Constant training columns are flagged and map to all-zero output.
-    ``stds`` holds the sample (n-1 denominator) standard deviation, with
-    1.0 stored in flagged slots so the transform stays division-safe.
-    """
-
-    means: np.ndarray
-    stds: np.ndarray
-    constant: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "means", _frozen(np.asarray(self.means, float)))
-        object.__setattr__(self, "stds", _frozen(np.asarray(self.stds, float)))
-        object.__setattr__(self, "constant", _frozen(np.asarray(self.constant, bool)))
-
-
-def fit_standardizer(train: Dataset) -> Standardizer:
-    if train.n_records == 0:
-        raise ValidationError("cannot fit standardizer on an empty dataset")
-    X = train.features
-    means = X.mean(axis=0)
-    constant = np.all(X == X[0], axis=0)
-    if train.n_records == 1:
-        constant = np.ones(X.shape[1], dtype=bool)
-    if constant.any():
-        names = [train.feature_names[i] for i in np.flatnonzero(constant)]
-        warnings.warn(f"constant columns standardize to zero: {names}", stacklevel=2)
-    stds = np.ones(X.shape[1], dtype=np.float64)
-    live = ~constant
-    if live.any():
-        stds[live] = X[:, live].std(axis=0, ddof=1)
-    return Standardizer(means=means, stds=stds, constant=constant)
-
-
-def transform_features(s: Standardizer, X: np.ndarray) -> np.ndarray:
-    """Apply the z-score transform to a raw feature matrix."""
-    X = np.asarray(X, dtype=np.float64)
-    out = (X - s.means) / s.stds
-    out[..., s.constant] = 0.0
-    return out

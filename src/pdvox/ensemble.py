@@ -1,8 +1,8 @@
 """Tree ensembles: two gradient-boosting variants, AdaBoost, and bagging.
 
 All four learners consume a :class:`~pdvox.dataset.Dataset` and produce an
-immutable model whose ``score`` is a real number and whose ``probability``
-is monotone in that score, so every model feeds the same ROC machinery.
+immutable model that :func:`ensemble_scores` turns into one real-valued
+score per row, so every model feeds the same threshold and ROC machinery.
 
 * GBDT — additive Newton trees on logistic-loss gradients; the leaf-wise
   variant grows best-gain-first to a leaf budget, the level-wise variant
@@ -20,7 +20,7 @@ import numpy as np
 
 from .dataset import Dataset, check_float, check_int, check_matrix, require_both_classes
 from .errors import ConfigError, ValidationError
-from .rng import derive_key, stream
+from .rng import stream
 from .tree import MAX_BINS_LIMIT, Tree, TreeParams, build_bins, fit_cart, predict_many, take_rows
 
 VARIANTS = ("leaf-wise", "level-wise")
@@ -131,7 +131,6 @@ class BaggingParams:
 @dataclass(frozen=True)
 class BaggingModel:
     trees: tuple[Tree, ...]
-    seeds: tuple[int, ...]  # per-tree PRNG stream keys
     n_features: int
 
 
@@ -234,38 +233,36 @@ def fit_bagging(
     bins = build_bins(train.features)
     tree_params = TreeParams(objective="gini", max_depth=params.max_depth)
     trees: list[Tree] = []
-    seeds: list[int] = []
     ones = np.ones(n, dtype=np.float64)
     for t in range(params.n_trees):
-        seeds.append(derive_key(seed, "bagging", t))
         if params.bootstrap:
             gen = stream(seed, "bagging", t)
             idx = np.fromiter((gen.below(n) for _ in range(n)), dtype=np.int64, count=n)
         else:
             idx = np.arange(n, dtype=np.int64)
         trees.append(fit_cart(take_rows(bins, idx), y[idx], ones, tree_params))
-    return BaggingModel(trees=tuple(trees), seeds=tuple(seeds), n_features=train.n_features)
+    return BaggingModel(trees=tuple(trees), n_features=train.n_features)
 
 
-def ensemble_scores(model, X) -> tuple[np.ndarray, np.ndarray]:
-    """(scores, probabilities) for every row of X, per the model's link."""
+def ensemble_scores(model, X) -> np.ndarray:
+    """Score for every row of X: the GBDT margin, the AdaBoost weighted
+    stump vote, or bagging's fraction of trees voting positive."""
     if isinstance(model, GbdtModel):
         M = check_matrix(X, model.n_features)
         scores = np.full(M.shape[0], model.base_score, dtype=np.float64)
         for tree in model.trees:
             scores += model.learning_rate * predict_many(tree, M)
-        return scores, _sigmoid(scores)
+        return scores
     if isinstance(model, AdaBoostModel):
         M = check_matrix(X, model.n_features)
         scores = np.zeros(M.shape[0], dtype=np.float64)
         for alpha, stump in zip(model.alphas, model.stumps):
             scores += alpha * (2.0 * predict_many(stump, M) - 1.0)
-        return scores, _sigmoid(2.0 * scores)
+        return scores
     if isinstance(model, BaggingModel):
         M = check_matrix(X, model.n_features)
         votes = np.zeros(M.shape[0], dtype=np.float64)
         for tree in model.trees:
             votes += predict_many(tree, M)
-        frac = votes / len(model.trees)
-        return frac, frac
+        return votes / len(model.trees)
     raise ConfigError(f"unknown model type {type(model).__name__}")

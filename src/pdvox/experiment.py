@@ -13,8 +13,12 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, is_dataclass
+from typing import get_type_hints
+
+import numpy as np
 
 from . import __version__
 from .dataset import Dataset, SplitPair, check_float, check_int, load_dataset, stratified_split
@@ -41,20 +45,20 @@ from .resample import SmoteConfig, smote
 from .svm import SvmParams, decision_scores, fit_svm
 
 
-def _ensemble_score(model, X):
-    return ensemble_scores(model, X)[0]
-
-
 #: The one place that knows the learners: name -> (fit on the training
 #: split, test-set scorer, confusion threshold), in the canonical order of
 #: "all" runs and comparison tables. Each entry looks ``fit_*``,
 #: ``ensemble_scores`` and ``decision_scores`` up in this module at call
 #: time, so a wrapper set on one of those names sees every call.
 _LEARNERS = {
-    "lightgbm-like": (lambda tr, cfg: fit_gbdt(tr, cfg.gbdt_leafwise), _ensemble_score, 0.0),
-    "xgboost-like": (lambda tr, cfg: fit_gbdt(tr, cfg.gbdt_levelwise), _ensemble_score, 0.0),
-    "adaboost": (lambda tr, cfg: fit_adaboost(tr, cfg.adaboost), _ensemble_score, 0.0),
-    "bagging": (lambda tr, cfg: fit_bagging(tr, cfg.bagging, seed=cfg.seed), _ensemble_score, 0.5),
+    "lightgbm-like": (lambda tr, cfg: fit_gbdt(tr, cfg.gbdt_leafwise),
+                      lambda m, X: ensemble_scores(m, X), 0.0),
+    "xgboost-like": (lambda tr, cfg: fit_gbdt(tr, cfg.gbdt_levelwise),
+                     lambda m, X: ensemble_scores(m, X), 0.0),
+    "adaboost": (lambda tr, cfg: fit_adaboost(tr, cfg.adaboost),
+                 lambda m, X: ensemble_scores(m, X), 0.0),
+    "bagging": (lambda tr, cfg: fit_bagging(tr, cfg.bagging, seed=cfg.seed),
+                lambda m, X: ensemble_scores(m, X), 0.5),
     "svm": (lambda tr, cfg: fit_svm(tr, cfg.svm), lambda m, X: decision_scores(m, X), 0.0),
 }
 
@@ -255,29 +259,55 @@ def report_to_json(report: ExperimentReport) -> str:
 
 
 #: RunConfig's params sections: field name -> the dataclass it holds.
-_PARAMS_SECTIONS = {
-    "gbdt_leafwise": GbdtParams,
-    "gbdt_levelwise": GbdtParams,
-    "adaboost": AdaBoostParams,
-    "bagging": BaggingParams,
-    "svm": SvmParams,
+_PARAMS_SECTIONS = {n: t for n, t in get_type_hints(RunConfig).items() if is_dataclass(t)}
+
+
+def _is_number(value) -> bool:
+    """A JSON number that is a finite float. ``json.loads`` also reads NaN,
+    Infinity and integers too large for a float; the comparisons fail them."""
+    return (
+        isinstance(value, (int, float)) and not isinstance(value, bool)
+        and -sys.float_info.max <= value <= sys.float_info.max
+    )
+
+
+#: What a JSON leaf must be, by its dataclass field's annotation: (its
+#: description, its test). Other annotations are sections, or settings
+#: such as ``float | str`` that only their constructor checks.
+_LEAVES = {
+    bool: ("true or false", lambda v: isinstance(v, bool)),
+    int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    float: ("a number", _is_number),
+    float | None: ("a number or null", lambda v: v is None or _is_number(v)),
+    str: ("a string", lambda v: isinstance(v, str)),
+    np.ndarray: ("an array of numbers", lambda v: isinstance(v, list) and all(map(_is_number, v))),
 }
 
+#: ROC thresholds hold null for the +inf anchor (see ``_roc_dict``).
+_THRESHOLDS = (
+    "an array of numbers and nulls",
+    lambda v: isinstance(v, list) and all(t is None or _is_number(t) for t in v),
+)
 
-def _json_object(cls, obj, path: str) -> dict:
+
+def _json_object(cls, obj, path: str, **rules) -> dict:
     """``obj``, once it is a JSON object with exactly the fields of the
-    dataclass ``cls``; else a SchemaError naming ``path`` ("" for the whole
-    report) or the first field that is missing or unknown."""
+    dataclass ``cls``, each leaf of the JSON type its annotation asks
+    (:data:`_LEAVES`, or ``rules[field]``); else a SchemaError naming
+    ``path`` ("" for the whole report) or the first field at fault."""
     if not isinstance(obj, dict):
         where = f"report field {path!r}" if path else "report"
         raise SchemaError(f"{where} is not a JSON object")
-    names = [f.name for f in fields(cls)]
+    hints = get_type_hints(cls)
     prefix = f"{path}." if path else ""
-    for name in names:
+    for name, hint in hints.items():
         if name not in obj:
             raise SchemaError(f"report field {prefix + name!r} is missing")
+        rule = rules.get(name) or _LEAVES.get(hint)
+        if rule and not rule[1](obj[name]):
+            raise SchemaError(f"report field {prefix + name!r} is not {rule[0]}")
     for key in obj:
-        if key not in names:
+        if key not in hints:
             raise SchemaError(f"report field {prefix + key!r} is unknown")
     return obj
 
@@ -285,8 +315,9 @@ def _json_object(cls, obj, path: str) -> dict:
 def parse_report(text: str) -> ExperimentReport:
     """Inverse of :func:`report_to_json` (structured-format round trip).
 
-    Text that is not JSON, and a field that is missing, unknown or not an
-    object, raise SchemaError.
+    Text that is not JSON, and a field that is missing, unknown, not an
+    object or a leaf of the wrong JSON type, raise SchemaError; a setting
+    of the right type but out of range keeps its constructor's ConfigError.
     """
     try:
         obj = _json_object(ExperimentReport, json.loads(text), "")
@@ -303,7 +334,7 @@ def parse_report(text: str) -> ExperimentReport:
     for i, r in enumerate(obj["results"]):
         path = f"results[{i}]"
         r = _json_object(ModelResult, r, path)
-        roc = _json_object(RocCurve, r["roc"], f"{path}.roc")
+        roc = _json_object(RocCurve, r["roc"], f"{path}.roc", thresholds=_THRESHOLDS)
         results.append(
             ModelResult(
                 model=r["model"],

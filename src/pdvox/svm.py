@@ -50,11 +50,8 @@ from itertools import chain
 
 import numpy as np
 
-from .dataset import (
-    Dataset, Standardizer, check_float, check_int, check_matrix, fit_standardizer,
-    require_both_classes, transform_features,
-)
-from .errors import ConfigError
+from .dataset import Dataset, _frozen, check_float, check_int, check_matrix, require_both_classes
+from .errors import ConfigError, ValidationError
 
 #: Minimum multiplier movement for a step to count as progress.
 _STEP_EPS = 1e-12
@@ -88,6 +85,51 @@ class SvmParams:
             check_float("gamma", self.gamma, gt=0)
         check_float("tol", self.tol, gt=0)
         check_int("max_passes", self.max_passes, 1)
+
+
+@dataclass(frozen=True)
+class Standardizer:
+    """Per-column z-score transform fitted on training rows only.
+
+    Constant training columns are flagged and map to all-zero output.
+    ``stds`` holds the sample (n-1 denominator) standard deviation, with
+    1.0 stored in flagged slots so the transform stays division-safe.
+    """
+
+    means: np.ndarray
+    stds: np.ndarray
+    constant: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "means", _frozen(np.asarray(self.means, float)))
+        object.__setattr__(self, "stds", _frozen(np.asarray(self.stds, float)))
+        object.__setattr__(self, "constant", _frozen(np.asarray(self.constant, bool)))
+
+
+def fit_standardizer(train: Dataset) -> Standardizer:
+    if train.n_records == 0:
+        raise ValidationError("cannot fit standardizer on an empty dataset")
+    X = train.features
+    means = X.mean(axis=0)
+    constant = np.all(X == X[0], axis=0)
+    if train.n_records == 1:
+        constant = np.ones(X.shape[1], dtype=bool)
+    if constant.any():
+        names = [train.feature_names[i] for i in np.flatnonzero(constant)]
+        warnings.warn(f"constant columns standardize to zero: {names}", stacklevel=2)
+    stds = np.ones(X.shape[1], dtype=np.float64)
+    live = ~constant
+    if live.any():
+        stds[live] = X[:, live].std(axis=0, ddof=1)
+    return Standardizer(means=means, stds=stds, constant=constant)
+
+
+def transform_features(s: Standardizer, X: np.ndarray) -> np.ndarray:
+    """Apply the z-score transform to a raw feature matrix."""
+    X = np.asarray(X, dtype=np.float64)
+    out = (X - s.means) / s.stds
+    out[..., s.constant] = 0.0
+    return out
 
 
 @dataclass(frozen=True)

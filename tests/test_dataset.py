@@ -1,4 +1,4 @@
-"""Ingestion, correlation, splitting, and standardization behavior."""
+"""Ingestion, correlation, splitting, and the SVM's standardizer."""
 
 from __future__ import annotations
 
@@ -17,14 +17,13 @@ from pdvox.dataset import (
     CANONICAL_HEADER,
     Dataset,
     correlation_matrix,
-    fit_standardizer,
     load_dataset,
     stratified_split,
     subset,
-    transform_features,
     write_dataset_csv,
 )
 from pdvox.errors import ConfigError, PdvoxError, SchemaError, ValidationError
+from pdvox.svm import fit_standardizer, transform_features
 
 
 def canonical_dataset(n_rows: int, rng: np.random.Generator) -> Dataset:
@@ -456,7 +455,7 @@ def test_split_rejects_missing_class_and_bad_fraction():
         stratified_split(both, 1.0, seed=0)
 
 
-# ------------------------------------------------------------ standardizer
+# ------------------------------------------------- standardizer (pdvox.svm)
 
 
 def test_standardizer_closed_form():

@@ -37,8 +37,8 @@ def test_base_score_is_log_odds():
     train = make_dataset(np.zeros((195, 1)), np.array([1] * 147 + [0] * 48))
     model = fit_gbdt(train, GbdtParams(rounds=0))
     assert model.base_score == pytest.approx(math.log(147 / 48))
-    _, probs = ensemble_scores(model, np.zeros((3, 1)))
-    assert np.allclose(probs, 1 / (1 + math.exp(-math.log(147 / 48))))
+    # a zero-round model scores every row at the training log-odds
+    assert np.array_equal(ensemble_scores(model, np.zeros((3, 1))), np.full(3, model.base_score))
 
 
 def test_rounds_zero_trace_has_single_entry():
@@ -91,9 +91,7 @@ def test_variants_agree_at_stump_granularity():
                                    min_samples_leaf=1))
     assert a.loss_trace == b.loss_trace
     Q = rng.normal(size=(50, 3))
-    sa, _ = ensemble_scores(a, Q)
-    sb, _ = ensemble_scores(b, Q)
-    assert np.array_equal(sa, sb)
+    assert np.array_equal(ensemble_scores(a, Q), ensemble_scores(b, Q))
 
 
 def test_default_min_samples_leaf_depends_on_variant():
@@ -105,7 +103,7 @@ def test_default_min_samples_leaf_depends_on_variant():
 def test_gbdt_separable_data_reaches_high_margin():
     train = _toy(n=100, seed=1, sep=4.0)
     model = fit_gbdt(train, GbdtParams(rounds=30))
-    scores, _ = ensemble_scores(model, train.features)
+    scores = ensemble_scores(model, train.features)
     preds = (scores >= 0.0).astype(int)
     assert np.mean(preds == train.labels) >= 0.97
 
@@ -151,7 +149,7 @@ def test_gbdt_deterministic():
     b = fit_gbdt(train, GbdtParams(rounds=10))
     assert a.loss_trace == b.loss_trace
     q = np.zeros((1, train.n_features))
-    assert ensemble_scores(a, q)[0] == ensemble_scores(b, q)[0]
+    assert np.array_equal(ensemble_scores(a, q), ensemble_scores(b, q))
 
 
 # -------------------------------------------------------------- AdaBoost
@@ -190,7 +188,7 @@ def test_adaboost_training_error_bound():
     train = _toy(n=80, seed=6)
     model = fit_adaboost(train, AdaBoostParams(rounds=25))
     bound = np.prod([2 * math.sqrt(e * (1 - e)) for e in model.epsilons])
-    scores, _ = ensemble_scores(model, train.features)
+    scores = ensemble_scores(model, train.features)
     train_err = np.mean((scores >= 0).astype(int) != train.labels)
     assert train_err <= bound + 1e-12
 
@@ -203,16 +201,21 @@ def test_adaboost_perfect_stump_stops_early():
     assert model.epsilons[0] == 0.0
     # capped alpha from the epsilon floor
     assert model.alphas[0] == pytest.approx(0.5 * math.log(1.0 / 1e-10))
-    scores, _ = ensemble_scores(model, X)
+    scores = ensemble_scores(model, X)
     assert np.all((scores >= 0).astype(int) == y)
 
 
-def test_adaboost_probabilities_squash_scores():
+def test_adaboost_score_is_alpha_weighted_stump_vote():
+    # each stump votes +1 or -1 with its round weight, summed in stump order
     train = _toy(n=50, seed=7)
     model = fit_adaboost(train, AdaBoostParams(rounds=5))
-    scores, probs = ensemble_scores(model, train.features)
-    assert np.allclose(probs, 1 / (1 + np.exp(-2 * scores)))
-    assert np.all((probs > 0) & (probs < 1))
+    expected = []
+    for x in train.features:
+        total = 0.0
+        for alpha, stump in zip(model.alphas, model.stumps):
+            total += alpha * (2.0 * walk_tree_naive(stump, x) - 1.0)
+        expected.append(total)
+    assert ensemble_scores(model, train.features).tolist() == expected
 
 
 # --------------------------------------------------------------- Bagging
@@ -225,26 +228,23 @@ def test_bagging_identity_hook_reduces_to_single_fit():
     votes = np.stack([predict_many(t, q) for t in model.trees])
     # without bootstrap every tree sees identical data -> identical trees
     assert np.all(votes == votes[0])
-    _, probs = ensemble_scores(model, q)
-    assert set(np.unique(probs)) <= {0.0, 1.0}
+    assert set(np.unique(ensemble_scores(model, q))) <= {0.0, 1.0}
 
 
 def test_bagging_identical_rows_give_unanimous_vote():
     X = np.vstack([np.zeros((8, 2)), np.ones((8, 2))])
     y = np.array([0] * 8 + [1] * 8)
     model = fit_bagging(make_dataset(X, y), BaggingParams(n_trees=15), seed=1)
-    _, probs = ensemble_scores(model, np.array([[0.0, 0.0], [1.0, 1.0]]))
-    assert probs[0] == 0.0
-    assert probs[1] == 1.0
+    scores = ensemble_scores(model, np.array([[0.0, 0.0], [1.0, 1.0]]))
+    assert scores.tolist() == [0.0, 1.0]
 
 
-def test_bagging_vote_fraction_is_score_and_probability():
+def test_bagging_score_is_vote_fraction():
     train = _toy(n=80, seed=11)
     model = fit_bagging(train, BaggingParams(n_trees=9), seed=3)
-    scores, probs = ensemble_scores(model, train.features[:20])
-    assert np.array_equal(scores, probs)
-    # fractions over 9 trees live on the 1/9 grid
-    assert np.allclose(scores * 9, np.round(scores * 9))
+    q = train.features[:20]
+    votes = [sum(walk_tree_naive(tree, x) for tree in model.trees) for x in q]
+    assert ensemble_scores(model, q).tolist() == [v / 9 for v in votes]
 
 
 def test_bagging_deterministic_and_seed_sensitive():
@@ -253,15 +253,8 @@ def test_bagging_deterministic_and_seed_sensitive():
     b = fit_bagging(train, BaggingParams(n_trees=10), seed=4)
     c = fit_bagging(train, BaggingParams(n_trees=10), seed=5)
     q = train.features[:15]
-    assert np.array_equal(ensemble_scores(a, q)[0], ensemble_scores(b, q)[0])
-    assert not np.array_equal(ensemble_scores(a, q)[0], ensemble_scores(c, q)[0])
-
-
-def test_bagging_per_tree_seeds_recorded():
-    train = _toy(n=40, seed=13)
-    model = fit_bagging(train, BaggingParams(n_trees=4), seed=9)
-    assert len(model.seeds) == 4
-    assert len(set(model.seeds)) == 4
+    assert np.array_equal(ensemble_scores(a, q), ensemble_scores(b, q))
+    assert not np.array_equal(ensemble_scores(a, q), ensemble_scores(c, q))
 
 
 # ------------------------------------------------------------- plumbing

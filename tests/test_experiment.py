@@ -27,7 +27,7 @@ from pdvox.experiment import (
 )
 from pdvox.resample import SmoteConfig
 from pdvox.svm import SvmParams
-from pdvox.tree import TreeParams
+from pdvox.tree import MAX_BINS_LIMIT, TreeParams
 
 
 def _make_csv(path, n_pos=40, n_neg=20, seed=0):
@@ -133,11 +133,11 @@ def _drop(obj, *path):
     del obj[last]
 
 
-def _add(obj, *path):
+def _set(obj, *path, value=1):
     *outer, last = path
     for key in outer:
         obj = obj[key]
-    obj[last] = 1
+    obj[last] = value
 
 
 @pytest.mark.parametrize(
@@ -148,12 +148,32 @@ def _add(obj, *path):
         (lambda r: _drop(r, "split"), "report field 'split' is missing"),
         (lambda r: _drop(r, "results", 1, "roc", "fpr"),
          "report field 'results[1].roc.fpr' is missing"),
-        (lambda r: _add(r, "config", "svm", "kernel"),
+        (lambda r: _set(r, "config", "svm", "kernel"),
          "report field 'config.svm.kernel' is unknown"),
-        (lambda r: _add(r, "schema"), "report field 'schema' is unknown"),
-        (lambda r: _add(r, "config", "adaboost"),
+        (lambda r: _set(r, "schema"), "report field 'schema' is unknown"),
+        (lambda r: _set(r, "config", "adaboost"),
          "report field 'config.adaboost' is not a JSON object"),
-        (lambda r: _add(r, "results"), "report field 'results' is not a JSON array"),
+        (lambda r: _set(r, "results"), "report field 'results' is not a JSON array"),
+        (lambda r: _set(r, "results", 0, "threshold", value="x"),
+         "report field 'results[0].threshold' is not a number"),
+        (lambda r: _set(r, "results", 0, "threshold", value=math.nan),
+         "report field 'results[0].threshold' is not a number"),
+        (lambda r: _set(r, "results", 0, "roc", "thresholds", value=3),
+         "report field 'results[0].roc.thresholds' is not an array of numbers and nulls"),
+        (lambda r: _set(r, "results", 0, "roc", "fpr", value=[None, 1.0]),
+         "report field 'results[0].roc.fpr' is not an array of numbers"),
+        (lambda r: _set(r, "results", 0, "confusion", "tp", value="x"),
+         "report field 'results[0].confusion.tp' is not an integer"),
+        (lambda r: _set(r, "results", 0, "metrics", "auc", value="x"),
+         "report field 'results[0].metrics.auc' is not a number or null"),
+        (lambda r: _set(r, "fingerprint", "rows", value="x"),
+         "report field 'fingerprint.rows' is not an integer"),
+        (lambda r: _set(r, "results", 0, "model", value=5),
+         "report field 'results[0].model' is not a string"),
+        (lambda r: _set(r, "config", "seed", value="42"),
+         "report field 'config.seed' is not an integer"),
+        (lambda r: _set(r, "config", "smote", value="yes"),
+         "report field 'config.smote' is not true or false"),
     ],
 )
 def test_parse_report_names_the_bad_field(report, edit, message):
@@ -364,6 +384,22 @@ def test_float_settings_reject_bools_and_strings(setting, value):
 def test_float_settings_accept_numpy_floats():
     assert GbdtParams(learning_rate=np.float32(0.5), lam=np.float64(2.0)).lam == 2.0
     assert RunConfig(data="unused.csv", test_fraction=np.float64(0.25)).test_fraction == 0.25
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: RunConfig(data="unused.csv", seed="42"), "seed must be an integer, got '42'"),
+        (lambda: RunConfig(data="unused.csv", smote_k=0), "smote_k must be an integer >= 1, got 0"),
+        (lambda: GbdtParams(max_bins=1),
+         f"max_bins must be an integer >= 2 and <= {MAX_BINS_LIMIT}, got 1"),
+    ],
+    ids=["unbounded", "one-sided", "two-sided"],
+)
+def test_integer_setting_message_names_only_finite_bounds(make, message):
+    with pytest.raises(ConfigError) as info:
+        make()
+    assert str(info.value) == message
 
 
 def test_integer_settings_accept_numpy_integers():

@@ -24,10 +24,10 @@ def _plain_kernel(X, gamma):
     sq = np.sum((X[:, None, :] - X[None, :, :]) ** 2, axis=-1)
     return np.exp(-gamma * sq)
 from pdvox import svm
-from pdvox.dataset import Standardizer, load_dataset, stratified_split, transform_features
+from pdvox.dataset import load_dataset, stratified_split
 from pdvox.errors import ConfigError, ValidationError
 from pdvox.resample import SmoteConfig, smote
-from pdvox.svm import SvmParams, decision_scores, fit_svm
+from pdvox.svm import Standardizer, SvmParams, decision_scores, fit_svm, transform_features
 
 
 def _two_blobs(n_per=12, d=3, seed=0, sep=3.0):
