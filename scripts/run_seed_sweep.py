@@ -44,7 +44,7 @@ def main(argv=None) -> int:
     for seed in range(args.first_seed, args.first_seed + args.seeds):
         t0 = time.perf_counter()
         report = run_experiment(
-            RunConfig(data=args.data, seed=seed, smote=args.smote == "on")
+            RunConfig(data=args.data, seed=seed, smote="after" if args.smote == "on" else "off")
         )
         times.append(time.perf_counter() - t0)
         reports.update(report_to_json(report).encode())

@@ -45,7 +45,8 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--smote", choices=("on", "off"), default="on",
                         help="balance the training split with synthetic minority rows (default on)")
     parser.add_argument("--smote-before-split", choices=("on", "off"), default="off",
-                        help="balance the whole dataset before splitting instead (default off; leaks)")
+                        help="balance the whole dataset before splitting instead (default off; "
+                             "leaks; no effect under --smote off)")
     parser.add_argument("--out", metavar="PATH",
                         help="write output here instead of stdout")
     parser.add_argument("--format", choices=FORMATS, default="table",
@@ -115,8 +116,8 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
             model=args.model if args.command == "run" else "all",
             seed=args.seed,
             test_fraction=args.test_fraction,
-            smote=args.smote == "on",
-            smote_before_split=args.smote_before_split == "on",
+            smote=("off" if args.smote == "off"
+                   else "before" if args.smote_before_split == "on" else "after"),
         )
     except ConfigError as exc:
         parser.error(str(exc))

@@ -141,11 +141,11 @@ def require_both_classes(data: Dataset, learner: str) -> None:
         )
 
 
-def check_int(name: str, value, low: float = -math.inf, high: float = math.inf) -> None:
-    """ConfigError unless ``value`` is an integer in [low, high], so a NaN
-    or 2.5 setting fails where it is built, not in a later fit. A bool is
-    an int to Python but not a setting's value, so it fails too. The
-    message names only the finite bounds."""
+def check_int(name: str, value, low: float = -math.inf, high: float = math.inf) -> int:
+    """``value`` as a Python int; ConfigError unless it is an integer in
+    [low, high], so a NaN or 2.5 setting fails where it is built, not in a
+    later fit. A bool is an int to Python but not a setting's value, so it
+    fails too. The message names only the finite bounds."""
     if not (
         isinstance(value, numbers.Integral) and not isinstance(value, bool)
         and low <= value <= high
@@ -153,6 +153,13 @@ def check_int(name: str, value, low: float = -math.inf, high: float = math.inf) 
         finite = [(op, b) for op, b in ((">=", low), ("<=", high)) if math.isfinite(b)]
         bounds = " and ".join(f"{op} {b}" for op, b in finite)
         raise ConfigError(f"{name} must be an integer {bounds}".rstrip() + f", got {value!r}")
+    return int(value)
+
+
+def check_int_field(owner, name: str, low: float = -math.inf, high: float = math.inf) -> None:
+    """:func:`check_int` on a frozen dataclass's field, stored back as a
+    Python int (a report holding a numpy integer cannot be serialized)."""
+    object.__setattr__(owner, name, check_int(name, getattr(owner, name), low, high))
 
 
 _COMPARE = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator.le}

@@ -14,16 +14,15 @@ score per row, so every model feeds the same threshold and ROC machinery.
 
 from __future__ import annotations
 
+from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, check_float, check_int, check_matrix, require_both_classes
+from .dataset import Dataset, check_float, check_int_field, check_matrix, require_both_classes
 from .errors import ConfigError, ValidationError
 from .rng import stream
 from .tree import MAX_BINS_LIMIT, Tree, TreeParams, build_bins, fit_cart, predict_many, take_rows
-
-VARIANTS = ("leaf-wise", "level-wise")
 
 
 def _sigmoid(z):
@@ -43,52 +42,61 @@ def _log_loss(margins: np.ndarray, y: np.ndarray) -> float:
 
 
 @dataclass(frozen=True)
-class GbdtParams:
-    """Boosting settings; growth limit depends on the variant.
+class GbdtParams(ABC):
+    """Boosting settings both variants share. A variant subclass names
+    itself in the class attribute ``variant`` and adds its growth limit
+    and a ``min_samples_leaf`` default after the library it mimics."""
 
-    leaf-wise uses ``max_leaves`` (best-first growth); level-wise uses
-    ``max_depth`` (breadth-first). ``min_samples_leaf`` defaults follow
-    the upstream conventions each variant mimics (20 and 1).
-    """
-
-    variant: str = "leaf-wise"
     rounds: int = 100
     learning_rate: float = 0.1
-    max_leaves: int = 31
-    max_depth: int = 6
     lam: float = 1.0
     gamma: float = 0.0
     max_bins: int = 255
-    min_samples_leaf: int | None = None
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        check_int("rounds", self.rounds, 0)
-        check_int("max_leaves", self.max_leaves, 1)
-        check_int("max_depth", self.max_depth, 0)
-        check_int("max_bins", self.max_bins, 2, MAX_BINS_LIMIT)
+        check_int_field(self, "rounds", 0)
+        check_int_field(self, "max_bins", 2, MAX_BINS_LIMIT)
+        check_int_field(self, "min_samples_leaf", 1)
         check_float("learning_rate", self.learning_rate, gt=0, le=1)
-        self.tree_params()  # raises ConfigError on bad growth settings
+        self.tree_params()  # raises ConfigError on a bad growth limit, lam or gamma
 
-    def resolved_min_samples_leaf(self) -> int:
-        if self.min_samples_leaf is not None:
-            return self.min_samples_leaf
-        return 20 if self.variant == "leaf-wise" else 1
+    @abstractmethod
+    def tree_params(self) -> TreeParams:
+        """Growth settings of every round's Newton tree."""
+
+
+@dataclass(frozen=True)
+class LeafwiseGbdtParams(GbdtParams):
+    """lightgbm-like: best-first growth to a leaf budget."""
+
+    variant = "leaf-wise"
+    max_leaves: int = 31
+    min_samples_leaf: int = 20
+
+    def __post_init__(self):
+        super().__post_init__()
+        check_int_field(self, "max_leaves", 1)
 
     def tree_params(self) -> TreeParams:
-        growth = (
-            {"max_leaves": self.max_leaves}
-            if self.variant == "leaf-wise"
-            else {"max_depth": self.max_depth}
-        )
-        return TreeParams(
-            objective="newton",
-            min_samples_leaf=self.resolved_min_samples_leaf(),
-            lam=self.lam,
-            gamma=self.gamma,
-            **growth,
-        )
+        return TreeParams(objective="newton", max_leaves=self.max_leaves,
+                          min_samples_leaf=self.min_samples_leaf, lam=self.lam, gamma=self.gamma)
+
+
+@dataclass(frozen=True)
+class LevelwiseGbdtParams(GbdtParams):
+    """xgboost-like: breadth-first growth to a depth limit."""
+
+    variant = "level-wise"
+    max_depth: int = 6
+    min_samples_leaf: int = 1
+
+    def __post_init__(self):
+        super().__post_init__()
+        check_int_field(self, "max_depth", 0)
+
+    def tree_params(self) -> TreeParams:
+        return TreeParams(objective="newton", max_depth=self.max_depth,
+                          min_samples_leaf=self.min_samples_leaf, lam=self.lam, gamma=self.gamma)
 
 
 @dataclass(frozen=True)
@@ -105,7 +113,7 @@ class AdaBoostParams:
     rounds: int = 100
 
     def __post_init__(self):
-        check_int("rounds", self.rounds, 0)
+        check_int_field(self, "rounds", 0)
 
 
 @dataclass(frozen=True)
@@ -121,11 +129,10 @@ class AdaBoostModel:
 class BaggingParams:
     n_trees: int = 100
     max_depth: int = 10
-    bootstrap: bool = True  # test hook: False fits every tree on the full set
 
     def __post_init__(self):
-        check_int("n_trees", self.n_trees, 1)
-        check_int("max_depth", self.max_depth, 0)
+        check_int_field(self, "n_trees", 1)
+        check_int_field(self, "max_depth", 0)
 
 
 @dataclass(frozen=True)
@@ -134,7 +141,7 @@ class BaggingModel:
     n_features: int
 
 
-def fit_gbdt(train: Dataset, params: GbdtParams = GbdtParams()) -> GbdtModel:
+def fit_gbdt(train: Dataset, params: GbdtParams = LeafwiseGbdtParams()) -> GbdtModel:
     """Boost Newton trees on the logistic loss.
 
     The initial score is the training log-odds ln(n1/n0); each round fits
@@ -235,11 +242,8 @@ def fit_bagging(
     trees: list[Tree] = []
     ones = np.ones(n, dtype=np.float64)
     for t in range(params.n_trees):
-        if params.bootstrap:
-            gen = stream(seed, "bagging", t)
-            idx = np.fromiter((gen.below(n) for _ in range(n)), dtype=np.int64, count=n)
-        else:
-            idx = np.arange(n, dtype=np.int64)
+        gen = stream(seed, "bagging", t)
+        idx = np.fromiter((gen.below(n) for _ in range(n)), dtype=np.int64, count=n)
         trees.append(fit_cart(take_rows(bins, idx), y[idx], ones, tree_params))
     return BaggingModel(trees=tuple(trees), n_features=train.n_features)
 

@@ -1,11 +1,11 @@
 """Experiment orchestration: one config in, one reproducible report out.
 
-Pipeline order: load -> (optional whole-dataset resample) -> stratified
-split -> (optional training-split resample) -> fit the selected models ->
-score the untouched test split -> metrics. Every stochastic stage draws
-from a named substream of the single master seed, and the report embeds
-the resolved config plus a dataset fingerprint, so a report can be
-regenerated bit-identically from its own contents.
+Pipeline order: load -> (``smote="before"``: whole-dataset resample) ->
+stratified split -> (``smote="after"``: training-split resample) -> fit
+the selected models -> score the untouched test split -> metrics. Every
+stochastic stage draws from a named substream of the single master seed,
+and the report embeds the resolved config plus a dataset fingerprint, so
+a report can be regenerated bit-identically from its own contents.
 """
 
 from __future__ import annotations
@@ -21,11 +21,12 @@ from typing import get_type_hints
 import numpy as np
 
 from . import __version__
-from .dataset import Dataset, SplitPair, check_float, check_int, load_dataset, stratified_split
+from .dataset import Dataset, SplitPair, check_float, check_int_field, load_dataset, stratified_split
 from .ensemble import (
     AdaBoostParams,
     BaggingParams,
-    GbdtParams,
+    LeafwiseGbdtParams,
+    LevelwiseGbdtParams,
     ensemble_scores,
     fit_adaboost,
     fit_bagging,
@@ -66,6 +67,8 @@ MODEL_NAMES = tuple(_LEARNERS)
 
 FORMATS = ("table", "csv", "structured")
 
+SMOTE_MODES = ("after", "before", "off")
+
 TABLE_HEADER = "Model  Accuracy %  Sensitivity %  Specificity %  AUC %  F1-score %"
 
 
@@ -74,24 +77,21 @@ class RunConfig:
     """Everything a run depends on; serialized whole into each report.
 
     ``seed`` is the master seed: the split, the resampler, and each
-    bagging tree consume independent named substreams of it. Per-model
-    hyperparameters are override points for programmatic use; the CLI
-    always runs the documented defaults.
+    bagging tree consume independent named substreams of it. ``smote``
+    balances the training split ("after"), the whole file before the
+    split ("before": test rows leak into training), or nothing ("off").
+    Per-model hyperparameters are override points for programmatic use;
+    the CLI always runs the documented defaults.
     """
 
     data: str
     model: str = "all"
     seed: int = 42
     test_fraction: float = 0.2
-    smote: bool = True
-    smote_before_split: bool = False
+    smote: str = "after"
     smote_k: int = 5
-    gbdt_leafwise: GbdtParams = field(
-        default_factory=lambda: GbdtParams(variant="leaf-wise")
-    )
-    gbdt_levelwise: GbdtParams = field(
-        default_factory=lambda: GbdtParams(variant="level-wise")
-    )
+    gbdt_leafwise: LeafwiseGbdtParams = field(default_factory=LeafwiseGbdtParams)
+    gbdt_levelwise: LevelwiseGbdtParams = field(default_factory=LevelwiseGbdtParams)
     adaboost: AdaBoostParams = field(default_factory=AdaBoostParams)
     bagging: BaggingParams = field(default_factory=BaggingParams)
     svm: SvmParams = field(default_factory=SvmParams)
@@ -101,16 +101,22 @@ class RunConfig:
             raise ConfigError(
                 f"model must be 'all' or one of {MODEL_NAMES}, got {self.model!r}"
             )
+        if self.smote not in SMOTE_MODES:
+            raise ConfigError(f"smote must be one of {SMOTE_MODES}, got {self.smote!r}")
         check_float("test_fraction", self.test_fraction, gt=0, lt=1)
-        check_int("seed", self.seed)
-        check_int("smote_k", self.smote_k, 1)
-        if self.gbdt_leafwise.variant != "leaf-wise":
-            raise ConfigError("gbdt_leafwise must use the leaf-wise variant")
-        if self.gbdt_levelwise.variant != "level-wise":
-            raise ConfigError("gbdt_levelwise must use the level-wise variant")
+        check_int_field(self, "seed")
+        check_int_field(self, "smote_k", 1)
+        for name, cls in _PARAMS_SECTIONS.items():
+            section = getattr(self, name)
+            if not isinstance(section, cls):
+                raise ConfigError(f"{name} must be {cls.__name__}, got {type(section).__name__}")
 
     def selected_models(self) -> tuple[str, ...]:
         return MODEL_NAMES if self.model == "all" else (self.model,)
+
+
+#: RunConfig's params sections: field name -> the dataclass it holds.
+_PARAMS_SECTIONS = {n: t for n, t in get_type_hints(RunConfig).items() if is_dataclass(t)}
 
 
 @dataclass(frozen=True)
@@ -202,14 +208,14 @@ def run_experiment(cfg: RunConfig) -> ExperimentReport:
     fingerprint = DatasetFingerprint(
         rows=data.n_records, positives=n_pos, negatives=n_neg, sha256=digest
     )
-    if cfg.smote and cfg.smote_before_split:
+    if cfg.smote == "before":
         with _stage("resample"):
             data = smote(data, SmoteConfig(k_neighbors=cfg.smote_k, seed=cfg.seed))
     with _stage("split"):
         pair = stratified_split(data, cfg.test_fraction, cfg.seed)
         _require_both_classes(pair, cfg.test_fraction)
     train = pair.train
-    if cfg.smote and not cfg.smote_before_split:
+    if cfg.smote == "after":
         with _stage("resample"):
             train = smote(train, SmoteConfig(k_neighbors=cfg.smote_k, seed=cfg.seed))
     results = []
@@ -258,10 +264,6 @@ def report_to_json(report: ExperimentReport) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-#: RunConfig's params sections: field name -> the dataclass it holds.
-_PARAMS_SECTIONS = {n: t for n, t in get_type_hints(RunConfig).items() if is_dataclass(t)}
-
-
 def _is_number(value) -> bool:
     """A JSON number that is a finite float. ``json.loads`` also reads NaN,
     Infinity and integers too large for a float; the comparisons fail them."""
@@ -275,7 +277,6 @@ def _is_number(value) -> bool:
 #: description, its test). Other annotations are sections, or settings
 #: such as ``float | str`` that only their constructor checks.
 _LEAVES = {
-    bool: ("true or false", lambda v: isinstance(v, bool)),
     int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
     float: ("a number", _is_number),
     float | None: ("a number or null", lambda v: v is None or _is_number(v)),

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, check_int
+from .dataset import Dataset, check_int_field
 from .errors import ValidationError
 from .rng import stream
 
@@ -25,8 +25,8 @@ class SmoteConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_int("k_neighbors", self.k_neighbors, 1)
-        check_int("seed", self.seed)
+        check_int_field(self, "k_neighbors", 1)
+        check_int_field(self, "seed")
 
 
 #: Minority rows per block of the neighbour table: a block's difference

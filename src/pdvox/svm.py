@@ -50,7 +50,7 @@ from itertools import chain
 
 import numpy as np
 
-from .dataset import Dataset, _frozen, check_float, check_int, check_matrix, require_both_classes
+from .dataset import Dataset, _frozen, check_float, check_int_field, check_matrix, require_both_classes
 from .errors import ConfigError, ValidationError
 
 #: Minimum multiplier movement for a step to count as progress.
@@ -84,7 +84,7 @@ class SvmParams:
         else:
             check_float("gamma", self.gamma, gt=0)
         check_float("tol", self.tol, gt=0)
-        check_int("max_passes", self.max_passes, 1)
+        check_int_field(self, "max_passes", 1)
 
 
 @dataclass(frozen=True)

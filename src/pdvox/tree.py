@@ -70,7 +70,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import check_float, check_int
+from .dataset import check_float, check_int, check_int_field
 from .errors import ConfigError, ValidationError
 
 #: Positive-gain floor: splits must clear this to be accepted, which keeps
@@ -162,10 +162,10 @@ class TreeParams:
         if (self.max_depth is None) == (self.max_leaves is None):
             raise ConfigError("set exactly one of max_depth / max_leaves")
         if self.max_depth is not None:
-            check_int("max_depth", self.max_depth, 0)
+            check_int_field(self, "max_depth", 0)
         if self.max_leaves is not None:
-            check_int("max_leaves", self.max_leaves, 1)
-        check_int("min_samples_leaf", self.min_samples_leaf, 1)
+            check_int_field(self, "max_leaves", 1)
+        check_int_field(self, "min_samples_leaf", 1)
         check_float("lam", self.lam, ge=0)
         check_float("gamma", self.gamma, ge=0)
 

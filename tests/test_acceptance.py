@@ -28,7 +28,8 @@ from conftest import brute_force_auc, make_dataset, recover_interpolation_u, wal
 from pdvox.dataset import load_dataset, stratified_split
 from pdvox.ensemble import (
     AdaBoostParams,
-    GbdtParams,
+    LeafwiseGbdtParams,
+    LevelwiseGbdtParams,
     fit_adaboost,
     fit_gbdt,
 )
@@ -69,7 +70,7 @@ PINNED_RESULT_DIGESTS = {
 # with the config's data path written as "data/synthetic_vocal.csv": the
 # digest scripts/run_seed_sweep.py prints for that file. It also pins how
 # the config, fingerprint and split accounting are serialized.
-PINNED_REPORTS_DIGEST = "f77a8fdf6984ec9d0c92cd69b12c617627aa53eee10127f968efdee186a5649b"
+PINNED_REPORTS_DIGEST = "7cc54081be0c384bca52c176bd9b764f046be31bfb35f81a77a887c7ae7a021f"
 
 
 @pytest.fixture(scope="module")
@@ -250,7 +251,7 @@ def test_smote_segments_and_exact_balance():
 
 
 def test_resampling_before_split_balances_file(data_path):
-    """The before-split flag balances the whole file, and the pipeline's
+    """The before-split mode balances the whole file, and the pipeline's
     row accounting reflects resample-then-split."""
     data = load_dataset(data_path)
     balanced = smote(data, SmoteConfig(k_neighbors=5, seed=0))
@@ -261,7 +262,7 @@ def test_resampling_before_split_balances_file(data_path):
     )
 
     report = run_experiment(
-        RunConfig(data=str(data_path), smote_before_split=True)
+        RunConfig(data=str(data_path), smote="before")
     )
     assert report.split.train_rows + report.split.test_rows == 2 * pos
     assert report.split.train_rows_after_resample == report.split.train_rows
@@ -279,9 +280,8 @@ def test_gbdt_training_loss_never_increases():
         if y.min() == y.max():
             y[0] = 1 - y[0]
         train = make_dataset(X, y)
-        for variant in ("leaf-wise", "level-wise"):
-            params = GbdtParams(
-                variant=variant,
+        for variant in (LeafwiseGbdtParams, LevelwiseGbdtParams):
+            params = variant(
                 rounds=12,
                 learning_rate=float(rng.uniform(0.1, 0.5)),
                 min_samples_leaf=int(rng.integers(1, 6)),
@@ -289,7 +289,7 @@ def test_gbdt_training_loss_never_increases():
             trace = np.array(fit_gbdt(train, params).loss_trace)
             rises = np.diff(trace) > 1e-9
             assert not rises.any(), (
-                f"trial {trial} {variant}: loss rose at rounds {np.nonzero(rises)[0]}"
+                f"trial {trial} {variant.variant}: loss rose at rounds {np.nonzero(rises)[0]}"
             )
 
 

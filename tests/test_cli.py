@@ -202,7 +202,7 @@ def test_smote_flags_flow_through(csv_path, tmp_path):
          "--smote", "off", "--format", "structured", "--out", str(out)]
     )
     report = parse_report(out.read_text())
-    assert report.config.smote is False
+    assert report.config.smote == "off"
     assert report.split.train_rows_after_resample == report.split.train_rows
 
 

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
 import math
+import types
 
 import numpy as np
 import pytest
@@ -14,13 +16,15 @@ from pdvox.ensemble import (
     AdaBoostParams,
     BaggingParams,
     GbdtParams,
+    LeafwiseGbdtParams,
+    LevelwiseGbdtParams,
     ensemble_scores,
     fit_adaboost,
     fit_bagging,
     fit_gbdt,
 )
 from pdvox.errors import ConfigError, ValidationError
-from pdvox.tree import predict_many
+from pdvox.tree import TreeParams, predict_many
 
 
 def _toy(n=60, d=4, seed=0, sep=1.6):
@@ -35,7 +39,7 @@ def _toy(n=60, d=4, seed=0, sep=1.6):
 
 def test_base_score_is_log_odds():
     train = make_dataset(np.zeros((195, 1)), np.array([1] * 147 + [0] * 48))
-    model = fit_gbdt(train, GbdtParams(rounds=0))
+    model = fit_gbdt(train, LeafwiseGbdtParams(rounds=0))
     assert model.base_score == pytest.approx(math.log(147 / 48))
     # a zero-round model scores every row at the training log-odds
     assert np.array_equal(ensemble_scores(model, np.zeros((3, 1))), np.full(3, model.base_score))
@@ -43,7 +47,7 @@ def test_base_score_is_log_odds():
 
 def test_rounds_zero_trace_has_single_entry():
     train = _toy()
-    model = fit_gbdt(train, GbdtParams(rounds=0))
+    model = fit_gbdt(train, LeafwiseGbdtParams(rounds=0))
     assert len(model.trees) == 0
     assert len(model.loss_trace) == 1
 
@@ -54,7 +58,7 @@ def test_first_tree_leaf_values_two_row_case():
     # split gives leaves -g/(h+lam) = -/+ 0.4.
     train = make_dataset(np.array([[0.0], [1.0]]), np.array([0, 1]))
     model = fit_gbdt(
-        train, GbdtParams(rounds=1, learning_rate=0.1, lam=1.0, min_samples_leaf=1)
+        train, LeafwiseGbdtParams(rounds=1, learning_rate=0.1, lam=1.0, min_samples_leaf=1)
     )
     assert model.base_score == 0.0
     tree = model.trees[0]
@@ -64,10 +68,11 @@ def test_first_tree_leaf_values_two_row_case():
     assert right == pytest.approx(0.4, abs=1e-12)
 
 
-@pytest.mark.parametrize("variant", ["leaf-wise", "level-wise"])
-def test_loss_trace_non_increasing(variant):
+@pytest.mark.parametrize("params", [LeafwiseGbdtParams, LevelwiseGbdtParams],
+                         ids=["leaf-wise", "level-wise"])
+def test_loss_trace_non_increasing(params):
     train = _toy(n=90, seed=3)
-    model = fit_gbdt(train, GbdtParams(variant=variant, rounds=40))
+    model = fit_gbdt(train, params(rounds=40))
     trace = np.array(model.loss_trace)
     assert len(trace) == 41
     assert np.all(np.diff(trace) <= 1e-9)
@@ -85,24 +90,25 @@ def test_variants_agree_at_stump_granularity():
     if len(set(y)) < 2:
         y[0] = 1 - y[0]
     train = make_dataset(X, y)
-    a = fit_gbdt(train, GbdtParams(variant="leaf-wise", rounds=8, max_leaves=2,
-                                   min_samples_leaf=1))
-    b = fit_gbdt(train, GbdtParams(variant="level-wise", rounds=8, max_depth=1,
-                                   min_samples_leaf=1))
+    a = fit_gbdt(train, LeafwiseGbdtParams(rounds=8, max_leaves=2, min_samples_leaf=1))
+    b = fit_gbdt(train, LevelwiseGbdtParams(rounds=8, max_depth=1, min_samples_leaf=1))
     assert a.loss_trace == b.loss_trace
     Q = rng.normal(size=(50, 3))
     assert np.array_equal(ensemble_scores(a, Q), ensemble_scores(b, Q))
 
 
 def test_default_min_samples_leaf_depends_on_variant():
-    assert GbdtParams(variant="leaf-wise").resolved_min_samples_leaf() == 20
-    assert GbdtParams(variant="level-wise").resolved_min_samples_leaf() == 1
-    assert GbdtParams(variant="leaf-wise", min_samples_leaf=3).resolved_min_samples_leaf() == 3
+    # each variant grows to its own limit only
+    assert LeafwiseGbdtParams().tree_params() == TreeParams(
+        objective="newton", max_leaves=31, min_samples_leaf=20)
+    assert LevelwiseGbdtParams().tree_params() == TreeParams(
+        objective="newton", max_depth=6, min_samples_leaf=1)
+    assert LeafwiseGbdtParams(min_samples_leaf=3).tree_params().min_samples_leaf == 3
 
 
 def test_gbdt_separable_data_reaches_high_margin():
     train = _toy(n=100, seed=1, sep=4.0)
-    model = fit_gbdt(train, GbdtParams(rounds=30))
+    model = fit_gbdt(train, LeafwiseGbdtParams(rounds=30))
     scores = ensemble_scores(model, train.features)
     preds = (scores >= 0.0).astype(int)
     assert np.mean(preds == train.labels) >= 0.97
@@ -111,7 +117,7 @@ def test_gbdt_separable_data_reaches_high_margin():
 def test_gbdt_hand_walked_round():
     # Independently replay one boosting round with numpy primitives.
     train = _toy(n=40, d=2, seed=9)
-    params = GbdtParams(rounds=1, learning_rate=0.1, max_leaves=31, lam=1.0)
+    params = LeafwiseGbdtParams(rounds=1, learning_rate=0.1, max_leaves=31, lam=1.0)
     model = fit_gbdt(train, params)
     n1 = int(train.labels.sum())
     n0 = len(train.labels) - n1
@@ -129,24 +135,30 @@ def test_gbdt_hand_walked_round():
 
 def test_gbdt_single_class_rejected():
     with pytest.raises(ValidationError):
-        fit_gbdt(make_dataset(np.zeros((4, 1)), np.array([1, 1, 1, 1])), GbdtParams())
+        fit_gbdt(make_dataset(np.zeros((4, 1)), np.array([1, 1, 1, 1])), LeafwiseGbdtParams())
 
 
 def test_gbdt_param_validation():
     with pytest.raises(ConfigError):
-        GbdtParams(learning_rate=0.0)
+        LeafwiseGbdtParams(learning_rate=0.0)
     with pytest.raises(ConfigError):
-        GbdtParams(learning_rate=1.5)
+        LeafwiseGbdtParams(learning_rate=1.5)
     with pytest.raises(ConfigError):
-        GbdtParams(rounds=-1)
-    with pytest.raises(ConfigError):
-        GbdtParams(variant="depth-wise")
+        LeafwiseGbdtParams(rounds=-1)
+    # a variant has no field for the other's growth limit, and the shared
+    # base names no growth limit at all
+    with pytest.raises(TypeError):
+        LeafwiseGbdtParams(max_depth=6)
+    with pytest.raises(TypeError):
+        LevelwiseGbdtParams(max_leaves=31)
+    with pytest.raises(TypeError):
+        GbdtParams()
 
 
 def test_gbdt_deterministic():
     train = _toy(seed=8)
-    a = fit_gbdt(train, GbdtParams(rounds=10))
-    b = fit_gbdt(train, GbdtParams(rounds=10))
+    a = fit_gbdt(train, LeafwiseGbdtParams(rounds=10))
+    b = fit_gbdt(train, LeafwiseGbdtParams(rounds=10))
     assert a.loss_trace == b.loss_trace
     q = np.zeros((1, train.n_features))
     assert np.array_equal(ensemble_scores(a, q), ensemble_scores(b, q))
@@ -221,9 +233,14 @@ def test_adaboost_score_is_alpha_weighted_stump_vote():
 # --------------------------------------------------------------- Bagging
 
 
-def test_bagging_identity_hook_reduces_to_single_fit():
+def test_bagging_identity_hook_reduces_to_single_fit(monkeypatch):
+    # a stream that draws 0, 1, ..., n-1 makes every "bootstrap" the full set
+    monkeypatch.setattr(
+        "pdvox.ensemble.stream",
+        lambda *key: types.SimpleNamespace(below=lambda n, rows=itertools.count(): next(rows)),
+    )
     train = _toy(n=60, seed=3)
-    model = fit_bagging(train, BaggingParams(n_trees=7, bootstrap=False), seed=5)
+    model = fit_bagging(train, BaggingParams(n_trees=7), seed=5)
     q = train.features[:10]
     votes = np.stack([predict_many(t, q) for t in model.trees])
     # without bootstrap every tree sees identical data -> identical trees
@@ -262,7 +279,7 @@ def test_bagging_deterministic_and_seed_sensitive():
 
 def test_scores_reject_wrong_width():
     train = _toy(n=30, d=3, seed=14)
-    model = fit_gbdt(train, GbdtParams(rounds=2))
+    model = fit_gbdt(train, LeafwiseGbdtParams(rounds=2))
     with pytest.raises(ValidationError):
         ensemble_scores(model, np.zeros((2, 5)))
 
@@ -271,7 +288,7 @@ def test_scores_reject_wrong_width():
 @pytest.mark.parametrize(
     "fit",
     [
-        lambda train: fit_gbdt(train, GbdtParams(rounds=2)),
+        lambda train: fit_gbdt(train, LeafwiseGbdtParams(rounds=2)),
         lambda train: fit_adaboost(train, AdaBoostParams(rounds=5)),
         lambda train: fit_bagging(train, BaggingParams(n_trees=2), seed=0),
     ],
@@ -296,5 +313,5 @@ def test_gbdt_loss_trace_monotone_property(seed):
     y = rng.integers(0, 2, size=n)
     y[0], y[1] = 0, 1
     train = make_dataset(X, y)
-    model = fit_gbdt(train, GbdtParams(rounds=15))
+    model = fit_gbdt(train, LeafwiseGbdtParams(rounds=15))
     assert np.all(np.diff(model.loss_trace) <= 1e-9)

@@ -14,7 +14,8 @@ import pytest
 import pdvox
 from pdvox import experiment
 from pdvox.dataset import CANONICAL_FEATURES, Dataset, write_dataset_csv
-from pdvox.ensemble import AdaBoostParams, BaggingParams, GbdtParams
+from pdvox.cli import main
+from pdvox.ensemble import AdaBoostParams, BaggingParams, LeafwiseGbdtParams, LevelwiseGbdtParams
 from pdvox.errors import ConfigError, SchemaError
 from pdvox.experiment import (
     MODEL_NAMES,
@@ -51,8 +52,8 @@ def _make_csv(path, n_pos=40, n_neg=20, seed=0):
 def _fast_config(data_path, **kw):
     base = dict(
         data=str(data_path),
-        gbdt_leafwise=GbdtParams(variant="leaf-wise", rounds=8, min_samples_leaf=2),
-        gbdt_levelwise=GbdtParams(variant="level-wise", rounds=8, max_depth=3),
+        gbdt_leafwise=LeafwiseGbdtParams(rounds=8, min_samples_leaf=2),
+        gbdt_levelwise=LevelwiseGbdtParams(rounds=8, max_depth=3),
         adaboost=AdaBoostParams(rounds=8),
         bagging=BaggingParams(n_trees=8, max_depth=4),
         svm=SvmParams(max_passes=5),
@@ -140,6 +141,17 @@ def _set(obj, *path, value=1):
     obj[last] = value
 
 
+def _config_before_smote_modes(obj):
+    """The config as reports held it before ``smote`` took a mode: two SMOTE
+    booleans, a GBDT variant tag and both growth limits, and bagging's
+    bootstrap hook."""
+    config = obj["config"]
+    config.update(smote=True, smote_before_split=False)
+    config["gbdt_leafwise"].update(variant="leaf-wise", max_depth=6, min_samples_leaf=None)
+    config["gbdt_levelwise"].update(variant="level-wise", max_leaves=31, min_samples_leaf=None)
+    config["bagging"]["bootstrap"] = True
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -172,8 +184,7 @@ def _set(obj, *path, value=1):
          "report field 'results[0].model' is not a string"),
         (lambda r: _set(r, "config", "seed", value="42"),
          "report field 'config.seed' is not an integer"),
-        (lambda r: _set(r, "config", "smote", value="yes"),
-         "report field 'config.smote' is not true or false"),
+        (lambda r: _config_before_smote_modes(r), "report field 'config.smote' is not a string"),
     ],
 )
 def test_parse_report_names_the_bad_field(report, edit, message):
@@ -236,19 +247,31 @@ def test_seed_changes_split(csv_path):
 
 
 def test_smote_off_keeps_train_rows(csv_path):
-    rep = run_experiment(_fast_config(csv_path, model="adaboost", smote=False))
+    rep = run_experiment(_fast_config(csv_path, model="adaboost", smote="off"))
     assert rep.split.train_rows_after_resample == rep.split.train_rows == 48
 
 
-def test_smote_before_split_balances_whole_dataset(csv_path):
-    rep = run_experiment(
-        _fast_config(csv_path, model="adaboost", smote_before_split=True)
-    )
-    # 60 rows balance to 80 before splitting; fingerprint still names the file
-    assert rep.fingerprint.rows == 60
-    assert rep.split.train_rows + rep.split.test_rows == 80
-    assert rep.split.test_rows == 16  # 20% of 40 per class
-    assert rep.split.train_rows_after_resample == rep.split.train_rows
+def test_smote_before_split_balances_whole_dataset(csv_path, tmp_path):
+    # Each pair of CLI flags maps to one mode, and the row accounting shows
+    # what that mode resampled. The file's 60 rows (40+/20-) split 48/12;
+    # "after" balances the 48 training rows to 64, "before" balances the
+    # whole file to 80 and then splits 20% of 40 per class, "off" adds none.
+    # The fingerprint always names the file.
+    expected = {
+        ("on", "off"): ("after", 48, 12, 64),
+        ("on", "on"): ("before", 64, 16, 64),
+        ("off", "off"): ("off", 48, 12, 48),
+        ("off", "on"): ("off", 48, 12, 48),  # no effect under --smote off
+    }
+    for (smote, before), (mode, *rows) in expected.items():
+        out = tmp_path / f"smote-{smote}-before-{before}.json"
+        main(["run", "--data", str(csv_path), "--model", "adaboost", "--smote", smote,
+              "--smote-before-split", before, "--format", "structured", "--out", str(out)])
+        rep = parse_report(out.read_text())
+        assert rep.config.smote == mode
+        assert rep.fingerprint.rows == 60
+        split = rep.split
+        assert [split.train_rows, split.test_rows, split.train_rows_after_resample] == rows
 
 
 def test_single_model_config(csv_path):
@@ -283,16 +306,18 @@ def test_config_rejects_bad_fraction(csv_path):
 @pytest.mark.parametrize(
     "settings",
     [
-        lambda: {"gbdt_levelwise": GbdtParams(variant="level-wise", max_depth=-1)},
-        lambda: {"gbdt_leafwise": GbdtParams(variant="leaf-wise", max_leaves=0)},
-        lambda: {"gbdt_leafwise": GbdtParams(max_bins=1)},
-        lambda: {"gbdt_leafwise": GbdtParams(max_bins=300)},
-        lambda: {"gbdt_levelwise": GbdtParams(variant="level-wise", lam=-1)},
-        lambda: {"gbdt_leafwise": GbdtParams(min_samples_leaf=0)},
+        lambda: {"gbdt_levelwise": LevelwiseGbdtParams(max_depth=-1)},
+        lambda: {"gbdt_leafwise": LeafwiseGbdtParams(max_leaves=0)},
+        lambda: {"gbdt_leafwise": LeafwiseGbdtParams(max_bins=1)},
+        lambda: {"gbdt_leafwise": LeafwiseGbdtParams(max_bins=300)},
+        lambda: {"gbdt_levelwise": LevelwiseGbdtParams(lam=-1)},
+        lambda: {"gbdt_leafwise": LeafwiseGbdtParams(min_samples_leaf=0)},
         lambda: {"smote_k": 0},
+        lambda: {"smote": False},
+        lambda: {"smote": "on"},
     ],
     ids=["max_depth", "max_leaves", "max_bins-low", "max_bins-high", "lam", "min_samples_leaf",
-         "smote_k"],
+         "smote_k", "smote-bool", "smote-flag-value"],
 )
 def test_config_rejects_bad_gbdt_and_smote_settings(csv_path, settings):
     # caught when the config is built, not after load, split, SMOTE and
@@ -314,8 +339,8 @@ def test_config_rejects_bad_gbdt_and_smote_settings(csv_path, settings):
         lambda: TreeParams(objective="newton", max_leaves=8, lam=math.inf),
         lambda: TreeParams(objective="newton", max_leaves=8, gamma=math.nan),
         lambda: TreeParams(objective="newton", max_leaves=8, gamma=math.inf),
-        lambda: GbdtParams(lam=math.nan),
-        lambda: GbdtParams(gamma=math.inf),
+        lambda: LeafwiseGbdtParams(lam=math.nan),
+        lambda: LevelwiseGbdtParams(gamma=math.inf),
     ],
     ids=["svm-C-nan", "svm-C-inf", "svm-gamma-nan", "svm-gamma-inf", "svm-tol-nan",
          "svm-tol-inf", "tree-lam-nan", "tree-lam-inf", "tree-gamma-nan", "tree-gamma-inf",
@@ -329,11 +354,11 @@ def test_params_reject_nonfinite_values(make):
 
 
 _INTEGER_SETTINGS = {
-    "gbdt-rounds": lambda v: GbdtParams(rounds=v),
-    "gbdt-max_leaves": lambda v: GbdtParams(max_leaves=v),
-    "gbdt-max_depth": lambda v: GbdtParams(max_depth=v),
-    "gbdt-min_samples_leaf": lambda v: GbdtParams(min_samples_leaf=v),
-    "gbdt-max_bins": lambda v: GbdtParams(max_bins=v),
+    "gbdt-rounds": lambda v: LeafwiseGbdtParams(rounds=v),
+    "gbdt-max_leaves": lambda v: LeafwiseGbdtParams(max_leaves=v),
+    "gbdt-max_depth": lambda v: LevelwiseGbdtParams(max_depth=v),
+    "gbdt-min_samples_leaf": lambda v: LevelwiseGbdtParams(min_samples_leaf=v),
+    "gbdt-max_bins": lambda v: LevelwiseGbdtParams(max_bins=v),
     "tree-max_leaves": lambda v: TreeParams(objective="newton", max_leaves=v),
     "tree-max_depth": lambda v: TreeParams(objective="gini", max_depth=v),
     "tree-min_samples_leaf": lambda v: TreeParams(objective="gini", max_depth=3, min_samples_leaf=v),
@@ -359,9 +384,9 @@ def test_integer_settings_reject_nan_and_fractions(make, value):
 
 
 _FLOAT_SETTINGS = {
-    "gbdt-learning_rate": lambda v: GbdtParams(learning_rate=v),
-    "gbdt-lam": lambda v: GbdtParams(lam=v),
-    "gbdt-gamma": lambda v: GbdtParams(gamma=v),
+    "gbdt-learning_rate": lambda v: LeafwiseGbdtParams(learning_rate=v),
+    "gbdt-lam": lambda v: LeafwiseGbdtParams(lam=v),
+    "gbdt-gamma": lambda v: LevelwiseGbdtParams(gamma=v),
     "tree-lam": lambda v: TreeParams(objective="newton", max_leaves=8, lam=v),
     "tree-gamma": lambda v: TreeParams(objective="newton", max_leaves=8, gamma=v),
     "svm-C": lambda v: SvmParams(C=v),
@@ -382,7 +407,7 @@ def test_float_settings_reject_bools_and_strings(setting, value):
 
 
 def test_float_settings_accept_numpy_floats():
-    assert GbdtParams(learning_rate=np.float32(0.5), lam=np.float64(2.0)).lam == 2.0
+    assert LeafwiseGbdtParams(learning_rate=np.float32(0.5), lam=np.float64(2.0)).lam == 2.0
     assert RunConfig(data="unused.csv", test_fraction=np.float64(0.25)).test_fraction == 0.25
 
 
@@ -391,7 +416,7 @@ def test_float_settings_accept_numpy_floats():
     [
         (lambda: RunConfig(data="unused.csv", seed="42"), "seed must be an integer, got '42'"),
         (lambda: RunConfig(data="unused.csv", smote_k=0), "smote_k must be an integer >= 1, got 0"),
-        (lambda: GbdtParams(max_bins=1),
+        (lambda: LeafwiseGbdtParams(max_bins=1),
          f"max_bins must be an integer >= 2 and <= {MAX_BINS_LIMIT}, got 1"),
     ],
     ids=["unbounded", "one-sided", "two-sided"],
@@ -403,15 +428,46 @@ def test_integer_setting_message_names_only_finite_bounds(make, message):
 
 
 def test_integer_settings_accept_numpy_integers():
-    assert GbdtParams(rounds=np.int64(3), max_bins=np.int64(16)).rounds == 3
-    assert RunConfig(data="unused.csv", seed=np.int32(7), smote_k=np.int64(2)).seed == 7
+    # each is stored as a Python int: a numpy integer in the config made
+    # the report fail to serialize, after the whole run
+    for setting, make in _INTEGER_SETTINGS.items():
+        value = getattr(make(np.int64(3)), setting.split("-", 1)[1])
+        assert value == 3 and type(value) is int, setting
+
+
+def test_numpy_integer_settings_give_the_plain_int_report(csv_path):
+    plain = _fast_config(csv_path, model="adaboost", seed=42, adaboost=AdaBoostParams(rounds=3))
+    numpy_ints = _fast_config(
+        csv_path, model="adaboost", seed=np.int64(42), adaboost=AdaBoostParams(rounds=np.int64(3))
+    )
+    assert report_to_json(run_experiment(numpy_ints)) == report_to_json(run_experiment(plain))
 
 
 def test_config_rejects_swapped_variants(csv_path):
-    with pytest.raises(ConfigError):
-        RunConfig(
-            data=str(csv_path), gbdt_leafwise=GbdtParams(variant="level-wise")
-        )
+    with pytest.raises(ConfigError, match="gbdt_leafwise must be LeafwiseGbdtParams"):
+        RunConfig(data=str(csv_path), gbdt_leafwise=LevelwiseGbdtParams())
+
+
+_SECTIONS = {
+    "gbdt_leafwise": LeafwiseGbdtParams,
+    "gbdt_levelwise": LevelwiseGbdtParams,
+    "adaboost": AdaBoostParams,
+    "bagging": BaggingParams,
+    "svm": SvmParams,
+}
+
+
+@pytest.mark.parametrize("section", list(_SECTIONS))
+def test_each_params_section_rejects_another_sections_params(csv_path, section):
+    # caught, with the field named, when the config is built, not as a bare
+    # AttributeError inside the fit that reads the section
+    sections = list(_SECTIONS)
+    other = _SECTIONS[sections[(sections.index(section) + 1) % len(sections)]]()
+    with pytest.raises(ConfigError) as info:
+        RunConfig(data=str(csv_path), **{section: other})
+    assert str(info.value) == (
+        f"{section} must be {_SECTIONS[section].__name__}, got {type(other).__name__}"
+    )
 
 
 def test_learners_call_through_module_names(csv_path, monkeypatch):
@@ -502,4 +558,4 @@ def test_stage_prefix_on_validation_errors(tmp_path):
     path = tmp_path / "lopsided.csv"
     write_dataset_csv(data, path)
     with pytest.raises(Exception, match="resample|split"):
-        run_experiment(_fast_config(path, model="adaboost", smote_before_split=True))
+        run_experiment(_fast_config(path, model="adaboost", smote="before"))
