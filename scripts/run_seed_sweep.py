@@ -21,7 +21,7 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
-from pdvox.experiment import MODEL_NAMES, RunConfig, report_to_json, run_experiment
+from pdvox.experiment import MODEL_NAMES, SMOTE_MODES, RunConfig, report_to_json, run_experiment
 from pdvox.metrics import format_percent
 
 
@@ -32,7 +32,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=int, default=10,
                         help="number of seeds, counting up from --first-seed")
     parser.add_argument("--first-seed", type=int, default=42)
-    parser.add_argument("--smote", choices=("on", "off"), default="on")
+    parser.add_argument("--smote", choices=SMOTE_MODES, default="after")
     args = parser.parse_args(argv)
     if not args.data:
         parser.error("no data file: pass --data PATH or set PDVOX_DATA")
@@ -43,9 +43,7 @@ def main(argv=None) -> int:
     reports = hashlib.sha256()
     for seed in range(args.first_seed, args.first_seed + args.seeds):
         t0 = time.perf_counter()
-        report = run_experiment(
-            RunConfig(data=args.data, seed=seed, smote="after" if args.smote == "on" else "off")
-        )
+        report = run_experiment(RunConfig(data=args.data, seed=seed, smote=args.smote))
         times.append(time.perf_counter() - t0)
         reports.update(report_to_json(report).encode())
         for r in report.results:

@@ -23,6 +23,7 @@ from .errors import ConfigError, PdvoxError
 from .experiment import (
     FORMATS,
     MODEL_NAMES,
+    SMOTE_MODES,
     RunConfig,
     emit_comparison,
     run_experiment,
@@ -42,11 +43,10 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
                         help="master seed for split/resampling/bootstraps (default 42)")
     parser.add_argument("--test-fraction", type=float, default=0.2, metavar="F",
                         help="held-out fraction per class (default 0.2)")
-    parser.add_argument("--smote", choices=("on", "off"), default="on",
-                        help="balance the training split with synthetic minority rows (default on)")
-    parser.add_argument("--smote-before-split", choices=("on", "off"), default="off",
-                        help="balance the whole dataset before splitting instead (default off; "
-                             "leaks; no effect under --smote off)")
+    parser.add_argument("--smote", choices=SMOTE_MODES, default="after",
+                        help="add synthetic minority rows to the training split (after, the "
+                             "default), to the whole dataset before splitting (before; leaks), "
+                             "or to neither (off)")
     parser.add_argument("--out", metavar="PATH",
                         help="write output here instead of stdout")
     parser.add_argument("--format", choices=FORMATS, default="table",
@@ -116,8 +116,7 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
             model=args.model if args.command == "run" else "all",
             seed=args.seed,
             test_fraction=args.test_fraction,
-            smote=("off" if args.smote == "off"
-                   else "before" if args.smote_before_split == "on" else "after"),
+            smote=args.smote,
         )
     except ConfigError as exc:
         parser.error(str(exc))

@@ -165,11 +165,12 @@ def check_int_field(owner, name: str, low: float = -math.inf, high: float = math
 _COMPARE = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator.le}
 
 
-def check_float(name: str, value, *, gt=None, ge=None, lt=None, le=None) -> None:
-    """ConfigError unless ``value`` is a finite real number that is > gt,
-    >= ge, < lt and <= le, for each bound given. As in :func:`check_int`,
-    a bool fails (numpy's is not a ``numbers.Real`` at all), and a string
-    fails here rather than as a bare TypeError in a comparison."""
+def check_float(name: str, value, *, gt=None, ge=None, lt=None, le=None) -> float:
+    """``value`` as a Python float; ConfigError unless it is a finite real
+    number that is > gt, >= ge, < lt and <= le, for each bound given. As
+    in :func:`check_int`, a bool fails (numpy's is not a ``numbers.Real``
+    at all), and a string fails here rather than as a bare TypeError in a
+    comparison."""
     bounds = [(op, b) for op, b in ((">", gt), (">=", ge), ("<", lt), ("<=", le)) if b is not None]
     if not (
         isinstance(value, numbers.Real) and not isinstance(value, bool)
@@ -178,6 +179,13 @@ def check_float(name: str, value, *, gt=None, ge=None, lt=None, le=None) -> None
     ):
         limits = "".join(f" and {op} {b}" for op, b in bounds)
         raise ConfigError(f"{name} must be finite{limits}, got {value!r}")
+    return float(value)
+
+
+def check_float_field(owner, name: str, **bounds) -> None:
+    """:func:`check_float` on a frozen dataclass's field, stored back as a
+    Python float, as :func:`check_int_field` stores ints."""
+    object.__setattr__(owner, name, check_float(name, getattr(owner, name), **bounds))
 
 
 def subset(data: Dataset, indices) -> Dataset:
@@ -398,7 +406,7 @@ def stratified_split(data: Dataset, test_fraction: float, seed: int) -> SplitPai
     test side. Surviving indices are re-sorted so both partitions keep the
     source row order.
     """
-    check_float("test_fraction", test_fraction, gt=0, lt=1)
+    test_fraction = check_float("test_fraction", test_fraction, gt=0, lt=1)
     gen = stream(seed, "split")
     test_parts: list[np.ndarray] = []
     for cls in (0, 1):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, check_float, check_int_field, check_matrix, require_both_classes
+from .dataset import Dataset, check_float_field, check_int_field, check_matrix, require_both_classes
 from .errors import ConfigError, ValidationError
 from .rng import stream
 from .tree import MAX_BINS_LIMIT, Tree, TreeParams, build_bins, fit_cart, predict_many, take_rows
@@ -57,8 +57,10 @@ class GbdtParams(ABC):
         check_int_field(self, "rounds", 0)
         check_int_field(self, "max_bins", 2, MAX_BINS_LIMIT)
         check_int_field(self, "min_samples_leaf", 1)
-        check_float("learning_rate", self.learning_rate, gt=0, le=1)
-        self.tree_params()  # raises ConfigError on a bad growth limit, lam or gamma
+        check_float_field(self, "learning_rate", gt=0, le=1)
+        check_float_field(self, "lam", ge=0)
+        check_float_field(self, "gamma", ge=0)
+        self.tree_params()  # raises ConfigError on a bad growth limit
 
     @abstractmethod
     def tree_params(self) -> TreeParams:

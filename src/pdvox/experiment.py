@@ -15,13 +15,13 @@ import json
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, is_dataclass
-from typing import get_type_hints
+from dataclasses import dataclass, field, fields, is_dataclass
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from . import __version__
-from .dataset import Dataset, SplitPair, check_float, check_int_field, load_dataset, stratified_split
+from .dataset import Dataset, SplitPair, check_float_field, check_int_field, load_dataset, stratified_split
 from .ensemble import (
     AdaBoostParams,
     BaggingParams,
@@ -69,7 +69,15 @@ FORMATS = ("table", "csv", "structured")
 
 SMOTE_MODES = ("after", "before", "off")
 
-TABLE_HEADER = "Model  Accuracy %  Sensitivity %  Specificity %  AUC %  F1-score %"
+#: The comparison's metric columns, in order: (MetricSet field, table
+#: heading). The csv header names each column by its field.
+_COLUMNS = (
+    ("accuracy", "Accuracy %"),
+    ("sensitivity", "Sensitivity %"),
+    ("specificity", "Specificity %"),
+    ("auc", "AUC %"),
+    ("f1", "F1-score %"),
+)
 
 
 @dataclass(frozen=True)
@@ -103,7 +111,7 @@ class RunConfig:
             )
         if self.smote not in SMOTE_MODES:
             raise ConfigError(f"smote must be one of {SMOTE_MODES}, got {self.smote!r}")
-        check_float("test_fraction", self.test_fraction, gt=0, lt=1)
+        check_float_field(self, "test_fraction", gt=0, lt=1)
         check_int_field(self, "seed")
         check_int_field(self, "smote_k", 1)
         for name, cls in _PARAMS_SECTIONS.items():
@@ -235,33 +243,21 @@ def run_experiment(cfg: RunConfig) -> ExperimentReport:
     )
 
 
-def _roc_dict(curve: RocCurve) -> dict:
-    return {
-        # the (0,0) anchor's +inf threshold is stored as null (strict JSON)
-        "thresholds": [None if math.isinf(t) else float(t) for t in curve.thresholds],
-        "fpr": [float(v) for v in curve.fpr],
-        "tpr": [float(v) for v in curve.tpr],
-    }
+def _to_json(value):
+    """The JSON form of a report value: a dataclass is an object of its
+    fields, a tuple a list, and an array its list with the ROC anchor's
+    +inf threshold as null (strict JSON has no infinity)."""
+    if is_dataclass(value):
+        return {f.name: _to_json(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, tuple):
+        return [_to_json(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return [None if v == math.inf else v for v in value.tolist()]
+    return value
 
 
 def report_to_json(report: ExperimentReport) -> str:
-    obj = {
-        "toolkit_version": report.toolkit_version,
-        "config": asdict(report.config),
-        "fingerprint": asdict(report.fingerprint),
-        "split": asdict(report.split),
-        "results": [
-            {
-                "model": r.model,
-                "threshold": r.threshold,
-                "confusion": asdict(r.confusion),
-                "metrics": asdict(r.metrics),
-                "roc": _roc_dict(r.roc),
-            }
-            for r in report.results
-        ],
-    }
-    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    return json.dumps(_to_json(report), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _is_number(value) -> bool:
@@ -274,8 +270,9 @@ def _is_number(value) -> bool:
 
 
 #: What a JSON leaf must be, by its dataclass field's annotation: (its
-#: description, its test). Other annotations are sections, or settings
-#: such as ``float | str`` that only their constructor checks.
+#: description, its test). Other annotations are sections, tuples of
+#: sections, or settings such as ``float | str`` that only their
+#: constructor checks.
 _LEAVES = {
     int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
     float: ("a number", _is_number),
@@ -284,18 +281,20 @@ _LEAVES = {
     np.ndarray: ("an array of numbers", lambda v: isinstance(v, list) and all(map(_is_number, v))),
 }
 
-#: ROC thresholds hold null for the +inf anchor (see ``_roc_dict``).
+#: ROC thresholds, the one leaf that differs from its annotation: null
+#: stands for the +inf anchor (see ``_to_json``).
 _THRESHOLDS = (
     "an array of numbers and nulls",
     lambda v: isinstance(v, list) and all(t is None or _is_number(t) for t in v),
 )
 
 
-def _json_object(cls, obj, path: str, **rules) -> dict:
-    """``obj``, once it is a JSON object with exactly the fields of the
-    dataclass ``cls``, each leaf of the JSON type its annotation asks
-    (:data:`_LEAVES`, or ``rules[field]``); else a SchemaError naming
-    ``path`` ("" for the whole report) or the first field at fault."""
+def _from_json(cls, obj, path: str):
+    """The ``cls`` dataclass that ``obj`` encodes. ``obj`` must be a JSON
+    object with exactly the fields of ``cls``, each leaf of the JSON type
+    its annotation asks (:data:`_LEAVES`); sections and ``tuple[X, ...]``
+    fields are decoded in turn. Else a SchemaError naming ``path`` ("" for
+    the whole report) or the first field at fault."""
     if not isinstance(obj, dict):
         where = f"report field {path!r}" if path else "report"
         raise SchemaError(f"{where} is not a JSON object")
@@ -304,13 +303,26 @@ def _json_object(cls, obj, path: str, **rules) -> dict:
     for name, hint in hints.items():
         if name not in obj:
             raise SchemaError(f"report field {prefix + name!r} is missing")
-        rule = rules.get(name) or _LEAVES.get(hint)
+        rule = _THRESHOLDS if (cls, name) == (RocCurve, "thresholds") else _LEAVES.get(hint)
         if rule and not rule[1](obj[name]):
             raise SchemaError(f"report field {prefix + name!r} is not {rule[0]}")
     for key in obj:
         if key not in hints:
             raise SchemaError(f"report field {prefix + key!r} is unknown")
-    return obj
+    values = dict(obj)
+    for name, hint in hints.items():
+        if is_dataclass(hint):
+            values[name] = _from_json(hint, obj[name], prefix + name)
+        elif get_origin(hint) is tuple:
+            if not isinstance(obj[name], list):
+                raise SchemaError(f"report field {prefix + name!r} is not a JSON array")
+            item = get_args(hint)[0]
+            values[name] = tuple(
+                _from_json(item, v, f"{prefix}{name}[{i}]") for i, v in enumerate(obj[name])
+            )
+    if cls is RocCurve:
+        values["thresholds"] = [math.inf if t is None else t for t in obj["thresholds"]]
+    return cls(**values)
 
 
 def parse_report(text: str) -> ExperimentReport:
@@ -321,45 +333,10 @@ def parse_report(text: str) -> ExperimentReport:
     of the right type but out of range keeps its constructor's ConfigError.
     """
     try:
-        obj = _json_object(ExperimentReport, json.loads(text), "")
+        obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"report is not JSON: {exc}") from None
-    config = _json_object(RunConfig, obj["config"], "config")
-    sections = {
-        name: cls(**_json_object(cls, config[name], f"config.{name}"))
-        for name, cls in _PARAMS_SECTIONS.items()
-    }
-    if not isinstance(obj["results"], list):
-        raise SchemaError("report field 'results' is not a JSON array")
-    results = []
-    for i, r in enumerate(obj["results"]):
-        path = f"results[{i}]"
-        r = _json_object(ModelResult, r, path)
-        roc = _json_object(RocCurve, r["roc"], f"{path}.roc", thresholds=_THRESHOLDS)
-        results.append(
-            ModelResult(
-                model=r["model"],
-                threshold=float(r["threshold"]),
-                confusion=ConfusionMatrix(
-                    **_json_object(ConfusionMatrix, r["confusion"], f"{path}.confusion")
-                ),
-                metrics=MetricSet(**_json_object(MetricSet, r["metrics"], f"{path}.metrics")),
-                roc=RocCurve(
-                    thresholds=[math.inf if t is None else t for t in roc["thresholds"]],
-                    fpr=roc["fpr"],
-                    tpr=roc["tpr"],
-                ),
-            )
-        )
-    return ExperimentReport(
-        toolkit_version=obj["toolkit_version"],
-        config=RunConfig(**{**config, **sections}),
-        fingerprint=DatasetFingerprint(
-            **_json_object(DatasetFingerprint, obj["fingerprint"], "fingerprint")
-        ),
-        split=SplitSummary(**_json_object(SplitSummary, obj["split"], "split")),
-        results=tuple(results),
-    )
+    return _from_json(ExperimentReport, obj, "")
 
 
 def _csv_cell(value: float | None) -> str:
@@ -369,41 +346,26 @@ def _csv_cell(value: float | None) -> str:
 def emit_comparison(report: ExperimentReport, fmt: str = "table") -> str:
     """Render the per-model comparison; see FORMATS.
 
-    table: fixed header, percentages at 2 decimals, 'n/a' for undefined.
+    table: each heading over its column, percentages at 2 decimals, 'n/a'
+    for undefined.
     csv: full-precision ratios, empty cell for undefined.
     structured: the complete JSON report (parse_report inverts it).
     """
     if fmt == "structured":
         return report_to_json(report)
-    if fmt == "csv":
-        lines = ["model,accuracy,sensitivity,specificity,auc,f1"]
-        for r in report.results:
-            m = r.metrics
-            lines.append(
-                ",".join(
-                    (
-                        r.model,
-                        _csv_cell(m.accuracy),
-                        _csv_cell(m.sensitivity),
-                        _csv_cell(m.specificity),
-                        _csv_cell(m.auc),
-                        _csv_cell(m.f1),
-                    )
-                )
-            )
-        return "\n".join(lines) + "\n"
-    if fmt == "table":
-        name_width = max(5, *(len(r.model) for r in report.results)) if report.results else 5
-        lines = [TABLE_HEADER]
-        for r in report.results:
-            m = r.metrics
-            lines.append(
-                f"{r.model:<{name_width}}  "
-                f"{format_percent(m.accuracy):>10}  "
-                f"{format_percent(m.sensitivity):>13}  "
-                f"{format_percent(m.specificity):>13}  "
-                f"{format_percent(m.auc):>5}  "
-                f"{format_percent(m.f1):>10}"
-            )
-        return "\n".join(lines) + "\n"
-    raise ConfigError(f"format must be one of {FORMATS}, got {fmt!r}")
+    if fmt not in FORMATS:
+        raise ConfigError(f"format must be one of {FORMATS}, got {fmt!r}")
+    csv = fmt == "csv"
+    cell = _csv_cell if csv else format_percent
+    rows = [["model" if csv else "Model", *(name if csv else head for name, head in _COLUMNS)]]
+    for r in report.results:
+        rows.append([r.model, *(cell(getattr(r.metrics, name)) for name, _ in _COLUMNS)])
+    if csv:
+        return "".join(",".join(row) + "\n" for row in rows)
+    # the model column is left-aligned, the rest right-aligned, each as wide
+    # as its widest entry, so every heading ends where its column ends
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    return "".join(
+        "  ".join([row[0].ljust(widths[0]), *map(str.rjust, row[1:], widths[1:])]) + "\n"
+        for row in rows
+    )

@@ -50,7 +50,7 @@ from itertools import chain
 
 import numpy as np
 
-from .dataset import Dataset, _frozen, check_float, check_int_field, check_matrix, require_both_classes
+from .dataset import Dataset, _frozen, check_float_field, check_int_field, check_matrix, require_both_classes
 from .errors import ConfigError, ValidationError
 
 #: Minimum multiplier movement for a step to count as progress.
@@ -77,13 +77,13 @@ class SvmParams:
     max_passes: int = 10
 
     def __post_init__(self):
-        check_float("C", self.C, gt=0)
+        check_float_field(self, "C", gt=0)
         if isinstance(self.gamma, str):
             if self.gamma != "scale":
                 raise ConfigError(f"gamma must be positive or 'scale', got {self.gamma!r}")
         else:
-            check_float("gamma", self.gamma, gt=0)
-        check_float("tol", self.tol, gt=0)
+            check_float_field(self, "gamma", gt=0)
+        check_float_field(self, "tol", gt=0)
         check_int_field(self, "max_passes", 1)
 
 

@@ -70,7 +70,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import check_float, check_int, check_int_field
+from .dataset import check_float_field, check_int, check_int_field
 from .errors import ConfigError, ValidationError
 
 #: Positive-gain floor: splits must clear this to be accepted, which keeps
@@ -166,8 +166,8 @@ class TreeParams:
         if self.max_leaves is not None:
             check_int_field(self, "max_leaves", 1)
         check_int_field(self, "min_samples_leaf", 1)
-        check_float("lam", self.lam, ge=0)
-        check_float("gamma", self.gamma, ge=0)
+        check_float_field(self, "lam", ge=0)
+        check_float_field(self, "gamma", ge=0)
 
 
 @dataclass(frozen=True)

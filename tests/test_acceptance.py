@@ -33,7 +33,7 @@ from pdvox.ensemble import (
     fit_adaboost,
     fit_gbdt,
 )
-from pdvox.experiment import MODEL_NAMES, RunConfig, report_to_json, run_experiment
+from pdvox.experiment import MODEL_NAMES, RunConfig, parse_report, report_to_json, run_experiment
 from pdvox.metrics import ConfusionMatrix, classification_metrics, format_percent, roc_auc
 from pdvox.resample import SmoteConfig, smote
 from pdvox.svm import SvmParams, decision_scores, fit_svm
@@ -78,14 +78,16 @@ def seed_sweep(data_path):
     """Run the full five-model comparison at each sweep seed.
 
     Returns per-model accuracy/AUC lists (seed order), per-model digests
-    of the serialized confusion counts and ROC arrays over all seeds, a
-    digest of the whole reports (data path normalised), the data file's
-    SHA-256, and the wall time of the first full comparison.
+    of the serialized confusion counts and ROC arrays over all seeds, each
+    seed's structured report text, a digest of the whole reports (data path
+    normalised), the data file's SHA-256, and the wall time of the first
+    full comparison.
     """
     acc = {name: [] for name in MODEL_NAMES}
     auc = {name: [] for name in MODEL_NAMES}
     digests = {name: hashlib.sha256() for name in MODEL_NAMES}
     reports = hashlib.sha256()
+    texts = []
     compare_seconds = None
     for seed in SWEEP_SEEDS:
         cfg = RunConfig(data=str(data_path), seed=seed)
@@ -97,7 +99,8 @@ def seed_sweep(data_path):
         for result in report.results:
             acc[result.model].append(result.metrics.accuracy)
             auc[result.model].append(result.metrics.auc)
-        for entry in json.loads(report_to_json(report))["results"]:
+        texts.append(report_to_json(report))
+        for entry in json.loads(texts[-1])["results"]:
             pinned = [entry["confusion"], entry["roc"]]
             digests[entry["model"]].update(json.dumps(pinned, sort_keys=True).encode())
         normalised = replace(report, config=replace(cfg, data="data/synthetic_vocal.csv"))
@@ -108,6 +111,7 @@ def seed_sweep(data_path):
         "acc": acc,
         "auc": auc,
         "digests": {name: h.hexdigest() for name, h in digests.items()},
+        "texts": texts,
         "reports_digest": reports.hexdigest(),
         "compare_seconds": compare_seconds,
     }
@@ -166,6 +170,13 @@ def test_sweep_reports_match_pinned_digest(seed_sweep):
     if seed_sweep["data_sha256"] != SYNTHETIC_SHA256:
         pytest.skip(f"digest is pinned for the synthetic file, not {seed_sweep['data']}")
     assert seed_sweep["reports_digest"] == PINNED_REPORTS_DIGEST
+
+
+def test_sweep_reports_round_trip_byte_for_byte(seed_sweep):
+    """Parsing each seed's structured report and writing it again gives the
+    same text, byte for byte."""
+    for seed, text in zip(SWEEP_SEEDS, seed_sweep["texts"]):
+        assert report_to_json(parse_report(text)) == text, f"seed {seed}"
 
 
 def test_full_comparison_fits_time_budget(seed_sweep):

@@ -6,7 +6,9 @@ import builtins
 import hashlib
 import json
 import math
+import re
 import types
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +21,6 @@ from pdvox.ensemble import AdaBoostParams, BaggingParams, LeafwiseGbdtParams, Le
 from pdvox.errors import ConfigError, SchemaError
 from pdvox.experiment import (
     MODEL_NAMES,
-    TABLE_HEADER,
     RunConfig,
     emit_comparison,
     parse_report,
@@ -125,6 +126,16 @@ def test_report_json_round_trip(report):
     text = report_to_json(report)
     back = parse_report(text)
     assert back == report
+
+
+@pytest.mark.parametrize(
+    "settings",
+    [{}, {"smote": "before"}, {"smote": "off"}, {"svm": SvmParams(gamma=0.5)}, {"model": "bagging"}],
+    ids=["default", "smote-before", "smote-off", "svm-gamma", "single-model"],
+)
+def test_report_text_round_trips_byte_for_byte(csv_path, settings):
+    text = report_to_json(run_experiment(_fast_config(csv_path, **settings)))
+    assert report_to_json(parse_report(text)) == text
 
 
 def _drop(obj, *path):
@@ -252,26 +263,25 @@ def test_smote_off_keeps_train_rows(csv_path):
 
 
 def test_smote_before_split_balances_whole_dataset(csv_path, tmp_path):
-    # Each pair of CLI flags maps to one mode, and the row accounting shows
-    # what that mode resampled. The file's 60 rows (40+/20-) split 48/12;
-    # "after" balances the 48 training rows to 64, "before" balances the
-    # whole file to 80 and then splits 20% of 40 per class, "off" adds none.
-    # The fingerprint always names the file.
+    # Each --smote value is the mode the report records, and the row
+    # accounting shows what that mode resampled. The file's 60 rows
+    # (40+/20-) split 48/12; "after" balances the 48 training rows to 64,
+    # "before" balances the whole file to 80 and then splits 20% of 40 per
+    # class, "off" adds none. The fingerprint always names the file.
     expected = {
-        ("on", "off"): ("after", 48, 12, 64),
-        ("on", "on"): ("before", 64, 16, 64),
-        ("off", "off"): ("off", 48, 12, 48),
-        ("off", "on"): ("off", 48, 12, 48),  # no effect under --smote off
+        "after": (48, 12, 64),
+        "before": (64, 16, 64),
+        "off": (48, 12, 48),
     }
-    for (smote, before), (mode, *rows) in expected.items():
-        out = tmp_path / f"smote-{smote}-before-{before}.json"
-        main(["run", "--data", str(csv_path), "--model", "adaboost", "--smote", smote,
-              "--smote-before-split", before, "--format", "structured", "--out", str(out)])
+    for mode, rows in expected.items():
+        out = tmp_path / f"smote-{mode}.json"
+        main(["run", "--data", str(csv_path), "--model", "adaboost", "--smote", mode,
+              "--format", "structured", "--out", str(out)])
         rep = parse_report(out.read_text())
         assert rep.config.smote == mode
         assert rep.fingerprint.rows == 60
         split = rep.split
-        assert [split.train_rows, split.test_rows, split.train_rows_after_resample] == rows
+        assert (split.train_rows, split.test_rows, split.train_rows_after_resample) == rows
 
 
 def test_single_model_config(csv_path):
@@ -407,8 +417,23 @@ def test_float_settings_reject_bools_and_strings(setting, value):
 
 
 def test_float_settings_accept_numpy_floats():
-    assert LeafwiseGbdtParams(learning_rate=np.float32(0.5), lam=np.float64(2.0)).lam == 2.0
-    assert RunConfig(data="unused.csv", test_fraction=np.float64(0.25)).test_fraction == 0.25
+    # each is stored as a Python float: a numpy float32 in the config made
+    # the report fail to serialize, after the whole run
+    for setting, make in _FLOAT_SETTINGS.items():
+        value = getattr(make(np.float32(0.5)), setting.split("-", 1)[1])
+        assert value == 0.5 and type(value) is float, setting
+
+
+def test_numpy_and_int_float_settings_give_the_plain_float_report(csv_path):
+    def text(test_fraction, C):
+        cfg = _fast_config(csv_path, model="svm", test_fraction=test_fraction,
+                           svm=SvmParams(C=C, max_passes=5))
+        return report_to_json(run_experiment(cfg))
+
+    plain = text(0.25, 2.0)
+    assert '"C": 2.0' in plain
+    assert text(np.float32(0.25), np.float32(2.0)) == plain
+    assert text(0.25, 2) == plain  # an int setting is written as 2.0
 
 
 @pytest.mark.parametrize(
@@ -516,7 +541,7 @@ def test_missing_file_raises_oserror():
 def test_emit_table_layout(report):
     text = emit_comparison(report, "table")
     lines = text.splitlines()
-    assert lines[0] == TABLE_HEADER
+    assert lines[0] == "Model          Accuracy %  Sensitivity %  Specificity %  AUC %  F1-score %"
     assert len(lines) == 1 + len(MODEL_NAMES)
     assert lines[1].startswith("lightgbm-like")
     # every percentage cell renders with two decimals or as n/a
@@ -524,6 +549,27 @@ def test_emit_table_layout(report):
         cells = line.split()
         for cell in cells[1:]:
             assert cell == "n/a" or "." in cell
+
+
+def test_table_headings_sit_over_their_columns(report):
+    # Model names start under "Model" and each metric cell ends where its
+    # heading ends, also with a cell wider than its heading (an AUC of
+    # 100.00 under "AUC %") and with "n/a" cells
+    first, second = report.results[:2]
+    edited = (
+        replace(first, metrics=replace(first.metrics, auc=1.0)),
+        replace(second, metrics=replace(second.metrics, sensitivity=None, f1=None)),
+        *report.results[2:],
+    )
+    for rep in (report, replace(report, results=edited), replace(report, results=edited[:1])):
+        header, *rows = emit_comparison(rep, "table").splitlines()
+        assert header.startswith("Model ")
+        headings = ("Accuracy %", "Sensitivity %", "Specificity %", "AUC %", "F1-score %")
+        ends = [header.index(heading) + len(heading) for heading in headings]
+        for row in rows:
+            cells = list(re.finditer(r"\S+", row))
+            assert cells[0].start() == 0
+            assert [cell.end() for cell in cells[1:]] == ends, (header, row)
 
 
 def test_emit_csv_layout(report):
