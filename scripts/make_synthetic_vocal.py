@@ -33,57 +33,31 @@ TAKES_HEALTHY = 6
 # nine PD subjects contribute an extra take: 23*6 + 9 = 147
 PD_EXTRA_TAKES = 9
 
-# Published per-column ranges used as clip bounds (order of
-# CANONICAL_FEATURES).
-CLIPS = {
-    "MDVP:Fo(Hz)": (88.0, 260.0),
-    "MDVP:Fhi(Hz)": (102.0, 592.0),
-    "MDVP:Flo(Hz)": (65.0, 239.0),
-    "MDVP:Jitter(%)": (0.0017, 0.0331),
-    "MDVP:Jitter(Abs)": (0.000007, 0.00026),
-    "MDVP:RAP": (0.00068, 0.0214),
-    "MDVP:PPQ": (0.00092, 0.0196),
-    "Jitter:DDP": (0.00204, 0.0643),
-    "MDVP:Shimmer": (0.0095, 0.119),
-    "MDVP:Shimmer(dB)": (0.085, 1.302),
-    "Shimmer:APQ3": (0.0045, 0.0565),
-    "Shimmer:APQ5": (0.0057, 0.0794),
-    "MDVP:APQ": (0.0072, 0.1378),
-    "Shimmer:DDA": (0.0136, 0.1694),
-    "NHR": (0.00065, 0.3148),
-    "HNR": (8.44, 33.05),
-    "RPDE": (0.2566, 0.6852),
-    "DFA": (0.5743, 0.8253),
-    "spread1": (-7.965, -2.434),
-    "spread2": (0.0063, 0.4505),
-    "D2": (1.4233, 3.6712),
-    "PPE": (0.0445, 0.5274),
-}
-
-#: decimal places per column, mirroring the published file's precision
-DECIMALS = {
-    "MDVP:Fo(Hz)": 3,
-    "MDVP:Fhi(Hz)": 3,
-    "MDVP:Flo(Hz)": 3,
-    "MDVP:Jitter(%)": 5,
-    "MDVP:Jitter(Abs)": 6,
-    "MDVP:RAP": 5,
-    "MDVP:PPQ": 5,
-    "Jitter:DDP": 5,
-    "MDVP:Shimmer": 5,
-    "MDVP:Shimmer(dB)": 3,
-    "Shimmer:APQ3": 5,
-    "Shimmer:APQ5": 5,
-    "MDVP:APQ": 5,
-    "Shimmer:DDA": 5,
-    "NHR": 5,
-    "HNR": 3,
-    "RPDE": 6,
-    "DFA": 6,
-    "spread1": 6,
-    "spread2": 6,
-    "D2": 6,
-    "PPE": 6,
+#: Per column, in CANONICAL_FEATURES order: the published range, used
+#: as clip bounds, and the decimal places of the published file.
+COLUMNS = {
+    "MDVP:Fo(Hz)": (88.0, 260.0, 3),
+    "MDVP:Fhi(Hz)": (102.0, 592.0, 3),
+    "MDVP:Flo(Hz)": (65.0, 239.0, 3),
+    "MDVP:Jitter(%)": (0.0017, 0.0331, 5),
+    "MDVP:Jitter(Abs)": (0.000007, 0.00026, 6),
+    "MDVP:RAP": (0.00068, 0.0214, 5),
+    "MDVP:PPQ": (0.00092, 0.0196, 5),
+    "Jitter:DDP": (0.00204, 0.0643, 5),
+    "MDVP:Shimmer": (0.0095, 0.119, 5),
+    "MDVP:Shimmer(dB)": (0.085, 1.302, 3),
+    "Shimmer:APQ3": (0.0045, 0.0565, 5),
+    "Shimmer:APQ5": (0.0057, 0.0794, 5),
+    "MDVP:APQ": (0.0072, 0.1378, 5),
+    "Shimmer:DDA": (0.0136, 0.1694, 5),
+    "NHR": (0.00065, 0.3148, 5),
+    "HNR": (8.44, 33.05, 3),
+    "RPDE": (0.2566, 0.6852, 6),
+    "DFA": (0.5743, 0.8253, 6),
+    "spread1": (-7.965, -2.434, 6),
+    "spread2": (0.0063, 0.4505, 6),
+    "D2": (1.4233, 3.6712, 6),
+    "PPE": (0.0445, 0.5274, 6),
 }
 
 
@@ -183,8 +157,8 @@ def _take_rows(rng, subject_id, severity, n_takes, label, base_pitch, gain, quir
             "PPE": ppe,
         }
         values = [
-            round(_clip(raw[name], *CLIPS[name]), DECIMALS[name])
-            for name in CANONICAL_FEATURES
+            round(_clip(raw[name], lo, hi), decimals)
+            for name, (lo, hi, decimals) in COLUMNS.items()
         ]
         rows.append((f"synvoice_S{subject_id:02d}_{take + 1}", values, label))
     return rows

@@ -2,7 +2,7 @@
 
 Subcommands:
 
-* ``ingest --check`` — validate a data file, print row/class counts.
+* ``ingest`` — validate a data file, print row/class counts.
 * ``correlate`` — write the feature correlation matrix as CSV.
 * ``run`` — train and evaluate one model.
 * ``compare`` — train and evaluate every model (one report).
@@ -62,8 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     ingest = sub.add_parser("ingest", help="validate a data file and print counts")
     _add_data_option(ingest)
-    ingest.add_argument("--check", action="store_true",
-                        help="validate schema and numeric content (always performed)")
 
     correlate = sub.add_parser("correlate", help="write the correlation matrix as CSV")
     _add_data_option(correlate)

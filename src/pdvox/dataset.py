@@ -81,22 +81,14 @@ class Dataset:
     feature_names: tuple[str, ...]
 
     def __post_init__(self):
-        features = np.asarray(self.features, dtype=np.float64)
+        features = check_matrix(self.features, len(self.feature_names))
         labels = np.asarray(self.labels, dtype=np.int64)
-        if features.ndim != 2:
-            raise ValidationError("features must be a 2-D matrix")
-        n, d = features.shape
+        n = features.shape[0]
         if len(self.ids) != n or labels.shape != (n,):
             raise ValidationError(
                 f"inconsistent lengths: {len(self.ids)} ids, "
                 f"{n} feature rows, {labels.shape[0] if labels.ndim == 1 else '?'} labels"
             )
-        if d != len(self.feature_names):
-            raise ValidationError(
-                f"feature matrix has {d} columns but {len(self.feature_names)} names"
-            )
-        if not np.all(np.isfinite(features)):
-            raise ValidationError("features must be finite (no NaN/inf)")
         bad = (labels != 0) & (labels != 1)
         if bad.any():
             raise ValidationError(f"labels must be 0 or 1; saw {labels[bad][0]}")
@@ -119,14 +111,15 @@ class Dataset:
         return int(counts[0]), int(counts[1])
 
 
-def check_matrix(X, n_features: int) -> np.ndarray:
-    """``X`` as a float64 matrix of ``n_features`` columns, for scoring;
-    ValidationError on another shape or a NaN/inf value."""
+def check_matrix(X, n_features: int | None = None) -> np.ndarray:
+    """``X`` as a float64 matrix of ``n_features`` columns, or of at least
+    one column when None; ValidationError on another shape or a NaN/inf
+    value. Every feature matrix a dataset, a tree or a model takes in
+    passes here."""
     M = np.asarray(X, dtype=np.float64)
-    if M.ndim != 2 or M.shape[1] != n_features:
-        raise ValidationError(
-            f"expected (n, {n_features}) feature matrix, got shape {M.shape}"
-        )
+    if M.ndim != 2 or (M.shape[1] == 0 if n_features is None else M.shape[1] != n_features):
+        want = "d >= 1" if n_features is None else n_features
+        raise ValidationError(f"expected (n, {want}) feature matrix, got shape {M.shape}")
     if not np.isfinite(M).all():
         raise ValidationError("features must be finite (no NaN/inf)")
     return M
@@ -170,16 +163,18 @@ def check_float(name: str, value, *, gt=None, ge=None, lt=None, le=None) -> floa
     number that is > gt, >= ge, < lt and <= le, for each bound given. As
     in :func:`check_int`, a bool fails (numpy's is not a ``numbers.Real``
     at all), and a string fails here rather than as a bare TypeError in a
-    comparison."""
+    comparison. So does an int too large for a float, such as 10**400."""
     bounds = [(op, b) for op, b in ((">", gt), (">=", ge), ("<", lt), ("<=", le)) if b is not None]
-    if not (
-        isinstance(value, numbers.Real) and not isinstance(value, bool)
-        and -math.inf < value < math.inf  # written so that NaN fails
-        and all(_COMPARE[op](value, b) for op, b in bounds)
-    ):
+    number = math.nan
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:
+            pass
+    if not (math.isfinite(number) and all(_COMPARE[op](number, b) for op, b in bounds)):
         limits = "".join(f" and {op} {b}" for op, b in bounds)
         raise ConfigError(f"{name} must be finite{limits}, got {value!r}")
-    return float(value)
+    return number
 
 
 def check_float_field(owner, name: str, **bounds) -> None:
@@ -390,16 +385,8 @@ def _round_half_up(x: float) -> int:
     return int(np.floor(x + 0.5))
 
 
-@dataclass(frozen=True)
-class SplitPair:
-    """A stratified train/test partition."""
-
-    train: Dataset
-    test: Dataset
-
-
-def stratified_split(data: Dataset, test_fraction: float, seed: int) -> SplitPair:
-    """Seeded per-class hold-out split.
+def stratified_split(data: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
+    """Seeded per-class hold-out split into ``(train, test)``.
 
     Each class is shuffled independently with the toolkit PRNG and its
     first ``round_half_up(class_count * test_fraction)`` records go to the
@@ -424,4 +411,4 @@ def stratified_split(data: Dataset, test_fraction: float, seed: int) -> SplitPai
     mask = np.ones(data.n_records, dtype=bool)
     mask[test_idx] = False
     train_idx = np.flatnonzero(mask)
-    return SplitPair(train=subset(data, train_idx), test=subset(data, test_idx))
+    return subset(data, train_idx), subset(data, test_idx)

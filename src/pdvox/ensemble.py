@@ -60,7 +60,6 @@ class GbdtParams(ABC):
         check_float_field(self, "learning_rate", gt=0, le=1)
         check_float_field(self, "lam", ge=0)
         check_float_field(self, "gamma", ge=0)
-        self.tree_params()  # raises ConfigError on a bad growth limit
 
     @abstractmethod
     def tree_params(self) -> TreeParams:

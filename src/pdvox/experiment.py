@@ -13,15 +13,16 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from . import __version__
-from .dataset import Dataset, SplitPair, check_float_field, check_int_field, load_dataset, stratified_split
+from .dataset import Dataset, check_float_field, check_int_field, load_dataset, stratified_split
 from .ensemble import (
     AdaBoostParams,
     BaggingParams,
@@ -42,7 +43,7 @@ from .metrics import (
     format_percent,
     roc_auc,
 )
-from .resample import SmoteConfig, smote
+from .resample import smote
 from .svm import SvmParams, decision_scores, fit_svm
 
 
@@ -105,6 +106,10 @@ class RunConfig:
     svm: SvmParams = field(default_factory=SvmParams)
 
     def __post_init__(self):
+        path = os.fspath(self.data) if isinstance(self.data, (str, os.PathLike)) else None
+        if not isinstance(path, str):
+            raise ConfigError(f"data must be a file path (str or os.PathLike), got {self.data!r}")
+        object.__setattr__(self, "data", path)
         if self.model != "all" and self.model not in MODEL_NAMES:
             raise ConfigError(
                 f"model must be 'all' or one of {MODEL_NAMES}, got {self.model!r}"
@@ -184,7 +189,7 @@ def _fit_and_score(name: str, cfg: RunConfig, train: Dataset, test: Dataset) -> 
         model=name,
         threshold=threshold,
         confusion=cm,
-        metrics=classification_metrics(cm).with_auc(auc),
+        metrics=replace(classification_metrics(cm), auc=auc),
         roc=curve,
     )
 
@@ -196,11 +201,11 @@ def _load(path) -> tuple[Dataset, str]:
     return load_dataset(path, content), hashlib.sha256(content).hexdigest()
 
 
-def _require_both_classes(pair: SplitPair, test_fraction: float) -> None:
+def _require_both_classes(train: Dataset, test: Dataset, test_fraction: float) -> None:
     """Every model is fitted on both classes and scored (AUC) on both, so a
     partition missing a class fails here, before any fit."""
     names = ("class 0 (healthy)", "class 1 (Parkinson's)")
-    for side, part in (("training", pair.train), ("test", pair.test)):
+    for side, part in (("training", train), ("test", test)):
         missing = [name for name, count in zip(names, part.class_counts()) if count == 0]
         if missing:
             raise ValidationError(
@@ -218,26 +223,26 @@ def run_experiment(cfg: RunConfig) -> ExperimentReport:
     )
     if cfg.smote == "before":
         with _stage("resample"):
-            data = smote(data, SmoteConfig(k_neighbors=cfg.smote_k, seed=cfg.seed))
+            data = smote(data, cfg.smote_k, cfg.seed)
     with _stage("split"):
-        pair = stratified_split(data, cfg.test_fraction, cfg.seed)
-        _require_both_classes(pair, cfg.test_fraction)
-    train = pair.train
+        train, test = stratified_split(data, cfg.test_fraction, cfg.seed)
+        _require_both_classes(train, test, cfg.test_fraction)
+    resampled = train
     if cfg.smote == "after":
         with _stage("resample"):
-            train = smote(train, SmoteConfig(k_neighbors=cfg.smote_k, seed=cfg.seed))
+            resampled = smote(train, cfg.smote_k, cfg.seed)
     results = []
     for name in cfg.selected_models():
         with _stage(f"fit {name}"):
-            results.append(_fit_and_score(name, cfg, train, pair.test))
+            results.append(_fit_and_score(name, cfg, resampled, test))
     return ExperimentReport(
         toolkit_version=__version__,
         config=cfg,
         fingerprint=fingerprint,
         split=SplitSummary(
-            train_rows=pair.train.n_records,
-            test_rows=pair.test.n_records,
-            train_rows_after_resample=train.n_records,
+            train_rows=train.n_records,
+            test_rows=test.n_records,
+            train_rows_after_resample=resampled.n_records,
         ),
         results=tuple(results),
     )

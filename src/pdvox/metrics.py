@@ -11,7 +11,7 @@ Conventions used throughout:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,9 +47,6 @@ class MetricSet:
     precision: float | None
     f1: float | None
     auc: float | None = None
-
-    def with_auc(self, auc: float) -> "MetricSet":
-        return replace(self, auc=auc)
 
 
 @dataclass(frozen=True, eq=False)

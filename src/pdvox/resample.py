@@ -8,25 +8,11 @@ Enough rows are synthesized to equalize the class counts exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .dataset import Dataset, check_int_field
+from .dataset import Dataset, check_int
 from .errors import ValidationError
 from .rng import stream
-
-
-@dataclass(frozen=True)
-class SmoteConfig:
-    """k_neighbors is clamped to minority_count - 1 at fit time."""
-
-    k_neighbors: int = 5
-    seed: int = 0
-
-    def __post_init__(self):
-        check_int_field(self, "k_neighbors", 1)
-        check_int_field(self, "seed")
 
 
 #: Minority rows per block of the neighbour table: a block's difference
@@ -54,12 +40,16 @@ def _minority_neighbor_table(minority: np.ndarray, k: int) -> np.ndarray:
     return table
 
 
-def smote(train: Dataset, cfg: SmoteConfig) -> Dataset:
+def smote(train: Dataset, k_neighbors: int = 5, seed: int = 0) -> Dataset:
     """Balanced copy of ``train``: all original rows plus synthetic ones.
 
     Synthetic rows carry the minority label and fresh ids prefixed
-    ``synth-``. Output is deterministic for a given (train, cfg).
+    ``synth-``. ``k_neighbors`` (at least 1) is clamped to the minority
+    count - 1. Output is deterministic for a given (train, k_neighbors,
+    seed).
     """
+    k_neighbors = check_int("k_neighbors", k_neighbors, 1)
+    seed = check_int("seed", seed)
     n0, n1 = train.class_counts()
     if n0 == 0 or n1 == 0:
         raise ValidationError("SMOTE needs both classes present")
@@ -72,11 +62,11 @@ def smote(train: Dataset, cfg: SmoteConfig) -> Dataset:
             "cannot interpolate: minority class has fewer than 2 records"
         )
     n_synth = abs(n1 - n0)
-    k = min(cfg.k_neighbors, minority_count - 1)
+    k = min(k_neighbors, minority_count - 1)
     minority_rows = np.flatnonzero(train.labels == minority_label)
     minority = train.features[minority_rows]
     neighbors = _minority_neighbor_table(minority, k)
-    gen = stream(cfg.seed, "smote")
+    gen = stream(seed, "smote")
     synth = np.empty((n_synth, train.n_features), dtype=np.float64)
     for i in range(n_synth):
         base = gen.below(minority_count)

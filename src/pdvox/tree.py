@@ -70,7 +70,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import check_float_field, check_int, check_int_field
+from .dataset import check_float_field, check_int, check_int_field, check_matrix
 from .errors import ConfigError, ValidationError
 
 #: Positive-gain floor: splits must clear this to be accepted, which keeps
@@ -105,11 +105,9 @@ def build_bins(features, max_bins: int = MAX_BINS_LIMIT) -> BinMap:
     When a column has at most ``max_bins`` unique values every value gets
     its own bin; otherwise cut points sit at midpoints between unique
     values straddling the b/max_bins quantile boundaries. Constant
-    columns produce zero cuts (one bin).
+    columns produce zero cuts (one bin). Every value must be finite.
     """
-    X = np.asarray(features, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] == 0:
-        raise ValidationError("features must be a 2-D matrix with at least one column")
+    X = check_matrix(features)
     check_int("max_bins", max_bins, 2, MAX_BINS_LIMIT)
     n, d = X.shape
     cuts: list[np.ndarray] = []
@@ -426,11 +424,7 @@ def fit_cart(bins: BinMap, targets, weights, params: TreeParams) -> Tree:
 
 def predict_many(tree: Tree, X) -> np.ndarray:
     """Leaf values for every row of X (batched routing)."""
-    M = np.asarray(X, dtype=np.float64)
-    if M.ndim != 2 or M.shape[1] != tree.n_features:
-        raise ValidationError(
-            f"expected (n, {tree.n_features}) features, got shape {M.shape}"
-        )
+    M = check_matrix(X, tree.n_features)
     out = np.empty(M.shape[0], dtype=np.float64)
     stack = [(0, np.arange(M.shape[0], dtype=np.int64))]
     while stack:

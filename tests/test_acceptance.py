@@ -35,7 +35,7 @@ from pdvox.ensemble import (
 )
 from pdvox.experiment import MODEL_NAMES, RunConfig, parse_report, report_to_json, run_experiment
 from pdvox.metrics import ConfusionMatrix, classification_metrics, format_percent, roc_auc
-from pdvox.resample import SmoteConfig, smote
+from pdvox.resample import smote
 from pdvox.svm import SvmParams, decision_scores, fit_svm
 from pdvox.tree import TreeParams, build_bins, fit_cart, predict_many
 
@@ -238,7 +238,7 @@ def test_smote_segments_and_exact_balance():
         )
         y = np.array([1] * n_maj + [0] * n_min)
         train = make_dataset(X, y)
-        out = smote(train, SmoteConfig(k_neighbors=k, seed=trial))
+        out = smote(train, k_neighbors=k, seed=trial)
 
         labels = out.labels
         assert int((labels == 0).sum()) == int((labels == 1).sum())
@@ -265,7 +265,7 @@ def test_resampling_before_split_balances_file(data_path):
     """The before-split mode balances the whole file, and the pipeline's
     row accounting reflects resample-then-split."""
     data = load_dataset(data_path)
-    balanced = smote(data, SmoteConfig(k_neighbors=5, seed=0))
+    balanced = smote(data, k_neighbors=5, seed=0)
     pos = int((balanced.labels == 1).sum())
     neg = int((balanced.labels == 0).sum())
     assert pos == neg == max(
@@ -360,8 +360,8 @@ def test_comparison_runs_are_byte_identical(data_path):
 def test_seed_changes_split_partition(data_path):
     """Different master seeds shuffle different rows into the test set."""
     data = load_dataset(data_path)
-    test_ids_42 = set(stratified_split(data, 0.2, seed=42).test.ids)
-    test_ids_43 = set(stratified_split(data, 0.2, seed=43).test.ids)
+    test_ids_42 = set(stratified_split(data, 0.2, seed=42)[1].ids)
+    test_ids_43 = set(stratified_split(data, 0.2, seed=43)[1].ids)
     assert test_ids_42 != test_ids_43
 
 

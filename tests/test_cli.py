@@ -47,9 +47,12 @@ def test_ingest_prints_counts(csv_path, capsys):
     assert capsys.readouterr().out == "44 rows, 30 positive, 14 negative\n"
 
 
-def test_ingest_check_flag_same_output(csv_path, capsys):
-    assert main(["ingest", "--check", "--data", str(csv_path)]) == 0
-    assert capsys.readouterr().out == "44 rows, 30 positive, 14 negative\n"
+def test_ingest_has_no_check_flag(csv_path, capsys):
+    # ingest always validates; the former no-op --check is a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["ingest", "--check", "--data", str(csv_path)])
+    assert exc.value.code == 2
+    assert "--check" in capsys.readouterr().err
 
 
 def test_data_from_environment(csv_path, capsys, monkeypatch):

@@ -392,32 +392,32 @@ def test_split_counts_on_canonical_class_sizes():
         labels=labels,
         feature_names=CANONICAL_FEATURES,
     )
-    pair = stratified_split(ds, 0.2, seed=42)
-    assert pair.test.n_records == 39
-    assert pair.train.n_records == 156
-    test_neg, test_pos = pair.test.class_counts()
+    train, test = stratified_split(ds, 0.2, seed=42)
+    assert test.n_records == 39
+    assert train.n_records == 156
+    test_neg, test_pos = test.class_counts()
     assert (test_pos, test_neg) == (29, 10)
-    train_neg, train_pos = pair.train.class_counts()
+    train_neg, train_pos = train.class_counts()
     assert (train_pos, train_neg) == (118, 38)
 
 
 def test_split_deterministic_and_seed_sensitive():
     rng = np.random.default_rng(1)
     ds = canonical_dataset(60, rng)
-    a = stratified_split(ds, 0.25, seed=7)
-    b = stratified_split(ds, 0.25, seed=7)
-    assert a.test.ids == b.test.ids and a.train.ids == b.train.ids
-    c = stratified_split(ds, 0.25, seed=8)
-    assert set(a.test.ids) != set(c.test.ids)
+    a_train, a_test = stratified_split(ds, 0.25, seed=7)
+    b_train, b_test = stratified_split(ds, 0.25, seed=7)
+    assert a_test.ids == b_test.ids and a_train.ids == b_train.ids
+    _, c_test = stratified_split(ds, 0.25, seed=8)
+    assert set(a_test.ids) != set(c_test.ids)
 
 
 def test_split_preserves_source_order():
     rng = np.random.default_rng(2)
     ds = canonical_dataset(40, rng)
-    pair = stratified_split(ds, 0.3, seed=3)
-    positions = [ds.ids.index(i) for i in pair.train.ids]
+    train, test = stratified_split(ds, 0.3, seed=3)
+    positions = [ds.ids.index(i) for i in train.ids]
     assert positions == sorted(positions)
-    positions_t = [ds.ids.index(i) for i in pair.test.ids]
+    positions_t = [ds.ids.index(i) for i in test.ids]
     assert positions_t == sorted(positions_t)
 
 
@@ -433,17 +433,17 @@ def test_split_is_a_partition(n, fraction, seed):
     if labels.max() == labels.min():
         labels[0] = 1 - labels[0]
     ds = make_dataset(rng.normal(size=(n, 3)), labels)
-    pair = stratified_split(ds, fraction, seed=seed)
-    train_ids, test_ids = set(pair.train.ids), set(pair.test.ids)
+    train, test = stratified_split(ds, fraction, seed=seed)
+    train_ids, test_ids = set(train.ids), set(test.ids)
     assert train_ids.isdisjoint(test_ids)
     assert train_ids | test_ids == set(ds.ids)
-    assert pair.train.n_records + pair.test.n_records == n
+    assert train.n_records + test.n_records == n
     # per-class round-half-up rule
     for cls in (0, 1):
         total = int(np.sum(labels == cls))
         expected = int(np.floor(total * fraction + 0.5))
         expected = min(max(expected, 0), total)
-        assert int(np.sum(pair.test.labels == cls)) == expected
+        assert int(np.sum(test.labels == cls)) == expected
 
 
 def test_split_rejects_missing_class_and_bad_fraction():

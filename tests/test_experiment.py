@@ -6,6 +6,7 @@ import builtins
 import hashlib
 import json
 import math
+import pathlib
 import re
 import types
 from dataclasses import replace
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 import pdvox
+from conftest import make_dataset
 from pdvox import experiment
 from pdvox.dataset import CANONICAL_FEATURES, Dataset, write_dataset_csv
 from pdvox.cli import main
@@ -27,7 +29,7 @@ from pdvox.experiment import (
     report_to_json,
     run_experiment,
 )
-from pdvox.resample import SmoteConfig
+from pdvox.resample import smote
 from pdvox.svm import SvmParams
 from pdvox.tree import MAX_BINS_LIMIT, TreeParams
 
@@ -301,6 +303,20 @@ def test_single_model_result_matches_its_entry_in_all(csv_path, report, name):
     assert alone["split"] == together["split"]
 
 
+def test_path_config_gives_the_str_report(csv_path):
+    # a Path used to run the whole experiment, then fail to serialize
+    cfg = _fast_config(csv_path, data=pathlib.Path(csv_path), model="adaboost")
+    assert cfg.data == str(csv_path)
+    text = report_to_json(run_experiment(cfg))
+    assert text == report_to_json(run_experiment(_fast_config(csv_path, model="adaboost")))
+
+
+@pytest.mark.parametrize("data", [None, b"vocal.csv", 3], ids=["none", "bytes", "int"])
+def test_config_rejects_data_that_is_not_a_path(data):
+    with pytest.raises(ConfigError, match="data must be a file path"):
+        RunConfig(data=data)
+
+
 def test_config_rejects_unknown_model(csv_path):
     with pytest.raises(ConfigError):
         RunConfig(data=str(csv_path), model="random-forest")
@@ -376,8 +392,9 @@ _INTEGER_SETTINGS = {
     "bagging-n_trees": lambda v: BaggingParams(n_trees=v),
     "bagging-max_depth": lambda v: BaggingParams(max_depth=v),
     "svm-max_passes": lambda v: SvmParams(max_passes=v),
-    "smote-k_neighbors": lambda v: SmoteConfig(k_neighbors=v),
-    "smote-seed": lambda v: SmoteConfig(seed=v),
+    # balanced, so these check their settings before the early return
+    "smote-k_neighbors": lambda v: smote(make_dataset([[0.0], [1.0]], [0, 1]), k_neighbors=v),
+    "smote-seed": lambda v: smote(make_dataset([[0.0], [1.0]], [0, 1]), seed=v),
     "run-smote_k": lambda v: RunConfig(data="unused.csv", smote_k=v),
     "run-seed": lambda v: RunConfig(data="unused.csv", seed=v),
 }
@@ -406,11 +423,14 @@ _FLOAT_SETTINGS = {
 }
 
 
-@pytest.mark.parametrize("value", [True, np.True_, "0.1"], ids=["bool", "numpy-bool", "str"])
+@pytest.mark.parametrize("value", [True, np.True_, "0.1", 10**400],
+                         ids=["bool", "numpy-bool", "str", "int-past-float-range"])
 @pytest.mark.parametrize("setting", list(_FLOAT_SETTINGS))
 def test_float_settings_reject_bools_and_strings(setting, value):
     # True compares as 1, so it passed every range check and a report
-    # recorded "learning_rate": true; a string failed as a bare TypeError
+    # recorded "learning_rate": true; a string failed as a bare TypeError,
+    # and 10**400 passed every comparison, then failed in float() as a
+    # bare OverflowError
     name = setting.split("-", 1)[1]
     with pytest.raises(ConfigError, match=f"{name} must be"):
         _FLOAT_SETTINGS[setting](value)
@@ -456,8 +476,21 @@ def test_integer_settings_accept_numpy_integers():
     # each is stored as a Python int: a numpy integer in the config made
     # the report fail to serialize, after the whole run
     for setting, make in _INTEGER_SETTINGS.items():
+        if setting.startswith("smote-"):
+            continue  # smote stores no settings; see the next test
         value = getattr(make(np.int64(3)), setting.split("-", 1)[1])
         assert value == 3 and type(value) is int, setting
+
+
+def test_smote_takes_numpy_integers():
+    rng = np.random.default_rng(5)
+    d = make_dataset(rng.normal(size=(12, 3)), [0] * 8 + [1] * 4)
+    plain = smote(d, 3, 7)
+    numpy_ints = smote(d, np.int64(3), np.int64(7))
+    assert plain.n_records == numpy_ints.n_records == 16
+    assert plain.ids == numpy_ints.ids
+    assert np.array_equal(plain.features, numpy_ints.features)
+    assert np.array_equal(plain.labels, numpy_ints.labels)
 
 
 def test_numpy_integer_settings_give_the_plain_int_report(csv_path):

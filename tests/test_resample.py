@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import make_dataset, recover_interpolation_u, reference_neighbor_table
 from pdvox.dataset import load_dataset, stratified_split
 from pdvox.errors import ConfigError, ValidationError
-from pdvox.resample import _NEIGHBOR_BLOCK_ROWS, SmoteConfig, _minority_neighbor_table, smote
+from pdvox.resample import _NEIGHBOR_BLOCK_ROWS, _minority_neighbor_table, smote
 
 
 def _imbalanced(n_min=6, n_maj=20, d=4, seed=0):
@@ -27,7 +27,7 @@ def _imbalanced(n_min=6, n_maj=20, d=4, seed=0):
 
 def test_balances_exact_counts():
     train = _imbalanced(n_min=6, n_maj=20)
-    out = smote(train, SmoteConfig(seed=11))
+    out = smote(train, seed=11)
     neg, pos = out.class_counts()
     assert neg == pos == 20
     assert out.n_records == 40
@@ -35,7 +35,7 @@ def test_balances_exact_counts():
 
 def test_originals_pass_through_unchanged_and_first():
     train = _imbalanced()
-    out = smote(train, SmoteConfig(seed=5))
+    out = smote(train, seed=5)
     assert out.ids[: train.n_records] == train.ids
     assert np.array_equal(out.features[: train.n_records], train.features)
     assert np.array_equal(out.labels[: train.n_records], train.labels)
@@ -43,7 +43,7 @@ def test_originals_pass_through_unchanged_and_first():
 
 def test_synthetic_ids_and_labels():
     train = _imbalanced(n_min=4, n_maj=9)
-    out = smote(train, SmoteConfig(seed=2))
+    out = smote(train, seed=2)
     new_ids = out.ids[train.n_records :]
     assert new_ids == tuple(f"synth-{i}" for i in range(len(new_ids)))
     assert np.all(out.labels[train.n_records :] == 1)
@@ -51,15 +51,15 @@ def test_synthetic_ids_and_labels():
 
 def test_equal_classes_returned_untouched():
     train = _imbalanced(n_min=8, n_maj=8)
-    out = smote(train, SmoteConfig(seed=3))
+    out = smote(train, seed=3)
     assert out is train
 
 
 def test_deterministic_per_seed_and_sensitive_to_seed():
     train = _imbalanced()
-    a = smote(train, SmoteConfig(seed=7))
-    b = smote(train, SmoteConfig(seed=7))
-    c = smote(train, SmoteConfig(seed=8))
+    a = smote(train, seed=7)
+    b = smote(train, seed=7)
+    c = smote(train, seed=8)
     assert np.array_equal(a.features, b.features)
     assert not np.array_equal(a.features, c.features)
 
@@ -68,19 +68,19 @@ def test_minority_singleton_cannot_interpolate():
     X = np.vstack([np.zeros((5, 3)), np.ones((1, 3))])
     y = np.array([0] * 5 + [1])
     with pytest.raises(ValidationError, match="cannot interpolate"):
-        smote(make_dataset(X, y), SmoteConfig(seed=0))
+        smote(make_dataset(X, y), seed=0)
 
 
 def test_config_rejects_no_neighbors():
-    with pytest.raises(ConfigError):
-        SmoteConfig(k_neighbors=0)
+    with pytest.raises(ConfigError, match="k_neighbors must be an integer >= 1"):
+        smote(_imbalanced(), k_neighbors=0)
 
 
 def test_single_class_rejected():
     X = np.zeros((4, 2))
     y = np.zeros(4, dtype=int)
     with pytest.raises(ValidationError):
-        smote(make_dataset(X, y), SmoteConfig(seed=0))
+        smote(make_dataset(X, y), seed=0)
 
 
 def test_k_clamped_to_available_neighbors():
@@ -89,7 +89,7 @@ def test_k_clamped_to_available_neighbors():
     rng = np.random.default_rng(4)
     X = np.vstack([rng.normal(0, 1, (10, 3)), rng.normal(4, 1, (3, 3))])
     y = np.array([0] * 10 + [1] * 3)
-    out = smote(make_dataset(X, y), SmoteConfig(k_neighbors=5, seed=1))
+    out = smote(make_dataset(X, y), k_neighbors=5, seed=1)
     neg, pos = out.class_counts()
     assert neg == pos == 10
 
@@ -99,7 +99,7 @@ def test_minority_can_be_the_positive_free_label():
     rng = np.random.default_rng(9)
     X = np.vstack([rng.normal(0, 1, (4, 2)), rng.normal(5, 1, (12, 2))])
     y = np.array([0] * 4 + [1] * 12)
-    out = smote(make_dataset(X, y), SmoteConfig(seed=6))
+    out = smote(make_dataset(X, y), seed=6)
     assert np.all(out.labels[16:] == 0)
     neg, pos = out.class_counts()
     assert neg == pos == 12
@@ -109,7 +109,7 @@ def test_minority_can_be_the_positive_free_label():
 @given(st.integers(0, 2**32 - 1))
 def test_synthetics_lie_on_minority_segments(seed):
     train = _imbalanced(n_min=5, n_maj=14, d=3, seed=3)
-    out = smote(train, SmoteConfig(seed=seed))
+    out = smote(train, seed=seed)
     minority = train.features[train.labels == 1]
     for row in out.features[train.n_records :]:
         hits = []
@@ -127,7 +127,7 @@ def test_synthetics_lie_on_minority_segments(seed):
 @given(st.integers(0, 2**32 - 1))
 def test_synthetics_stay_in_coordinate_hull(seed):
     train = _imbalanced(n_min=6, n_maj=15, d=4, seed=1)
-    out = smote(train, SmoteConfig(seed=seed))
+    out = smote(train, seed=seed)
     minority = train.features[train.labels == 1]
     lo, hi = minority.min(axis=0), minority.max(axis=0)
     synth = out.features[train.n_records :]
@@ -160,9 +160,9 @@ def test_neighbor_table_in_blocks_matches_whole_tensor(m, d, seed, coarse):
 
 def test_pipeline_scale_counts(data_path):
     data = load_dataset(data_path)
-    pair = stratified_split(data, seed=42, test_fraction=0.2)
-    n_neg, n_pos = pair.train.class_counts()
-    out = smote(pair.train, SmoteConfig(seed=42))
+    train, _ = stratified_split(data, seed=42, test_fraction=0.2)
+    n_neg, n_pos = train.class_counts()
+    out = smote(train, seed=42)
     neg, pos = out.class_counts()
     assert neg == pos == max(n_neg, n_pos)
     assert out.n_records == 2 * max(n_neg, n_pos)

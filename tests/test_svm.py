@@ -26,7 +26,7 @@ def _plain_kernel(X, gamma):
 from pdvox import svm
 from pdvox.dataset import load_dataset, stratified_split
 from pdvox.errors import ConfigError, ValidationError
-from pdvox.resample import SmoteConfig, smote
+from pdvox.resample import smote
 from pdvox.svm import Standardizer, SvmParams, decision_scores, fit_svm, transform_features
 
 
@@ -371,7 +371,7 @@ def _fit_digest(model) -> str:
 @pytest.mark.parametrize("seed", sorted(PINNED_FIT_DIGESTS))
 def test_fit_on_committed_file_matches_pinned_digest(seed):
     data = load_dataset(SYNTHETIC_CSV)
-    train = smote(stratified_split(data, 0.2, seed).train, SmoteConfig(k_neighbors=5, seed=seed))
+    train = smote(stratified_split(data, 0.2, seed)[0], k_neighbors=5, seed=seed)
     model = fit_svm(train, SvmParams())
     assert _fit_digest(model) == PINNED_FIT_DIGESTS[seed]
 

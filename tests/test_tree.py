@@ -95,6 +95,40 @@ def test_bins_invalid_limits():
         build_bins(X, max_bins=256)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_bins_reject_nonfinite_values(bad):
+    # a NaN used to become a NaN cut and share the bin of 2.0
+    with pytest.raises(ValidationError, match=r"features must be finite \(no NaN/inf\)"):
+        build_bins([[0.0], [bad], [2.0]])
+
+
+@pytest.mark.parametrize("X", [np.zeros(3), np.zeros((3, 0)), np.zeros((2, 3, 1))],
+                         ids=["1-D", "no-columns", "3-D"])
+def test_bins_reject_a_matrix_without_columns(X):
+    with pytest.raises(ValidationError, match=r"expected \(n, d >= 1\) feature matrix"):
+        build_bins(X)
+
+
+def _toy_stump():
+    X = np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0], [4.0, 0.0]])
+    return fit_cart(build_bins(X), np.array([0.0, 0.0, 1.0, 1.0]), np.ones(4),
+                    params=_gini_params(max_depth=1))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_predict_many_rejects_nonfinite_rows(bad):
+    # a NaN row fails every `<=` and used to land in the right-most leaf
+    with pytest.raises(ValidationError, match=r"features must be finite \(no NaN/inf\)"):
+        predict_many(_toy_stump(), [[1.0, 0.0], [bad, 0.0]])
+
+
+@pytest.mark.parametrize("X", [np.zeros((2, 1)), np.zeros((2, 3)), np.zeros(2)],
+                         ids=["narrow", "wide", "1-D"])
+def test_predict_many_rejects_another_width(X):
+    with pytest.raises(ValidationError, match=r"expected \(n, 2\) feature matrix"):
+        predict_many(_toy_stump(), X)
+
+
 def test_take_rows_subsets_codes():
     X = np.arange(12, dtype=np.float64).reshape(6, 2)
     bins = build_bins(X, max_bins=255)
