@@ -36,6 +36,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if not args.data:
         parser.error("no data file: pass --data PATH or set PDVOX_DATA")
+    if args.seeds < 1:
+        parser.error(f"--seeds must be at least 1, got {args.seeds}")
 
     per_model = {name: {"accuracy": [], "sensitivity": [], "specificity": [],
                         "auc": [], "f1": []} for name in MODEL_NAMES}

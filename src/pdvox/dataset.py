@@ -12,15 +12,13 @@ from __future__ import annotations
 import csv
 import io
 import math
-import numbers
-import operator
 import warnings
 from dataclasses import dataclass
 from itertools import zip_longest
 
 import numpy as np
 
-from .errors import ConfigError, SchemaError, ValidationError
+from .errors import SchemaError, ValidationError, check_float, check_matrix
 from .rng import stream
 
 CANONICAL_HEADER: tuple[str, ...] = (
@@ -111,20 +109,6 @@ class Dataset:
         return int(counts[0]), int(counts[1])
 
 
-def check_matrix(X, n_features: int | None = None) -> np.ndarray:
-    """``X`` as a float64 matrix of ``n_features`` columns, or of at least
-    one column when None; ValidationError on another shape or a NaN/inf
-    value. Every feature matrix a dataset, a tree or a model takes in
-    passes here."""
-    M = np.asarray(X, dtype=np.float64)
-    if M.ndim != 2 or (M.shape[1] == 0 if n_features is None else M.shape[1] != n_features):
-        want = "d >= 1" if n_features is None else n_features
-        raise ValidationError(f"expected (n, {want}) feature matrix, got shape {M.shape}")
-    if not np.isfinite(M).all():
-        raise ValidationError("features must be finite (no NaN/inf)")
-    return M
-
-
 def require_both_classes(data: Dataset, learner: str) -> None:
     n0, n1 = data.class_counts()
     if n0 == 0 or n1 == 0:
@@ -132,55 +116,6 @@ def require_both_classes(data: Dataset, learner: str) -> None:
             f"{learner} needs both classes in the training set "
             f"(got {n1} positive, {n0} negative)"
         )
-
-
-def check_int(name: str, value, low: float = -math.inf, high: float = math.inf) -> int:
-    """``value`` as a Python int; ConfigError unless it is an integer in
-    [low, high], so a NaN or 2.5 setting fails where it is built, not in a
-    later fit. A bool is an int to Python but not a setting's value, so it
-    fails too. The message names only the finite bounds."""
-    if not (
-        isinstance(value, numbers.Integral) and not isinstance(value, bool)
-        and low <= value <= high
-    ):
-        finite = [(op, b) for op, b in ((">=", low), ("<=", high)) if math.isfinite(b)]
-        bounds = " and ".join(f"{op} {b}" for op, b in finite)
-        raise ConfigError(f"{name} must be an integer {bounds}".rstrip() + f", got {value!r}")
-    return int(value)
-
-
-def check_int_field(owner, name: str, low: float = -math.inf, high: float = math.inf) -> None:
-    """:func:`check_int` on a frozen dataclass's field, stored back as a
-    Python int (a report holding a numpy integer cannot be serialized)."""
-    object.__setattr__(owner, name, check_int(name, getattr(owner, name), low, high))
-
-
-_COMPARE = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator.le}
-
-
-def check_float(name: str, value, *, gt=None, ge=None, lt=None, le=None) -> float:
-    """``value`` as a Python float; ConfigError unless it is a finite real
-    number that is > gt, >= ge, < lt and <= le, for each bound given. As
-    in :func:`check_int`, a bool fails (numpy's is not a ``numbers.Real``
-    at all), and a string fails here rather than as a bare TypeError in a
-    comparison. So does an int too large for a float, such as 10**400."""
-    bounds = [(op, b) for op, b in ((">", gt), (">=", ge), ("<", lt), ("<=", le)) if b is not None]
-    number = math.nan
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        try:
-            number = float(value)
-        except OverflowError:
-            pass
-    if not (math.isfinite(number) and all(_COMPARE[op](number, b) for op, b in bounds)):
-        limits = "".join(f" and {op} {b}" for op, b in bounds)
-        raise ConfigError(f"{name} must be finite{limits}, got {value!r}")
-    return number
-
-
-def check_float_field(owner, name: str, **bounds) -> None:
-    """:func:`check_float` on a frozen dataclass's field, stored back as a
-    Python float, as :func:`check_int_field` stores ints."""
-    object.__setattr__(owner, name, check_float(name, getattr(owner, name), **bounds))
 
 
 def subset(data: Dataset, indices) -> Dataset:
@@ -392,20 +327,25 @@ def stratified_split(data: Dataset, test_fraction: float, seed: int) -> tuple[Da
     first ``round_half_up(class_count * test_fraction)`` records go to the
     test side. Surviving indices are re-sorted so both partitions keep the
     source row order.
+
+    Both partitions must hold both classes (every model is fitted and
+    AUC-scored on both): a class whose test count is 0 or all its rows
+    fails with a ValidationError naming the partition and the class's
+    row count in ``data``. This is the one place that rule is checked.
     """
     test_fraction = check_float("test_fraction", test_fraction, gt=0, lt=1)
     gen = stream(seed, "split")
     test_parts: list[np.ndarray] = []
-    for cls in (0, 1):
+    for cls, name in enumerate(("class 0 (healthy)", "class 1 (Parkinson's)")):
         members = np.flatnonzero(data.labels == cls)
-        if members.size == 0:
+        n_test = _round_half_up(members.size * test_fraction)
+        if n_test in (0, members.size):
             raise ValidationError(
-                f"stratified split requires both classes; class {cls} is empty"
+                f"the {'test' if n_test == 0 else 'training'} partition has no {name} "
+                f"rows at test fraction {test_fraction} ({members.size} in the data)"
             )
         order = list(range(members.size))
         gen.shuffle(order)
-        n_test = _round_half_up(members.size * test_fraction)
-        n_test = min(max(n_test, 0), members.size)
         test_parts.append(members[order[:n_test]])
     test_idx = np.sort(np.concatenate(test_parts))
     mask = np.ones(data.n_records, dtype=bool)

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, check_float_field, check_int_field, check_matrix, require_both_classes
-from .errors import ConfigError, ValidationError
+from .dataset import Dataset, require_both_classes
+from .errors import ConfigError, ValidationError, check_float_field, check_int_field, check_matrix
 from .rng import stream
 from .tree import MAX_BINS_LIMIT, Tree, TreeParams, build_bins, fit_cart, predict_many, take_rows
 

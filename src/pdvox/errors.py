@@ -1,6 +1,15 @@
-"""Exception types raised by the toolkit."""
+"""Exception types raised by the toolkit, and the per-value checks that
+raise them: settings, seeds (``rng.derive_key`` checks every one) and
+feature matrices. A rule about a whole table belongs to the function that
+makes the table, as the both-classes rule belongs to the split."""
 
 from __future__ import annotations
+
+import math
+import numbers
+import operator
+
+import numpy as np
 
 
 class PdvoxError(Exception):
@@ -17,3 +26,66 @@ class ValidationError(PdvoxError):
 
 class ConfigError(PdvoxError):
     """A run configuration combines options that cannot be honoured."""
+
+
+def check_matrix(X, n_features: int | None = None) -> np.ndarray:
+    """``X`` as a float64 matrix of ``n_features`` columns, or of at least
+    one column when None; ValidationError on another shape or a NaN/inf
+    value. Every feature matrix a dataset, a tree or a model takes in
+    passes here."""
+    M = np.asarray(X, dtype=np.float64)
+    if M.ndim != 2 or (M.shape[1] == 0 if n_features is None else M.shape[1] != n_features):
+        want = "d >= 1" if n_features is None else n_features
+        raise ValidationError(f"expected (n, {want}) feature matrix, got shape {M.shape}")
+    if not np.isfinite(M).all():
+        raise ValidationError("features must be finite (no NaN/inf)")
+    return M
+
+
+def check_int(name: str, value, low: float = -math.inf, high: float = math.inf) -> int:
+    """``value`` as a Python int; ConfigError unless it is an integer in
+    [low, high], so a NaN or 2.5 setting fails where it is built, not in a
+    later fit. A bool is an int to Python but not a setting's value, so it
+    fails too. The message names only the finite bounds."""
+    if not (
+        isinstance(value, numbers.Integral) and not isinstance(value, bool)
+        and low <= value <= high
+    ):
+        finite = [(op, b) for op, b in ((">=", low), ("<=", high)) if math.isfinite(b)]
+        bounds = " and ".join(f"{op} {b}" for op, b in finite)
+        raise ConfigError(f"{name} must be an integer {bounds}".rstrip() + f", got {value!r}")
+    return int(value)
+
+
+def check_int_field(owner, name: str, low: float = -math.inf, high: float = math.inf) -> None:
+    """:func:`check_int` on a frozen dataclass's field, stored back as a
+    Python int (a report holding a numpy integer cannot be serialized)."""
+    object.__setattr__(owner, name, check_int(name, getattr(owner, name), low, high))
+
+
+_COMPARE = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator.le}
+
+
+def check_float(name: str, value, *, gt=None, ge=None, lt=None, le=None) -> float:
+    """``value`` as a Python float; ConfigError unless it is a finite real
+    number that is > gt, >= ge, < lt and <= le, for each bound given. As
+    in :func:`check_int`, a bool fails (numpy's is not a ``numbers.Real``
+    at all), and a string fails here rather than as a bare TypeError in a
+    comparison. So does an int too large for a float, such as 10**400."""
+    bounds = [(op, b) for op, b in ((">", gt), (">=", ge), ("<", lt), ("<=", le)) if b is not None]
+    number = math.nan
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:
+            pass
+    if not (math.isfinite(number) and all(_COMPARE[op](number, b) for op, b in bounds)):
+        limits = "".join(f" and {op} {b}" for op, b in bounds)
+        raise ConfigError(f"{name} must be finite{limits}, got {value!r}")
+    return number
+
+
+def check_float_field(owner, name: str, **bounds) -> None:
+    """:func:`check_float` on a frozen dataclass's field, stored back as a
+    Python float, as :func:`check_int_field` stores ints."""
+    object.__setattr__(owner, name, check_float(name, getattr(owner, name), **bounds))

@@ -22,7 +22,7 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from . import __version__
-from .dataset import Dataset, check_float_field, check_int_field, load_dataset, stratified_split
+from .dataset import Dataset, load_dataset, stratified_split
 from .ensemble import (
     AdaBoostParams,
     BaggingParams,
@@ -33,7 +33,7 @@ from .ensemble import (
     fit_bagging,
     fit_gbdt,
 )
-from .errors import ConfigError, PdvoxError, SchemaError, ValidationError
+from .errors import ConfigError, PdvoxError, SchemaError, check_float_field, check_int_field
 from .metrics import (
     ConfusionMatrix,
     MetricSet,
@@ -201,19 +201,6 @@ def _load(path) -> tuple[Dataset, str]:
     return load_dataset(path, content), hashlib.sha256(content).hexdigest()
 
 
-def _require_both_classes(train: Dataset, test: Dataset, test_fraction: float) -> None:
-    """Every model is fitted on both classes and scored (AUC) on both, so a
-    partition missing a class fails here, before any fit."""
-    names = ("class 0 (healthy)", "class 1 (Parkinson's)")
-    for side, part in (("training", train), ("test", test)):
-        missing = [name for name, count in zip(names, part.class_counts()) if count == 0]
-        if missing:
-            raise ValidationError(
-                f"the {side} partition has no {' or '.join(missing)} rows "
-                f"at test fraction {test_fraction}"
-            )
-
-
 def run_experiment(cfg: RunConfig) -> ExperimentReport:
     with _stage("load"):
         data, digest = _load(cfg.data)
@@ -226,7 +213,6 @@ def run_experiment(cfg: RunConfig) -> ExperimentReport:
             data = smote(data, cfg.smote_k, cfg.seed)
     with _stage("split"):
         train, test = stratified_split(data, cfg.test_fraction, cfg.seed)
-        _require_both_classes(train, test, cfg.test_fraction)
     resampled = train
     if cfg.smote == "after":
         with _stage("resample"):

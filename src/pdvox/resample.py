@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dataset import Dataset, check_int
-from .errors import ValidationError
+from .dataset import Dataset
+from .errors import ValidationError, check_int
 from .rng import stream
 
 
@@ -49,7 +49,7 @@ def smote(train: Dataset, k_neighbors: int = 5, seed: int = 0) -> Dataset:
     seed).
     """
     k_neighbors = check_int("k_neighbors", k_neighbors, 1)
-    seed = check_int("seed", seed)
+    gen = stream(seed, "smote")  # before any return: the stream checks the seed
     n0, n1 = train.class_counts()
     if n0 == 0 or n1 == 0:
         raise ValidationError("SMOTE needs both classes present")
@@ -66,7 +66,6 @@ def smote(train: Dataset, k_neighbors: int = 5, seed: int = 0) -> Dataset:
     minority_rows = np.flatnonzero(train.labels == minority_label)
     minority = train.features[minority_rows]
     neighbors = _minority_neighbor_table(minority, k)
-    gen = stream(seed, "smote")
     synth = np.empty((n_synth, train.n_features), dtype=np.float64)
     for i in range(n_synth):
         base = gen.below(minority_count)

@@ -15,6 +15,8 @@ across reimplementations in other languages.
 
 from __future__ import annotations
 
+from .errors import check_int
+
 MASK64 = (1 << 64) - 1
 
 
@@ -39,9 +41,10 @@ def derive_key(seed: int, *labels: str | int) -> int:
 
     Labels may mix strings and integers; each is hashed and folded into
     the running key with one splitmix64 scramble, so ("bagging", 3) and
-    ("bagging", 4) give unrelated streams.
+    ("bagging", 4) give unrelated streams. Every seeded stream checks its
+    seed here: one that is not an integer fails as a ConfigError.
     """
-    key = int(seed) & MASK64  # a numpy integer seed would overflow the mask
+    key = check_int("seed", seed) & MASK64  # a Python int: a numpy one would overflow the mask
     for label in labels:
         raw = label.to_bytes(8, "little") if isinstance(label, int) else str(label).encode()
         _, key = splitmix64(key ^ fnv1a64(raw))

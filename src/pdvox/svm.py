@@ -50,8 +50,8 @@ from itertools import chain
 
 import numpy as np
 
-from .dataset import Dataset, _frozen, check_float_field, check_int_field, check_matrix, require_both_classes
-from .errors import ConfigError, ValidationError
+from .dataset import Dataset, _frozen, require_both_classes
+from .errors import ConfigError, ValidationError, check_float_field, check_int_field, check_matrix
 
 #: Minimum multiplier movement for a step to count as progress.
 _STEP_EPS = 1e-12
@@ -112,8 +112,6 @@ def fit_standardizer(train: Dataset) -> Standardizer:
     X = train.features
     means = X.mean(axis=0)
     constant = np.all(X == X[0], axis=0)
-    if train.n_records == 1:
-        constant = np.ones(X.shape[1], dtype=bool)
     if constant.any():
         names = [train.feature_names[i] for i in np.flatnonzero(constant)]
         warnings.warn(f"constant columns standardize to zero: {names}", stacklevel=2)

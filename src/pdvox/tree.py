@@ -70,8 +70,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import check_float_field, check_int, check_int_field, check_matrix
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError, ValidationError, check_float_field, check_int, check_int_field, check_matrix
 
 #: Positive-gain floor: splits must clear this to be accepted, which keeps
 #: float dust from histogram subtraction from manufacturing splits.
@@ -134,7 +133,7 @@ def build_bins(features, max_bins: int = MAX_BINS_LIMIT) -> BinMap:
 def take_rows(bins: BinMap, indices) -> BinMap:
     """BinMap view over a row subset (cuts shared), e.g. a bootstrap sample."""
     idx = np.asarray(indices, dtype=np.int64)
-    sub = bins.codes[idx].copy()
+    sub = bins.codes[idx]
     sub.flags.writeable = False
     return BinMap(cuts=bins.cuts, codes=sub, n_bins=bins.n_bins)
 

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import importlib.util
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from conftest import REPO_ROOT
 from pdvox.cli import main
 from pdvox.dataset import (
     CANONICAL_FEATURES,
@@ -228,6 +230,18 @@ def test_degenerate_split_fails_before_any_fit(csv_path, capsys, monkeypatch, fr
     err = capsys.readouterr().err
     assert err.startswith(f"error: split: the {side} partition has no class 0 (healthy)")
     assert f"at test fraction {fraction}" in err
+
+
+@pytest.mark.parametrize("seeds", ["0", "-3"])
+def test_seed_sweep_without_seeds_is_usage_error(csv_path, capsys, seeds):
+    path = REPO_ROOT / "scripts" / "run_seed_sweep.py"
+    spec = importlib.util.spec_from_file_location("run_seed_sweep", path)
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    with pytest.raises(SystemExit) as exc:
+        sweep.main(["--data", str(csv_path), "--seeds", seeds])
+    assert exc.value.code == 2
+    assert f"--seeds must be at least 1, got {seeds}" in capsys.readouterr().err
 
 
 def test_bad_format_is_usage_error(csv_path):

@@ -433,22 +433,29 @@ def test_split_is_a_partition(n, fraction, seed):
     if labels.max() == labels.min():
         labels[0] = 1 - labels[0]
     ds = make_dataset(rng.normal(size=(n, 3)), labels)
+    # per-class round-half-up rule
+    totals = [int(np.sum(labels == cls)) for cls in (0, 1)]
+    expected = [int(np.floor(total * fraction + 0.5)) for total in totals]
+    for cls, (count, total) in enumerate(zip(expected, totals)):
+        if count in (0, total):
+            # the first class left off a side names that side and the class
+            side = "test" if count == 0 else "training"
+            with pytest.raises(ValidationError, match=f"^the {side} partition has no class {cls} "):
+                stratified_split(ds, fraction, seed=seed)
+            return
     train, test = stratified_split(ds, fraction, seed=seed)
     train_ids, test_ids = set(train.ids), set(test.ids)
     assert train_ids.isdisjoint(test_ids)
     assert train_ids | test_ids == set(ds.ids)
     assert train.n_records + test.n_records == n
-    # per-class round-half-up rule
     for cls in (0, 1):
-        total = int(np.sum(labels == cls))
-        expected = int(np.floor(total * fraction + 0.5))
-        expected = min(max(expected, 0), total)
-        assert int(np.sum(test.labels == cls)) == expected
+        assert int(np.sum(test.labels == cls)) == expected[cls]
+    assert min(train.class_counts() + test.class_counts()) > 0
 
 
 def test_split_rejects_missing_class_and_bad_fraction():
     ds = make_dataset([[0.0], [1.0]], [1, 1])
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=r"no class 0 \(healthy\) rows .* \(0 in the data\)$"):
         stratified_split(ds, 0.5, seed=0)
     both = make_dataset([[0.0], [1.0]], [0, 1])
     with pytest.raises(ConfigError):
@@ -485,6 +492,15 @@ def test_standardizer_constant_column_zeroed_with_warning():
     # constant column zeroes even for unseen values
     other = transform_features(s, np.array([[7.0, 3.0]]))
     assert other[0, 0] == 0.0
+
+
+def test_standardizer_one_row_is_all_constant():
+    ds = make_dataset([[5.0, -1.0, 2.5]], [1])
+    with pytest.warns(UserWarning, match=r"constant columns standardize to zero: \['f0', 'f1', 'f2'\]"):
+        s = fit_standardizer(ds)
+    assert s.constant.all()
+    out = transform_features(s, np.array([[5.0, -1.0, 2.5], [7.0, 3.0, -4.0]]))
+    assert np.array_equal(out, np.zeros((2, 3)))
 
 
 def test_standardizer_never_reads_test_rows():

@@ -9,6 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import make_dataset
+from pdvox.dataset import stratified_split
+from pdvox.ensemble import BaggingParams, fit_bagging
+from pdvox.errors import ConfigError
+from pdvox.resample import smote
 from pdvox.rng import MASK64, Xoshiro256StarStar, derive_key, fnv1a64, splitmix64, stream
 
 
@@ -45,6 +50,35 @@ def test_derive_key_takes_numpy_integer_seeds():
     for seed in (7, -1):
         for np_seed in (np.int64(seed), np.int32(seed)):
             assert derive_key(np_seed, "split") == derive_key(seed, "split")
+
+
+def _table(n_neg, n_pos):
+    rng = np.random.default_rng(3)
+    return make_dataset(rng.normal(size=(n_neg + n_pos, 3)), [0] * n_neg + [1] * n_pos)
+
+
+#: Every consumer of a seeded stream, as seed -> something comparable.
+_SEEDED = {
+    "split": lambda seed: [part.ids for part in stratified_split(_table(8, 12), 0.25, seed)],
+    "smote": lambda seed: smote(_table(5, 12), seed=seed).features.tolist(),
+    "smote-balanced": lambda seed: smote(_table(6, 6), seed=seed).ids,
+    "bagging": lambda seed: [
+        tree.threshold.tobytes()
+        for tree in fit_bagging(_table(8, 12), BaggingParams(n_trees=3), seed).trees
+    ],
+}
+
+
+@pytest.mark.parametrize("consumer", sorted(_SEEDED))
+@pytest.mark.parametrize("seed", [2.5, "x", None, True])
+def test_stream_consumers_reject_non_integer_seeds(consumer, seed):
+    with pytest.raises(ConfigError, match="seed must be an integer"):
+        _SEEDED[consumer](seed)
+
+
+@pytest.mark.parametrize("consumer", sorted(_SEEDED))
+def test_stream_consumers_take_numpy_integer_seeds(consumer):
+    assert _SEEDED[consumer](np.int64(42)) == _SEEDED[consumer](42)
 
 
 def test_same_stream_replays_identically():

@@ -136,6 +136,8 @@ def test_take_rows_subsets_codes():
     assert isinstance(sub, BinMap)
     assert np.array_equal(sub.codes, bins.codes[[4, 0, 4]])
     assert sub.cuts == bins.cuts
+    assert not sub.codes.flags.writeable
+    assert not np.shares_memory(sub.codes, bins.codes)
 
 
 # ------------------------------------------------------------ gini trees
