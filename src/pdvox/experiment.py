@@ -6,6 +6,12 @@ the selected models -> score the untouched test split -> metrics. Every
 stochastic stage draws from a named substream of the single master seed,
 and the report embeds the resolved config plus a dataset fingerprint, so
 a report can be regenerated bit-identically from its own contents.
+
+On Linux the fits of a multi-model run go to forked worker processes, at
+most one per fit and one per usable CPU; the parent scores every model. A fit's result depends only
+on the training split, its config and its own RNG streams, so the report
+is the same bytes either way. Wrappers set on this module's names still
+see every call, but a ``fit_*`` wrapper runs in the worker that fits.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import get_args, get_origin, get_type_hints
@@ -51,7 +58,9 @@ from .svm import SvmParams, decision_scores, fit_svm
 #: split, test-set scorer, confusion threshold), in the canonical order of
 #: "all" runs and comparison tables. Each entry looks ``fit_*``,
 #: ``ensemble_scores`` and ``decision_scores`` up in this module at call
-#: time, so a wrapper set on one of those names sees every call.
+#: time, so a wrapper set on one of those names sees every call. A fit runs
+#: in the process that fits it (a forked worker, see :func:`_fit_all`), so a
+#: wrapper on a ``fit_*`` name runs there; scorers run in the caller's.
 _LEARNERS = {
     "lightgbm-like": (lambda tr, cfg: fit_gbdt(tr, cfg.gbdt_leafwise),
                       lambda m, X: ensemble_scores(m, X), 0.0),
@@ -65,6 +74,12 @@ _LEARNERS = {
 }
 
 MODEL_NAMES = tuple(_LEARNERS)
+
+#: The order in which worker processes take the fits: longest first (at 940
+#: training rows 1.33, 0.97, 0.84, 0.39 and 0.08 s), so the short fits fill
+#: in behind the long ones: two workers end after about 1.81 s this way and
+#: after about 2.25 s in canonical order. Every learner is listed.
+_FIT_ORDER = ("bagging", "xgboost-like", "lightgbm-like", "svm", "adaboost")
 
 FORMATS = ("table", "csv", "structured")
 
@@ -180,9 +195,49 @@ def _stage(name: str):
         raise type(exc)(f"{name}: {exc}") from exc
 
 
-def _fit_and_score(name: str, cfg: RunConfig, train: Dataset, test: Dataset) -> ModelResult:
-    fit, score, threshold = _LEARNERS[name]
-    scores = score(fit(train, cfg), test.features)
+def _fit(name: str, cfg: RunConfig, train: Dataset):
+    """Fit one learner; return the model and the warnings its fit raised."""
+    with warnings.catch_warnings(record=True) as caught, _stage(f"fit {name}"):
+        model = _LEARNERS[name][0](train, cfg)
+    return model, caught
+
+
+def _workers(n_fits: int) -> int:
+    """Worker processes for ``n_fits`` fits: one per CPU this process may
+    use, at most one per fit; 0 fits in this process (one fit, one CPU, no
+    affinity mask to read, or a daemonic process, which may not fork)."""
+    if n_fits < 2 or not hasattr(os, "sched_getaffinity"):
+        return 0
+    cpus = len(os.sched_getaffinity(0))
+    if cpus < 2:
+        return 0
+    import multiprocessing
+
+    return 0 if multiprocessing.current_process().daemon else min(n_fits, cpus)
+
+
+def _fit_all(names: tuple[str, ...], cfg: RunConfig, train: Dataset) -> list:
+    """``_fit`` of each name, in ``names`` order; the first failure in that
+    order raises. Workers are forked, not spawned: they inherit wrappers set
+    on this module's names and the parent's BLAS thread count, which the SVM
+    bits depend on, and they start without importing anything again."""
+    workers = _workers(len(names))
+    if not workers:
+        return [_fit(name, cfg, train) for name in names]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        futures = {n: pool.submit(_fit, n, cfg, train) for n in _FIT_ORDER if n in names}
+        return [futures[name].result() for name in names]
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _evaluate(name: str, model, test: Dataset) -> ModelResult:
+    _, score, threshold = _LEARNERS[name]
+    scores = score(model, test.features)
     cm = confusion(scores, test.labels, threshold)
     curve, auc = roc_auc(scores, test.labels)
     return ModelResult(
@@ -217,10 +272,13 @@ def run_experiment(cfg: RunConfig) -> ExperimentReport:
     if cfg.smote == "after":
         with _stage("resample"):
             resampled = smote(train, cfg.smote_k, cfg.seed)
+    names = cfg.selected_models()
     results = []
-    for name in cfg.selected_models():
+    for name, (model, caught) in zip(names, _fit_all(names, cfg, resampled)):
+        for w in caught:
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
         with _stage(f"fit {name}"):
-            results.append(_fit_and_score(name, cfg, resampled, test))
+            results.append(_evaluate(name, model, test))
     return ExperimentReport(
         toolkit_version=__version__,
         config=cfg,

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import REPO_ROOT
+from conftest import REPO_ROOT, SYNTHETIC_CSV
 from pdvox.cli import main
 from pdvox.dataset import (
     CANONICAL_FEATURES,
@@ -135,6 +135,19 @@ def test_correlate_warning_is_one_line(csv_path, tmp_path, capsys):
     )
 
 
+def test_compare_fit_warning_is_one_line(tmp_path, capsys):
+    # the SVM fit warns in a worker process; the parent prints it once
+    data = load_dataset(SYNTHETIC_CSV)
+    features = data.features.copy()
+    features[:, 0] = 150.0
+    flat = tmp_path / "flat.csv"
+    write_dataset_csv(replace(data, features=features), flat)
+    assert main(["compare", "--data", str(flat)]) == 0
+    assert capsys.readouterr().err == (
+        "warning: constant columns standardize to zero: ['MDVP:Fo(Hz)']\n"
+    )
+
+
 def test_correlate_out_file(csv_path, tmp_path, capsys):
     out = tmp_path / "corr.csv"
     assert main(["correlate", "--data", str(csv_path), "--out", str(out)]) == 0
@@ -225,7 +238,7 @@ def test_degenerate_split_fails_before_any_fit(csv_path, capsys, monkeypatch, fr
     def no_fit(*args):
         raise AssertionError("a model was fitted on a degenerate split")
 
-    monkeypatch.setattr("pdvox.experiment._fit_and_score", no_fit)
+    monkeypatch.setattr("pdvox.experiment._fit", no_fit)
     assert main(["compare", "--data", str(csv_path), "--test-fraction", fraction]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: split: the {side} partition has no class 0 (healthy)")

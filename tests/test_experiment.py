@@ -6,6 +6,8 @@ import builtins
 import hashlib
 import json
 import math
+import multiprocessing
+import os
 import pathlib
 import re
 import types
@@ -15,12 +17,12 @@ import numpy as np
 import pytest
 
 import pdvox
-from conftest import make_dataset
+from conftest import SYNTHETIC_CSV, make_dataset
 from pdvox import experiment
-from pdvox.dataset import CANONICAL_FEATURES, Dataset, write_dataset_csv
+from pdvox.dataset import CANONICAL_FEATURES, Dataset, load_dataset, write_dataset_csv
 from pdvox.cli import main
 from pdvox.ensemble import AdaBoostParams, BaggingParams, LeafwiseGbdtParams, LevelwiseGbdtParams
-from pdvox.errors import ConfigError, SchemaError
+from pdvox.errors import ConfigError, SchemaError, ValidationError
 from pdvox.experiment import (
     MODEL_NAMES,
     RunConfig,
@@ -528,31 +530,102 @@ def test_each_params_section_rejects_another_sections_params(csv_path, section):
     )
 
 
-def test_learners_call_through_module_names(csv_path, monkeypatch):
+def test_learners_call_through_module_names(csv_path, tmp_path, monkeypatch):
     # Wrappers set on experiment's names (as the benchmark tracer sets
     # them) must see every fit and score; fit_gbdt gets its params as the
-    # second positional argument.
-    calls = []
+    # second positional argument. Fits may run in forked workers, so the
+    # spies log to a file, and fits may finish in any order.
+    log = tmp_path / "calls.log"
 
     def spy(name):
         real = getattr(experiment, name)
 
         def wrapper(*args, **kwargs):
-            calls.append(args[1].variant if name == "fit_gbdt" else name)
+            with open(log, "a", encoding="utf-8") as handle:
+                handle.write((args[1].variant if name == "fit_gbdt" else name) + "\n")
             return real(*args, **kwargs)
 
         return wrapper
 
-    names = ("fit_gbdt", "fit_adaboost", "fit_bagging", "fit_svm",
-             "ensemble_scores", "decision_scores")
-    for name in names:
+    scorers = ("ensemble_scores", "decision_scores")
+    for name in ("fit_gbdt", "fit_adaboost", "fit_bagging", "fit_svm", *scorers):
         monkeypatch.setattr(experiment, name, spy(name))
     run_experiment(_fast_config(csv_path))
-    assert calls == [
-        "leaf-wise", "ensemble_scores", "level-wise", "ensemble_scores",
-        "fit_adaboost", "ensemble_scores", "fit_bagging", "ensemble_scores",
-        "fit_svm", "decision_scores",
+    calls = log.read_text(encoding="utf-8").splitlines()
+    assert sorted(c for c in calls if c not in scorers) == [
+        "fit_adaboost", "fit_bagging", "fit_svm", "leaf-wise", "level-wise",
     ]
+    assert [c for c in calls if c in scorers] == ["ensemble_scores"] * 4 + ["decision_scores"]
+
+
+def _structured(cfg):
+    return report_to_json(run_experiment(cfg))
+
+
+def test_one_cpu_fits_in_process_with_the_same_bytes(monkeypatch):
+    # With one usable CPU the fits run in this process; the report must be
+    # the bytes the worker processes give, and each model's result the one
+    # it gets when it runs alone.
+    cfg = RunConfig(data=str(SYNTHETIC_CSV), seed=42)
+    pids = []
+    real_fit_svm = experiment.fit_svm
+
+    def fit_svm(*args, **kwargs):
+        pids.append(os.getpid())
+        return real_fit_svm(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, "fit_svm", fit_svm)
+    in_workers = run_experiment(cfg)
+    # a fit in a worker appends to the worker's copy of the list
+    assert pids == ([] if len(os.sched_getaffinity(0)) > 1 else [os.getpid()])
+    pids.clear()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert report_to_json(run_experiment(cfg)) == report_to_json(in_workers)
+    assert pids == [os.getpid()]
+    for result in in_workers.results:
+        assert run_experiment(replace(cfg, model=result.model)).results == (result,)
+
+
+@pytest.mark.parametrize("first, second", [("bagging", "svm"), ("adaboost", "bagging")])
+def test_first_failing_learner_in_canonical_order_raises(csv_path, monkeypatch, first, second):
+    # workers start bagging's fit first, so in the second case bagging
+    # fails first in time; adaboost comes first in canonical order
+    def failing(name):
+        def fit(*args, **kwargs):
+            raise ValidationError(f"no {name}")
+
+        return fit
+
+    for name in (first, second):
+        monkeypatch.setattr(experiment, f"fit_{name}", failing(name))
+    with pytest.raises(ValidationError, match=rf"^fit {first}: no {first}$"):
+        run_experiment(_fast_config(csv_path))
+    assert multiprocessing.active_children() == []
+
+
+def test_no_worker_outlives_a_run(csv_path):
+    run_experiment(_fast_config(csv_path))
+    assert multiprocessing.active_children() == []
+
+
+def test_run_inside_a_pool_worker_gives_the_same_bytes(csv_path):
+    # a Pool worker is daemonic, and a daemonic process may not fork
+    # workers of its own: there the fits run in process
+    cfg = _fast_config(csv_path)
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        text = pool.apply_async(_structured, (cfg,)).get(timeout=120)
+    assert text == _structured(cfg)
+
+
+def test_fit_warnings_reach_the_caller(tmp_path):
+    data = load_dataset(SYNTHETIC_CSV)
+    features = data.features.copy()
+    features[:, CANONICAL_FEATURES.index("MDVP:Fo(Hz)")] = 150.0
+    flat = tmp_path / "flat.csv"
+    write_dataset_csv(replace(data, features=features), flat)
+    expected = re.escape("constant columns standardize to zero: ['MDVP:Fo(Hz)']")
+    with pytest.warns(UserWarning, match=expected):
+        run_experiment(_fast_config(flat))
 
 
 def test_top_level_exports_only_the_entry_points_and_errors():
