@@ -18,7 +18,7 @@ from itertools import zip_longest
 
 import numpy as np
 
-from .errors import SchemaError, ValidationError, check_float, check_matrix
+from .errors import SchemaError, ValidationError, check_float, check_matrix, frozen
 from .rng import stream
 
 CANONICAL_HEADER: tuple[str, ...] = (
@@ -56,14 +56,6 @@ CANONICAL_FEATURES: tuple[str, ...] = (
 )
 
 
-def _frozen(array: np.ndarray) -> np.ndarray:
-    out = np.ascontiguousarray(array)
-    if out is array:
-        out = array.copy()
-    out.flags.writeable = False
-    return out
-
-
 @dataclass(frozen=True)
 class Dataset:
     """Immutable record table: ids, a features matrix, and binary labels.
@@ -92,8 +84,8 @@ class Dataset:
             raise ValidationError(f"labels must be 0 or 1; saw {labels[bad][0]}")
         object.__setattr__(self, "ids", tuple(self.ids))
         object.__setattr__(self, "feature_names", tuple(self.feature_names))
-        object.__setattr__(self, "features", _frozen(features))
-        object.__setattr__(self, "labels", _frozen(labels))
+        object.__setattr__(self, "features", frozen(features))
+        object.__setattr__(self, "labels", frozen(labels))
 
     @property
     def n_records(self) -> int:

@@ -1,7 +1,8 @@
 """Exception types raised by the toolkit, and the per-value checks that
 raise them: settings, seeds (``rng.derive_key`` checks every one) and
 feature matrices. A rule about a whole table belongs to the function that
-makes the table, as the both-classes rule belongs to the split."""
+makes the table, as the both-classes rule belongs to the split. Every
+array a frozen value holds passes :func:`frozen`."""
 
 from __future__ import annotations
 
@@ -40,6 +41,21 @@ def check_matrix(X, n_features: int | None = None) -> np.ndarray:
     if not np.isfinite(M).all():
         raise ValidationError("features must be finite (no NaN/inf)")
     return M
+
+
+def frozen(value, dtype=None) -> np.ndarray:
+    """``value`` as a read-only, C-ordered array (of ``dtype`` when given)
+    that its holder owns. It is a copy, so the caller's array stays
+    writeable and no later write to it reaches the holder, unless ``value``
+    already is such an array and owns its memory, as another frozen value's
+    arrays do: that one is shared (so a row subset keeps its map's cuts)."""
+    if not (
+        isinstance(value, np.ndarray) and value.flags.owndata and not value.flags.writeable
+        and value.flags.c_contiguous and value.dtype == (dtype or value.dtype)
+    ):
+        value = np.array(value, dtype=dtype, order="C")
+        value.flags.writeable = False
+    return value
 
 
 def check_int(name: str, value, low: float = -math.inf, high: float = math.inf) -> int:

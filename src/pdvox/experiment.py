@@ -76,9 +76,10 @@ _LEARNERS = {
 MODEL_NAMES = tuple(_LEARNERS)
 
 #: The order in which worker processes take the fits: longest first (at 940
-#: training rows 1.33, 0.97, 0.84, 0.39 and 0.08 s), so the short fits fill
-#: in behind the long ones: two workers end after about 1.81 s this way and
-#: after about 2.25 s in canonical order. Every learner is listed.
+#: training rows, in the workers, 0.86, 0.71, 0.56, 0.12 and 0.08 s), so the
+#: short fits fill in behind the long ones: two workers end after about
+#: 1.27 s this way and after about 1.50 s in canonical order. Every learner
+#: is listed.
 _FIT_ORDER = ("bagging", "xgboost-like", "lightgbm-like", "svm", "adaboost")
 
 FORMATS = ("table", "csv", "structured")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, frozen
 
 
 @dataclass(frozen=True)
@@ -64,9 +64,7 @@ class RocCurve:
 
     def __post_init__(self):
         for name in ("thresholds", "fpr", "tpr"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, frozen(getattr(self, name), np.float64))
 
     def __eq__(self, other):
         if not isinstance(other, RocCurve):

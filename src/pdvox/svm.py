@@ -50,8 +50,10 @@ from itertools import chain
 
 import numpy as np
 
-from .dataset import Dataset, _frozen, require_both_classes
-from .errors import ConfigError, ValidationError, check_float_field, check_int_field, check_matrix
+from .dataset import Dataset, require_both_classes
+from .errors import (
+    ConfigError, ValidationError, check_float_field, check_int_field, check_matrix, frozen,
+)
 
 #: Minimum multiplier movement for a step to count as progress.
 _STEP_EPS = 1e-12
@@ -101,9 +103,9 @@ class Standardizer:
     constant: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "means", _frozen(np.asarray(self.means, float)))
-        object.__setattr__(self, "stds", _frozen(np.asarray(self.stds, float)))
-        object.__setattr__(self, "constant", _frozen(np.asarray(self.constant, bool)))
+        object.__setattr__(self, "means", frozen(self.means, np.float64))
+        object.__setattr__(self, "stds", frozen(self.stds, np.float64))
+        object.__setattr__(self, "constant", frozen(self.constant, bool))
 
 
 def fit_standardizer(train: Dataset) -> Standardizer:
@@ -153,9 +155,7 @@ class SvmModel:
 
     def __post_init__(self):
         for name in ("support_vectors", "dual_coef"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, frozen(getattr(self, name), np.float64))
 
 
 def _kernel_matrix(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
@@ -350,7 +350,7 @@ def fit_svm(train: Dataset, params: SvmParams = SvmParams()) -> SvmModel:
         )
     support = np.flatnonzero(state.alpha > 0)
     return SvmModel(
-        support_vectors=Xs[support].copy(),
+        support_vectors=Xs[support],
         dual_coef=state.alpha_y[support],
         bias=state.b,
         gamma=gamma,

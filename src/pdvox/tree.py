@@ -70,7 +70,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ValidationError, check_float_field, check_int, check_int_field, check_matrix
+from .errors import (
+    ConfigError, ValidationError, check_float_field, check_int, check_int_field, check_matrix,
+    frozen,
+)
 
 #: Positive-gain floor: splits must clear this to be accepted, which keeps
 #: float dust from histogram subtraction from manufacturing splits.
@@ -97,6 +100,11 @@ class BinMap:
     codes: np.ndarray  # (n, d) uint8
     n_bins: np.ndarray  # (d,) int64
 
+    def __post_init__(self):
+        object.__setattr__(self, "cuts", tuple(frozen(c, np.float64) for c in self.cuts))
+        object.__setattr__(self, "codes", frozen(self.codes))
+        object.__setattr__(self, "n_bins", frozen(self.n_bins, np.int64))
+
 
 def build_bins(features, max_bins: int = MAX_BINS_LIMIT) -> BinMap:
     """Quantile-boundary binning of each feature column.
@@ -111,7 +119,6 @@ def build_bins(features, max_bins: int = MAX_BINS_LIMIT) -> BinMap:
     n, d = X.shape
     cuts: list[np.ndarray] = []
     codes = np.empty((n, d), dtype=np.uint8)
-    n_bins = np.empty(d, dtype=np.int64)
     for f in range(d):
         uniq = np.unique(X[:, f])
         if uniq.size <= max_bins:
@@ -124,18 +131,13 @@ def build_bins(features, max_bins: int = MAX_BINS_LIMIT) -> BinMap:
         cut = (uniq[boundary - 1] + uniq[boundary]) / 2.0
         cuts.append(cut)
         codes[:, f] = np.searchsorted(cut, X[:, f], side="left")
-        n_bins[f] = cut.size + 1
-    codes.flags.writeable = False
-    n_bins.flags.writeable = False
-    return BinMap(cuts=tuple(cuts), codes=codes, n_bins=n_bins)
+    return BinMap(cuts=cuts, codes=codes, n_bins=[cut.size + 1 for cut in cuts])
 
 
 def take_rows(bins: BinMap, indices) -> BinMap:
-    """BinMap view over a row subset (cuts shared), e.g. a bootstrap sample."""
+    """BinMap of a row subset under the same cuts, e.g. a bootstrap sample."""
     idx = np.asarray(indices, dtype=np.int64)
-    sub = bins.codes[idx]
-    sub.flags.writeable = False
-    return BinMap(cuts=bins.cuts, codes=sub, n_bins=bins.n_bins)
+    return BinMap(cuts=bins.cuts, codes=bins.codes[idx], n_bins=bins.n_bins)
 
 
 @dataclass(frozen=True)
@@ -184,9 +186,9 @@ class Tree:
     n_features: int
 
     def __post_init__(self):
-        for name in ("feature", "threshold", "left", "right", "value"):
-            arr = getattr(self, name)
-            arr.flags.writeable = False
+        for name, dtype in (("feature", np.int32), ("threshold", np.float64), ("left", np.int32),
+                            ("right", np.int32), ("value", np.float64)):
+            object.__setattr__(self, name, frozen(getattr(self, name), dtype))
 
     @property
     def n_nodes(self) -> int:
@@ -195,19 +197,6 @@ class Tree:
     @property
     def n_leaves(self) -> int:
         return int(np.sum(self.feature < 0))
-
-
-class _Node:
-    """Mutable growth-time state for one frontier node."""
-
-    __slots__ = ("node_id", "rows", "hist", "depth", "best")
-
-    def __init__(self, node_id, rows, depth):
-        self.node_id = node_id
-        self.rows = rows
-        self.hist = None  # full (3, d, padded) grid while a split needs it
-        self.depth = depth
-        self.best = None  # (gain, feature, bin, threshold) once a search finds one
 
 
 def _bin_sums(flat, a_sub, b_sub, size):
@@ -318,21 +307,24 @@ def fit_cart(bins: BinMap, targets, weights, params: TreeParams) -> Tree:
         raise ValidationError("weights must be >= 0 and not all zero")
     if params.objective == "gini" and not np.isin(t, (0.0, 1.0)).all():
         raise ValidationError("gini objective requires 0/1 targets")
-    if params.objective == "gini":
-        a = w * t
-        b = w
-    else:
-        a = t
-        b = w
+    # histogram plane A sums weighted targets (gini) or gradients (newton);
+    # plane B sums the weights, which are the hessians under newton
+    a = w * t if params.objective == "gini" else t
     padded = int(bins.n_bins.max())
     # feature f's bins are the flat histogram columns f*padded .. f*padded+padded-1
     flat_codes = bins.codes + np.arange(d) * padded
 
     nodes: list[list] = []  # [feature, threshold, left, right, value] by node id
+    # one frontier for both limits, of (key, id, rows, histogram, depth,
+    # split). Depth limits pop by (depth, id): a level pops whole, in id
+    # order, before the next, so ids stay breadth first. Leaf budgets pop
+    # by (-gain, id), the best split first; ids count creation, so equal
+    # gains go to the node made first, and no two entries compare arrays
+    heap: list[tuple] = []
 
     def histogram(rows, k):
         """(A, B, count) of ``rows`` over the bins of features 0..k-1."""
-        return _bin_sums(flat_codes[rows, :k], a[rows], b[rows], k * padded).reshape(3, k, padded)
+        return _bin_sums(flat_codes[rows, :k], a[rows], w[rows], k * padded).reshape(3, k, padded)
 
     def can_split(rows, depth) -> bool:
         # a search here could only return None. Purity is tested on the
@@ -347,23 +339,28 @@ def fit_cart(bins: BinMap, targets, weights, params: TreeParams) -> Tree:
             return bool(np.any(node_t != node_t[0]))
         return True
 
-    def new_node(rows, hist, depth, search) -> _Node:
+    def add(rows, hist, depth, search) -> int:
         # every feature's bins partition the same rows, so feature 0 alone
         # carries the node totals (summing all features would count each
         # row d times); a searched node's sums over all features feed its
         # sweep too
         totals = (hist if search else hist[:, :1]).sum(axis=2, keepdims=True)
-        node = _Node(len(nodes), rows, depth)
+        node_id = len(nodes)
         nodes.append([-1, np.nan, -1, -1, _leaf_value(totals[:, 0, 0].tolist(), params)])
-        if search:
-            node.best = _best_split(hist, totals, bins, params)
-            if node.best is not None:
-                node.hist = hist  # kept for the split
-        return node
+        best = _best_split(hist, totals, bins, params) if search else None
+        if best is not None:  # the histogram is kept for the split
+            key = depth if params.max_leaves is None else -best[0]
+            heapq.heappush(heap, (key, node_id, rows, hist, depth, best))
+        return node_id
 
-    def split(state: _Node) -> tuple[_Node, _Node]:
-        gain, feat, cut_bin, threshold = state.best
-        rows, depth = state.rows, state.depth + 1
+    root_rows = np.arange(n, dtype=np.int64)
+    search_root = can_split(root_rows, 0)
+    add(root_rows, histogram(root_rows, d if search_root else 1), 0, search_root)
+    leaves = 1
+    while heap and (params.max_leaves is None or leaves < params.max_leaves):
+        _, node_id, rows, hist, depth, (_, feat, cut_bin, threshold) = heapq.heappop(heap)
+        leaves += 1
+        depth += 1
         left_mask = bins.codes[rows, feat] <= cut_bin
         left_rows = rows[left_mask]
         right_rows = rows[~left_mask]
@@ -378,47 +375,18 @@ def fit_cart(bins: BinMap, targets, weights, params: TreeParams) -> Tree:
         # the small child needs every feature if either child is searched
         small_hist = histogram(small_rows, d if search_left or search_right else 1)
         if search_big:
-            big_hist = np.subtract(state.hist, small_hist, out=state.hist)
+            big_hist = np.subtract(hist, small_hist, out=hist)
         else:
-            big_hist = state.hist[:, :1] - small_hist[:, :1]
-        state.hist = None  # free (or now the big child's)
+            big_hist = hist[:, :1] - small_hist[:, :1]
+        hist = None  # free the parent's grid (or leave it to the big child)
         left_hist, right_hist = (
             (small_hist, big_hist) if small_is_left else (big_hist, small_hist)
         )
-        left = new_node(left_rows, left_hist, depth, search_left)
-        right = new_node(right_rows, right_hist, depth, search_right)
-        nodes[state.node_id] = [feat, threshold, left.node_id, right.node_id, np.nan]
-        return left, right
+        left = add(left_rows, left_hist, depth, search_left)
+        right = add(right_rows, right_hist, depth, search_right)
+        nodes[node_id] = [feat, threshold, left, right, np.nan]
 
-    # one frontier for both limits. Depth limits pop by (depth, id): a
-    # level pops whole, in id order, before the next, so ids stay breadth
-    # first. Leaf budgets pop by (-gain, id), the best split first; ids
-    # count creation, so equal gains go to the node made first
-    heap: list[tuple[float, int, _Node]] = []
-
-    def push(node: _Node) -> None:
-        if node.best is not None:
-            key = -node.best[0] if params.max_depth is None else node.depth
-            heapq.heappush(heap, (key, node.node_id, node))
-
-    root_rows = np.arange(n, dtype=np.int64)
-    search_root = can_split(root_rows, 0)
-    push(new_node(root_rows, histogram(root_rows, d if search_root else 1), 0, search_root))
-    leaves = 1
-    while heap and (params.max_leaves is None or leaves < params.max_leaves):
-        leaves += 1
-        for child in split(heapq.heappop(heap)[2]):
-            push(child)
-
-    feature, threshold, left, right, value = zip(*nodes)
-    return Tree(
-        feature=np.asarray(feature, dtype=np.int32),
-        threshold=np.asarray(threshold, dtype=np.float64),
-        left=np.asarray(left, dtype=np.int32),
-        right=np.asarray(right, dtype=np.int32),
-        value=np.asarray(value, dtype=np.float64),
-        n_features=d,
-    )
+    return Tree(*zip(*nodes), n_features=d)
 
 
 def predict_many(tree: Tree, X) -> np.ndarray:

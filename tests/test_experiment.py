@@ -586,6 +586,30 @@ def test_one_cpu_fits_in_process_with_the_same_bytes(monkeypatch):
         assert run_experiment(replace(cfg, model=result.model)).results == (result,)
 
 
+def test_no_affinity_mask_fits_in_process_with_the_same_bytes(csv_path, monkeypatch):
+    # where os.sched_getaffinity does not exist (not Linux) the fits run in
+    # this process, and the report is the bytes the worker processes give
+    cfg = _fast_config(csv_path)
+    in_workers = _structured(cfg)
+    pids = []
+    real_fit_svm = experiment.fit_svm
+
+    def fit_svm(*args, **kwargs):
+        pids.append(os.getpid())
+        return real_fit_svm(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, "fit_svm", fit_svm)
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert _structured(cfg) == in_workers
+    assert pids == [os.getpid()]
+
+
+def test_fit_order_names_every_learner_once():
+    # the pool takes the fits in this order; a learner left out would
+    # raise KeyError on the worker path only
+    assert sorted(experiment._FIT_ORDER) == sorted(MODEL_NAMES)
+
+
 @pytest.mark.parametrize("first, second", [("bagging", "svm"), ("adaboost", "bagging")])
 def test_first_failing_learner_in_canonical_order_raises(csv_path, monkeypatch, first, second):
     # workers start bagging's fit first, so in the second case bagging

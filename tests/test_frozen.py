@@ -1,0 +1,89 @@
+"""Every frozen value owns its arrays: it holds read-only copies, and the
+arrays its caller passed in stay the caller's, writeable and unchanged."""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from pdvox.dataset import Dataset
+from pdvox.errors import frozen
+from pdvox.metrics import RocCurve
+from pdvox.svm import Standardizer, SvmModel
+from pdvox.tree import BinMap, Tree
+
+
+#: value type -> (the caller's arrays, by field, in the held dtypes so that a
+#: copy is never forced by a cast; the constructor's other fields)
+VALUES = {
+    Dataset: (
+        lambda: {"features": np.arange(6.0).reshape(3, 2), "labels": np.array([0, 1, 1])},
+        {"ids": ("a", "b", "c"), "feature_names": ("x", "y")},
+    ),
+    Standardizer: (
+        lambda: {"means": np.array([1.0, 2.0]), "stds": np.array([0.5, 1.0]),
+                 "constant": np.array([False, True])},
+        {},
+    ),
+    SvmModel: (
+        lambda: {"support_vectors": np.ones((2, 2)), "dual_coef": np.array([0.5, -0.5])},
+        {"bias": 0.0, "gamma": 0.5,
+         "standardizer": Standardizer(np.zeros(2), np.ones(2), np.zeros(2, bool)),
+         "alphas": (0.5, 0.5), "objective_trace": (0.0,), "sweeps": 1, "converged": True,
+         "n_features": 2},
+    ),
+    RocCurve: (
+        lambda: {"thresholds": np.array([np.inf, 0.5]), "fpr": np.array([0.0, 1.0]),
+                 "tpr": np.array([0.0, 1.0])},
+        {},
+    ),
+    Tree: (
+        lambda: {"feature": np.array([0, -1, -1], np.int32),
+                 "threshold": np.array([0.5, np.nan, np.nan]),
+                 "left": np.array([1, -1, -1], np.int32), "right": np.array([2, -1, -1], np.int32),
+                 "value": np.array([np.nan, 0.0, 1.0])},
+        {"n_features": 1},
+    ),
+    BinMap: (
+        lambda: {"cuts": (np.array([0.5]), np.array([1.5, 2.5])),
+                 "codes": np.array([[0, 1], [1, 2]], np.uint8), "n_bins": np.array([2, 3])},
+        {},
+    ),
+}
+
+
+def _arrays(field):
+    """A field's arrays: BinMap.cuts is a tuple of them."""
+    return field if isinstance(field, tuple) else (field,)
+
+
+@pytest.mark.parametrize("cls", VALUES, ids=lambda cls: cls.__name__)
+def test_frozen_values_copy_the_arrays_they_are_given(cls):
+    make, others = VALUES[cls]
+    given, before = make(), make()
+    value = cls(**given, **others)
+    for name, field in given.items():
+        held = _arrays(getattr(value, name))
+        assert len(held) == len(_arrays(field))
+        for arr, old, kept in zip(_arrays(field), _arrays(before[name]), held):
+            assert arr.flags.writeable, name
+            np.testing.assert_array_equal(arr, old)
+            np.testing.assert_array_equal(kept, arr)
+            assert not kept.flags.writeable, name
+            assert not np.shares_memory(kept, arr), name
+
+
+def test_frozen_shares_only_an_array_that_is_already_frozen():
+    # a row subset keeps its map's cuts: another frozen value's arrays are
+    # read-only and own their memory, so passing them on needs no copy
+    a = np.arange(4.0)
+    held = frozen(a)
+    assert a.flags.writeable and not held.flags.writeable
+    assert frozen(held) is held
+    assert frozen(held, np.float64) is held
+    assert frozen(held, np.float32).dtype == np.float32
+    view = held[::2]  # read-only, but its memory is held's
+    assert frozen(view) is not view and frozen(view).flags.c_contiguous
+    read_only_view = a.view()
+    read_only_view.flags.writeable = False  # a's writes would still reach it
+    assert not np.shares_memory(frozen(read_only_view), a)
