@@ -39,14 +39,16 @@ def _add_data_option(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_run_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=42, metavar="N",
-                        help="master seed for split/resampling/bootstraps (default 42)")
-    parser.add_argument("--test-fraction", type=float, default=0.2, metavar="F",
-                        help="held-out fraction per class (default 0.2)")
-    parser.add_argument("--smote", choices=SMOTE_MODES, default="after",
-                        help="add synthetic minority rows to the training split (after, the "
-                             "default), to the whole dataset before splitting (before; leaks), "
-                             "or to neither (off)")
+    # the defaults are RunConfig's, so the CLI runs what the library runs
+    parser.add_argument("--seed", type=int, default=RunConfig.seed, metavar="N",
+                        help="master seed for split/resampling/bootstraps (default %(default)s)")
+    parser.add_argument("--test-fraction", type=float, default=RunConfig.test_fraction,
+                        metavar="F", help="held-out fraction per class (default %(default)s)")
+    # what each mode does; the help marks RunConfig's mode as the default
+    modes = ("add synthetic minority rows to the training split (after), to the whole dataset "
+             "before splitting (before; leaks), or to neither (off)")
+    parser.add_argument("--smote", choices=SMOTE_MODES, default=RunConfig.smote,
+                        help=modes.replace(f"({RunConfig.smote}", "(%(default)s, the default"))
     parser.add_argument("--out", metavar="PATH",
                         help="write output here instead of stdout")
     parser.add_argument("--format", choices=FORMATS, default="table",

@@ -18,7 +18,7 @@ from itertools import zip_longest
 
 import numpy as np
 
-from .errors import SchemaError, ValidationError, check_float, check_matrix, frozen
+from .errors import FrozenArrays, SchemaError, ValidationError, check_float, check_matrix, frozen
 from .rng import stream
 
 CANONICAL_HEADER: tuple[str, ...] = (
@@ -57,7 +57,7 @@ CANONICAL_FEATURES: tuple[str, ...] = (
 
 
 @dataclass(frozen=True)
-class Dataset:
+class Dataset(FrozenArrays):
     """Immutable record table: ids, a features matrix, and binary labels.
 
     ``features`` is (n, d) float64 and ``labels`` is (n,) int64 with values

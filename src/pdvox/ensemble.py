@@ -51,7 +51,7 @@ class GbdtParams(ABC):
     learning_rate: float = 0.1
     lam: float = 1.0
     gamma: float = 0.0
-    max_bins: int = 255
+    max_bins: int = MAX_BINS_LIMIT
 
     def __post_init__(self):
         check_int_field(self, "rounds", 0)
@@ -122,7 +122,6 @@ class AdaBoostModel:
     stumps: tuple[Tree, ...]
     alphas: tuple[float, ...]
     epsilons: tuple[float, ...]  # weighted error of each kept stump
-    weight_sums: tuple[float, ...]  # total row weight after each round's renorm
     n_features: int
 
 
@@ -198,7 +197,6 @@ def fit_adaboost(train: Dataset, params: AdaBoostParams = AdaBoostParams()) -> A
     stumps: list[Tree] = []
     alphas: list[float] = []
     epsilons: list[float] = []
-    weight_sums: list[float] = []
     for _ in range(params.rounds):
         stump = fit_cart(bins, y, w, stump_params)
         predicted = predict_many(stump, X)
@@ -210,17 +208,14 @@ def fit_adaboost(train: Dataset, params: AdaBoostParams = AdaBoostParams()) -> A
         stumps.append(stump)
         alphas.append(float(alpha))
         epsilons.append(eps)
-        if eps > 0.0:
-            w *= np.exp(np.where(miss, alpha, -alpha))
-            w /= w.sum()
-        weight_sums.append(float(w.sum()))
         if eps == 0.0:
             break
+        w *= np.exp(np.where(miss, alpha, -alpha))
+        w /= w.sum()
     return AdaBoostModel(
         stumps=tuple(stumps),
         alphas=tuple(alphas),
         epsilons=tuple(epsilons),
-        weight_sums=tuple(weight_sums),
         n_features=train.n_features,
     )
 

@@ -2,7 +2,8 @@
 raise them: settings, seeds (``rng.derive_key`` checks every one) and
 feature matrices. A rule about a whole table belongs to the function that
 makes the table, as the both-classes rule belongs to the split. Every
-array a frozen value holds passes :func:`frozen`."""
+array a frozen value holds passes :func:`frozen`, and stays frozen through
+pickling: every frozen value that holds arrays is a :class:`FrozenArrays`."""
 
 from __future__ import annotations
 
@@ -56,6 +57,20 @@ def frozen(value, dtype=None) -> np.ndarray:
         value = np.array(value, dtype=dtype, order="C")
         value.flags.writeable = False
     return value
+
+
+class FrozenArrays:
+    """Base of every frozen value that holds arrays. Unpickling skips
+    ``__post_init__`` and numpy restores arrays writeable, so this makes
+    each one read-only again, a tuple field's too (``BinMap.cuts``), in
+    place: nothing but the restored value holds the arrays it restored."""
+
+    def __setstate__(self, state):
+        for value in state.values():
+            for item in value if isinstance(value, tuple) else (value,):
+                if isinstance(item, np.ndarray):
+                    item.flags.writeable = False
+        self.__dict__.update(state)
 
 
 def check_int(name: str, value, low: float = -math.inf, high: float = math.inf) -> int:

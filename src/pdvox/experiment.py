@@ -87,8 +87,8 @@ FORMATS = ("table", "csv", "structured")
 SMOTE_MODES = ("after", "before", "off")
 
 #: The comparison's metric columns, in order: (MetricSet field, table
-#: heading). The csv header names each column by its field.
-_COLUMNS = (
+#: heading). The csv header and the seed sweep name columns by field.
+COLUMNS = (
     ("accuracy", "Accuracy %"),
     ("sensitivity", "Sensitivity %"),
     ("specificity", "Specificity %"),
@@ -407,9 +407,9 @@ def emit_comparison(report: ExperimentReport, fmt: str = "table") -> str:
         raise ConfigError(f"format must be one of {FORMATS}, got {fmt!r}")
     csv = fmt == "csv"
     cell = _csv_cell if csv else format_percent
-    rows = [["model" if csv else "Model", *(name if csv else head for name, head in _COLUMNS)]]
+    rows = [["model" if csv else "Model", *(name if csv else head for name, head in COLUMNS)]]
     for r in report.results:
-        rows.append([r.model, *(cell(getattr(r.metrics, name)) for name, _ in _COLUMNS)])
+        rows.append([r.model, *(cell(getattr(r.metrics, name)) for name, _ in COLUMNS)])
     if csv:
         return "".join(",".join(row) + "\n" for row in rows)
     # the model column is left-aligned, the rest right-aligned, each as wide

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, frozen
+from .errors import FrozenArrays, ValidationError, frozen
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,7 @@ class MetricSet:
 
 
 @dataclass(frozen=True, eq=False)
-class RocCurve:
+class RocCurve(FrozenArrays):
     """Operating points swept from the highest score downward.
 
     The leading point is the predict-nothing anchor (0, 0) at threshold

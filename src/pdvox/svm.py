@@ -52,7 +52,8 @@ import numpy as np
 
 from .dataset import Dataset, require_both_classes
 from .errors import (
-    ConfigError, ValidationError, check_float_field, check_int_field, check_matrix, frozen,
+    ConfigError, FrozenArrays, ValidationError, check_float_field, check_int_field, check_matrix,
+    frozen,
 )
 
 #: Minimum multiplier movement for a step to count as progress.
@@ -90,7 +91,7 @@ class SvmParams:
 
 
 @dataclass(frozen=True)
-class Standardizer:
+class Standardizer(FrozenArrays):
     """Per-column z-score transform fitted on training rows only.
 
     Constant training columns are flagged and map to all-zero output.
@@ -133,7 +134,7 @@ def transform_features(s: Standardizer, X: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SvmModel:
+class SvmModel(FrozenArrays):
     """Fitted solver state plus diagnostics.
 
     ``support_vectors`` are standardized rows with alpha > 0 and

@@ -71,8 +71,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    ConfigError, ValidationError, check_float_field, check_int, check_int_field, check_matrix,
-    frozen,
+    ConfigError, FrozenArrays, ValidationError, check_float_field, check_int, check_int_field,
+    check_matrix, frozen,
 )
 
 #: Positive-gain floor: splits must clear this to be accepted, which keeps
@@ -89,7 +89,7 @@ PACKED_SEARCH_RATIO = 4
 
 
 @dataclass(frozen=True)
-class BinMap:
+class BinMap(FrozenArrays):
     """Per-feature cut points plus the binned codes of a set of rows.
 
     A tree's training rows are a BinMap: growth reads only ``codes``,
@@ -170,7 +170,7 @@ class TreeParams:
 
 
 @dataclass(frozen=True)
-class Tree:
+class Tree(FrozenArrays):
     """Flat node arrays; node 0 is the root.
 
     Internal nodes have ``feature >= 0`` and route ``x[feature] <=

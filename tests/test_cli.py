@@ -17,7 +17,7 @@ from pdvox.dataset import (
     load_dataset,
     write_dataset_csv,
 )
-from pdvox.experiment import parse_report
+from pdvox.experiment import RunConfig, parse_report, report_to_json, run_experiment
 
 
 @pytest.fixture(scope="module")
@@ -271,3 +271,12 @@ def test_compare_lists_all_models(csv_path, capsys):
     assert [line.split()[0] for line in lines[1:]] == [
         "lightgbm-like", "xgboost-like", "adaboost", "bagging", "svm",
     ]
+
+
+@pytest.mark.parametrize("argv, model", [(["compare"], "all"), (["run", "--model", "svm"], "svm")])
+def test_run_flag_defaults_are_the_library_defaults(csv_path, tmp_path, argv, model):
+    # with no run flags the CLI writes the report of RunConfig's defaults
+    out = tmp_path / "report.json"
+    assert main([*argv, "--data", str(csv_path), "--format", "structured", "--out", str(out)]) == 0
+    expected = report_to_json(run_experiment(RunConfig(data=str(csv_path), model=model)))
+    assert out.read_bytes() == expected.encode()

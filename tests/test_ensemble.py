@@ -190,9 +190,13 @@ def test_adaboost_first_round_uses_uniform_weights():
 def test_adaboost_weights_renormalized_each_round():
     train = _toy(n=70, seed=4)
     model = fit_adaboost(train, AdaBoostParams(rounds=20))
-    assert len(model.weight_sums) == len(model.stumps)
-    for s in model.weight_sums:
-        assert s == pytest.approx(1.0, abs=1e-12)
+    # each epsilon is its stump's error under weights that sum to 1: replay
+    # the weights from the stumps and alphas, normalising only here
+    w = np.ones(train.n_records)
+    for stump, alpha, eps in zip(model.stumps, model.alphas, model.epsilons):
+        miss = predict_many(stump, train.features) != train.labels
+        assert eps == pytest.approx(w[miss].sum() / w.sum(), abs=1e-12)
+        w *= np.exp(np.where(miss, alpha, -alpha))
 
 
 def test_adaboost_training_error_bound():

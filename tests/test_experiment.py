@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import builtins
 import hashlib
+import importlib.util
 import json
 import math
 import multiprocessing
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 
 import pdvox
-from conftest import SYNTHETIC_CSV, make_dataset
+from conftest import REPO_ROOT, SYNTHETIC_CSV, make_dataset
 from pdvox import experiment
 from pdvox.dataset import CANONICAL_FEATURES, Dataset, load_dataset, write_dataset_csv
 from pdvox.cli import main
@@ -735,3 +736,19 @@ def test_stage_prefix_on_validation_errors(tmp_path):
     write_dataset_csv(data, path)
     with pytest.raises(Exception, match="resample|split"):
         run_experiment(_fast_config(path, model="adaboost", smote="before"))
+
+
+def test_seed_sweep_table_has_a_column_per_metric_and_a_row_per_model(csv_path, capsys):
+    path = REPO_ROOT / "scripts" / "run_seed_sweep.py"
+    spec = importlib.util.spec_from_file_location("run_seed_sweep", path)
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    assert sweep.main(["--data", str(csv_path), "--seeds", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "medians over 1 seeds (42..42), smote=after"
+    assert lines[1] == "model          accuracy  sensitivity  specificity    auc     f1"
+    rows = [line.split() for line in lines[2:-2]]
+    assert [row[0] for row in rows] == list(MODEL_NAMES)
+    assert all(len(row) == 6 for row in rows)
+    assert lines[-2].startswith("per-seed compare time: ")
+    assert lines[-1].startswith("structured reports sha256: ")

@@ -1,12 +1,19 @@
 """Every frozen value owns its arrays: it holds read-only copies, and the
-arrays its caller passed in stay the caller's, writeable and unchanged."""
+arrays its caller passed in stay the caller's, writeable and unchanged.
+The arrays stay read-only through pickling, and so through the worker
+processes that fit models."""
 
 from __future__ import annotations
+
+import os
+import pickle
 
 import numpy as np
 import pytest
 
-from pdvox.dataset import Dataset
+from conftest import SYNTHETIC_CSV
+from pdvox import experiment
+from pdvox.dataset import Dataset, load_dataset, stratified_split
 from pdvox.errors import frozen
 from pdvox.metrics import RocCurve
 from pdvox.svm import Standardizer, SvmModel
@@ -87,3 +94,33 @@ def test_frozen_shares_only_an_array_that_is_already_frozen():
     read_only_view = a.view()
     read_only_view.flags.writeable = False  # a's writes would still reach it
     assert not np.shares_memory(frozen(read_only_view), a)
+
+
+@pytest.mark.parametrize("protocol", range(2, pickle.HIGHEST_PROTOCOL + 1))
+@pytest.mark.parametrize("cls", VALUES, ids=lambda cls: cls.__name__)
+def test_frozen_values_stay_frozen_through_pickling(cls, protocol):
+    # unpickling skips __post_init__, and numpy restores an array writeable
+    make, others = VALUES[cls]
+    value = cls(**make(), **others)
+    restored = pickle.loads(pickle.dumps(value, protocol))
+    for name in make():
+        held, got = _arrays(getattr(value, name)), _arrays(getattr(restored, name))
+        assert len(got) == len(held)
+        for arr, kept in zip(held, got):
+            np.testing.assert_array_equal(kept, arr)
+            assert kept.dtype == arr.dtype, name
+            assert not kept.flags.writeable, name
+
+
+def test_models_fitted_in_workers_hold_frozen_arrays(monkeypatch):
+    # two CPUs send both fits to worker processes, which pickle the models
+    # back to this one
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    train, _ = stratified_split(load_dataset(SYNTHETIC_CSV), 0.2, 42)
+    cfg = experiment.RunConfig(data=str(SYNTHETIC_CSV))
+    (ada, _), (svm, _) = experiment._fit_all(("adaboost", "svm"), cfg, train)
+    arrays = [svm.support_vectors, svm.dual_coef, svm.standardizer.means,
+              svm.standardizer.stds, svm.standardizer.constant]
+    for stump in ada.stumps:
+        arrays += [stump.feature, stump.threshold, stump.left, stump.right, stump.value]
+    assert not any(arr.flags.writeable for arr in arrays)
