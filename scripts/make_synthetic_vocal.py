@@ -12,6 +12,32 @@ The rows are sampled, not copied: nothing here reproduces a real
 recording. Use scripts/fetch_uci_parkinsons.py for the real table; this
 generator exists so the test-suite and CLI have a realistic file when
 the network is unavailable.
+
+Every byte of its output is pinned: by the committed file (seed 20270),
+by a test over seeds 0-99, and by the benchmark's table digests. The
+draws are made one take at a time, in a fixed order: per subject
+``normal`` for the base pitch and the gain, then five for the quirks;
+per take ``standard_normal(4)`` (severity and roughness wobble, pitch,
+the Fhi spread), ``random(2)`` (the Fhi and Flo spans) and
+``standard_normal(18)`` (the Flo spread, then one term per measure).
+The features are then computed for all takes at once. Each value has
+the bits that one ``rng.normal`` or ``rng.random`` call per draw and
+Python float arithmetic per value would give:
+
+- ``rng.normal(0.0, sigma)`` is ``0.0 + sigma * z`` in numpy, and adding
+  0.0 to a nonzero product is exact (also when the sum is contracted
+  into an FMA), so such a draw is written ``sigma * z``, and
+  ``abs(rng.normal())`` is ``abs(z)``. Draws with a nonzero mean keep
+  ``rng.normal``, where an FMA could make ``mu + sigma * z`` differ.
+- numpy's elementwise ``+ - * /``, ``abs``, ``minimum`` and ``maximum``
+  are the IEEE operations Python's floats use, applied in the same
+  order; ``np.exp`` runs the same loop on an array as on one value
+  (the seed pin in the tests would show a difference).
+  ``np.clip`` against per-column bounds equals ``min(max(v, lo), hi)``
+  on each finite value.
+- Rounding is Python's ``round(v, d)`` on each cell, computed exactly
+  without a call per cell (:func:`_round_cells`). ``np.round`` would
+  give other bits.
 """
 
 from __future__ import annotations
@@ -59,6 +85,7 @@ COLUMNS = {
     "D2": (1.4233, 3.6712, 6),
     "PPE": (0.0445, 0.5274, 6),
 }
+_LOWER, _UPPER, _DECIMALS = (list(col) for col in zip(*COLUMNS.values()))
 
 
 def _severities(rng: np.random.Generator):
@@ -79,89 +106,82 @@ def _severities(rng: np.random.Generator):
     return healthy, pd
 
 
-def _clip(value, lo, hi) -> float:
-    """``np.clip`` of one value, on Python floats: the same value at a
-    fraction of the cost of a numpy call per cell."""
-    return float(min(max(value, lo), hi))
+#: log of the jitter, shimmer and NHR at zero roughness and zero noise
+LOG_JITTER, LOG_SHIMMER, LOG_NHR = np.log(0.0031), np.log(0.018), np.log(0.011)
+_SCALES = np.array([float(10**d) for d in _DECIMALS])  # exact powers of ten
 
 
-def _take_rows(rng, subject_id, severity, n_takes, label, base_pitch, gain, quirk):
-    rows = []
-    for take in range(n_takes):
-        # per-take state: severity wobbles, and one shared "roughness"
-        # factor couples the jitter/shimmer/noise families. ``gain`` is a
-        # label-independent per-subject recording factor (microphone
-        # distance, loudness) scaling the amplitude-derived measures.
-        s = _clip(severity + rng.normal(0.0, 0.07), 0.0, 1.0)
-        rough = _clip(s + rng.normal(0.0, 0.085), 0.0, 1.2)
+def _round_cells(values: np.ndarray) -> np.ndarray:
+    """``round(v, d)`` of each cell, ``d`` its column's decimals, bit for bit.
 
-        fo = base_pitch + rng.normal(0.0, 6.0)
-        fhi = fo * (1.08 + 0.14 * abs(rng.normal()) + 0.5 * rough * rng.random())
-        flo = fo * (1.0 - 0.08 - 0.26 * rough * rng.random() - 0.07 * abs(rng.normal()))
+    Python's ``round`` returns the float nearest to ``q / 10**d``, where
+    ``q`` is the integer nearest to the exact ``v * 10**d`` (ties to
+    even). ``np.rint`` of the float product gives that ``q`` unless the
+    exact product lies within the product's rounding error of a half;
+    dividing ``q`` by the exact ``10**d`` is then one correctly rounded
+    division. The clip bounds keep every ``|v * 10**d|`` under 1e7, where
+    that error is below 1e-9, so the cells within 1e-6 of a half are left
+    to Python's ``round``.
+    """
+    scaled = values * _SCALES
+    out = np.rint(scaled) / _SCALES
+    near_half = np.abs(np.abs(scaled - np.trunc(scaled)) - 0.5) < 1e-6
+    for i, j in zip(*np.nonzero(near_half)):
+        out[i, j] = round(float(values[i, j]), _DECIMALS[j])
+    return out
 
-        jitter = float(np.exp(np.log(0.0031) + 1.35 * rough + rng.normal(0.0, 0.36)))
-        jabs = jitter / fo * (1.0 + rng.normal(0.0, 0.10))
-        rap = jitter * (0.52 + rng.normal(0.0, 0.06))
-        ppq = jitter * (0.55 + 0.12 * rough + rng.normal(0.0, 0.09))
-        ddp = 3.0 * rap
 
-        shimmer = gain * float(
-            np.exp(np.log(0.018) + 0.55 * rough + rng.normal(0.0, 0.34))
-        )
-        sdb = shimmer * (9.3 + rng.normal(0.0, 0.8))
-        apq3 = shimmer * (0.52 + rng.normal(0.0, 0.05))
-        apq5 = shimmer * (0.63 + rng.normal(0.0, 0.06))
-        apq = shimmer * (0.72 + 0.5 * rough + rng.normal(0.0, 0.10))
-        dda = 3.0 * apq3
+def _features(severity, base_pitch, gain, quirk, z, u, e):
+    """Raw (unclipped, unrounded) features of n takes, an (n, 22) array
+    in COLUMNS order. ``severity``, ``base_pitch`` and ``gain`` hold each
+    take's subject value; ``quirk`` (5 rows) and the draws ``z`` (4),
+    ``u`` (2) and ``e`` (18) hold one row per draw, one column per take."""
+    # per-take state: severity wobbles, and one shared "roughness" factor
+    # couples the jitter/shimmer/noise families. ``gain`` is a
+    # label-independent per-subject recording factor (microphone
+    # distance, loudness) scaling the amplitude-derived measures.
+    s = np.minimum(np.maximum(severity + 0.07 * z[0], 0.0), 1.0)
+    rough = np.minimum(np.maximum(s + 0.085 * z[1], 0.0), 1.2)
 
-        nhr = gain * float(np.exp(np.log(0.011) + 1.9 * rough + rng.normal(0.0, 0.60)))
-        hnr = (
-            25.0
-            - 3.0 * rough
-            - 11.0 * max(0.0, rough - 0.42)
-            - 4.5 * (gain - 1.0)
-            + rng.normal(0.0, 1.9)
-        )
+    fo = base_pitch + 6.0 * z[2]
+    fhi = fo * (1.08 + 0.14 * np.abs(z[3]) + 0.5 * rough * u[0])
+    flo = fo * (1.0 - 0.08 - 0.26 * rough * u[1] - 0.07 * np.abs(e[0]))
 
-        rpde = 0.42 + 0.10 * s + quirk[0] + rng.normal(0.0, 0.06)
-        # weakly and non-monotonically related, like the real measure
-        dfa = 0.66 + 0.22 * s * (1.0 - s) + quirk[1] + rng.normal(0.0, 0.05)
-        spread1 = -6.6 + 2.4 * s + quirk[2] + rng.normal(0.0, 0.55)
-        spread2 = 0.17 + 0.06 * s + quirk[3] + rng.normal(0.0, 0.055)
-        d2 = 2.2 + 0.25 * s + quirk[4] + rng.normal(0.0, 0.3)
-        gate = 1.0 / (1.0 + np.exp(-(s - 0.40) / 0.045))
-        ppe = 0.105 + 0.07 * s + 0.16 * gate + rng.normal(0.0, 0.04)
+    jitter = np.exp(LOG_JITTER + 1.35 * rough + 0.36 * e[1])
+    jabs = jitter / fo * (1.0 + 0.10 * e[2])
+    rap = jitter * (0.52 + 0.06 * e[3])
+    ppq = jitter * (0.55 + 0.12 * rough + 0.09 * e[4])
+    ddp = 3.0 * rap
 
-        raw = {
-            "MDVP:Fo(Hz)": fo,
-            "MDVP:Fhi(Hz)": fhi,
-            "MDVP:Flo(Hz)": flo,
-            "MDVP:Jitter(%)": jitter,
-            "MDVP:Jitter(Abs)": jabs,
-            "MDVP:RAP": rap,
-            "MDVP:PPQ": ppq,
-            "Jitter:DDP": ddp,
-            "MDVP:Shimmer": shimmer,
-            "MDVP:Shimmer(dB)": sdb,
-            "Shimmer:APQ3": apq3,
-            "Shimmer:APQ5": apq5,
-            "MDVP:APQ": apq,
-            "Shimmer:DDA": dda,
-            "NHR": nhr,
-            "HNR": hnr,
-            "RPDE": rpde,
-            "DFA": dfa,
-            "spread1": spread1,
-            "spread2": spread2,
-            "D2": d2,
-            "PPE": ppe,
-        }
-        values = [
-            round(_clip(raw[name], lo, hi), decimals)
-            for name, (lo, hi, decimals) in COLUMNS.items()
-        ]
-        rows.append((f"synvoice_S{subject_id:02d}_{take + 1}", values, label))
-    return rows
+    shimmer = gain * np.exp(LOG_SHIMMER + 0.55 * rough + 0.34 * e[5])
+    sdb = shimmer * (9.3 + 0.8 * e[6])
+    apq3 = shimmer * (0.52 + 0.05 * e[7])
+    apq5 = shimmer * (0.63 + 0.06 * e[8])
+    apq = shimmer * (0.72 + 0.5 * rough + 0.10 * e[9])
+    dda = 3.0 * apq3
+
+    nhr = gain * np.exp(LOG_NHR + 1.9 * rough + 0.60 * e[10])
+    hnr = (
+        25.0
+        - 3.0 * rough
+        - 11.0 * np.maximum(0.0, rough - 0.42)
+        - 4.5 * (gain - 1.0)
+        + 1.9 * e[11]
+    )
+
+    rpde = 0.42 + 0.10 * s + quirk[0] + 0.06 * e[12]
+    # weakly and non-monotonically related, like the real measure
+    dfa = 0.66 + 0.22 * s * (1.0 - s) + quirk[1] + 0.05 * e[13]
+    spread1 = -6.6 + 2.4 * s + quirk[2] + 0.55 * e[14]
+    spread2 = 0.17 + 0.06 * s + quirk[3] + 0.055 * e[15]
+    d2 = 2.2 + 0.25 * s + quirk[4] + 0.3 * e[16]
+    gate = 1.0 / (1.0 + np.exp(-(s - 0.40) / 0.045))
+    ppe = 0.105 + 0.07 * s + 0.16 * gate + 0.04 * e[17]
+
+    return np.column_stack([
+        fo, fhi, flo, jitter, jabs, rap, ppq, ddp, shimmer, sdb, apq3,
+        apq5, apq, dda, nhr, hnr, rpde, dfa, spread1, spread2, d2, ppe,
+    ])
 
 
 def generate(seed: int) -> Dataset:
@@ -170,10 +190,15 @@ def generate(seed: int) -> Dataset:
     extra = set(
         rng.choice(PD_SUBJECTS, size=PD_EXTRA_TAKES, replace=False).tolist()
     )
-    def subject_nuisance():
+    ids, labels, subjects, takes = [], [], [], []
+    z, u, e = [], [], []
+    for sid, sev in enumerate(healthy_sev.tolist() + pd_sev.tolist()):
+        pd_index = sid - HEALTHY_SUBJECTS  # negative for a healthy subject
+        n_takes = TAKES_HEALTHY + int(pd_index in extra)
+        base_pitch = rng.normal(167.0, 34.0)
         # label-independent per-subject idiosyncrasies: recording gain
         # plus offsets in the nonlinear measures
-        gain = _clip(rng.normal(1.0, 0.28), 0.5, 1.8)
+        gain = min(max(rng.normal(1.0, 0.28), 0.5), 1.8)
         quirk = (
             rng.normal(0.0, 0.035),   # RPDE
             rng.normal(0.0, 0.03),    # DFA
@@ -181,29 +206,24 @@ def generate(seed: int) -> Dataset:
             rng.normal(0.0, 0.035),   # spread2
             rng.normal(0.0, 0.22),    # D2
         )
-        return gain, quirk
+        for _ in range(n_takes):
+            z.append(rng.standard_normal(4))
+            u.append(rng.random(2))
+            e.append(rng.standard_normal(18))
+        subjects.append((sev, base_pitch, gain, *quirk))
+        takes.append(n_takes)
+        ids.extend(f"synvoice_S{sid:02d}_{take + 1}" for take in range(n_takes))
+        labels.extend([int(pd_index >= 0)] * n_takes)
 
-    rows = []
-    sid = 0
-    for sev in healthy_sev:
-        base_pitch = rng.normal(167.0, 34.0)
-        gain, quirk = subject_nuisance()
-        rows.extend(
-            _take_rows(rng, sid, sev, TAKES_HEALTHY, 0, base_pitch, gain, quirk)
-        )
-        sid += 1
-    for k, sev in enumerate(pd_sev):
-        base_pitch = rng.normal(167.0, 34.0)
-        gain, quirk = subject_nuisance()
-        n_takes = TAKES_HEALTHY + (1 if k in extra else 0)
-        rows.extend(_take_rows(rng, sid, sev, n_takes, 1, base_pitch, gain, quirk))
-        sid += 1
-
-    ids = tuple(r[0] for r in rows)
-    features = np.array([r[1] for r in rows], dtype=np.float64)
-    labels = np.array([r[2] for r in rows], dtype=np.int64)
+    severity, base_pitch, gain, *quirk = np.repeat(subjects, takes, axis=0).T
+    raw = _features(
+        severity, base_pitch, gain, quirk, np.array(z).T, np.array(u).T, np.array(e).T
+    )
     return Dataset(
-        ids=ids, features=features, labels=labels, feature_names=CANONICAL_FEATURES
+        ids=tuple(ids),
+        features=_round_cells(np.clip(raw, _LOWER, _UPPER)),
+        labels=np.array(labels, dtype=np.int64),
+        feature_names=CANONICAL_FEATURES,
     )
 
 

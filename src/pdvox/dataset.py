@@ -154,10 +154,12 @@ def load_dataset(path, content: bytes | None = None) -> Dataset:
 
     The header must match :data:`CANONICAL_HEADER` exactly; the first
     mismatched column name is reported, and a leading UTF-8 byte-order
-    mark is named as such. Feature cells must parse as finite numbers and
-    ``status`` must be 0 or 1. Bytes that are not UTF-8, and records the
-    CSV reader rejects (such as a cell over its field size limit), fail as
-    a SchemaError. Every error names the file; an error in a record or a
+    mark is named as such. Feature cells must parse as finite numbers,
+    ``status`` must be 0 or 1, and no two records may share an id (a
+    repeated recording could land on both sides of a split); a repeat
+    names both lines. Bytes that are not UTF-8, and records the CSV
+    reader rejects (such as a cell over its field size limit), fail as a
+    SchemaError. Every error names the file; an error in a record or a
     byte also gives the 1-based file line it starts on, counting line
     breaks as the CSV reader does (LF, CR LF or a lone CR). ``content``
     is the file's bytes when the caller has already read them; ``path``
@@ -191,7 +193,7 @@ def load_dataset(path, content: bytes | None = None) -> Dataset:
                 f"{path}: header mismatch at position {pos}: expected "
                 f"{expected!r}, found {actual!r}"
             )
-    ids: list[str] = []
+    id_lines: dict[str, int] = {}  # each id's line, in file order
     rows: list[list[float]] = []
     labels: list[int] = []
     for line_no, row in records:
@@ -202,7 +204,11 @@ def load_dataset(path, content: bytes | None = None) -> Dataset:
                 f"{path}: line {line_no}: expected {len(CANONICAL_HEADER)} fields, "
                 f"got {len(row)}"
             )
-        ids.append(row[0])
+        first = id_lines.setdefault(row[0], line_no)
+        if first != line_no:
+            raise ValidationError(
+                f"{path}: line {line_no}: id {row[0]!r} repeats the record on line {first}"
+            )
         labels.append(_parse_status(row[_STATUS_POS], path, line_no))
         values = []
         for pos, token in enumerate(row):
@@ -225,33 +231,38 @@ def load_dataset(path, content: bytes | None = None) -> Dataset:
     if not rows:
         raise ValidationError(f"{path}: no data rows")
     return Dataset(
-        ids=tuple(ids),
+        ids=tuple(id_lines),
         features=np.array(rows, dtype=np.float64),
         labels=np.array(labels, dtype=np.int64),
         feature_names=CANONICAL_FEATURES,
     )
 
 
-def _format_value(value: float) -> str:
-    """Shortest decimal text that parses back to the same float."""
-    if value == int(value) and abs(value) < 1e16:
-        return str(int(value))
-    return repr(float(value))
-
-
 def write_dataset_csv(data: Dataset, path) -> None:
-    """Write ``data`` in the canonical 24-column layout, value-exact."""
+    """Write ``data`` in the canonical 24-column layout, value-exact.
+
+    Each feature is written as the shortest text that parses back to the
+    same float (its ``repr``), except that an integral value below 1e16
+    drops the ``.0`` (``3``, not ``3.0``). Negative zero keeps it: it is
+    written ``-0.0``, so it loads back with its sign.
+    """
     if data.feature_names != CANONICAL_FEATURES:
         raise SchemaError("CSV writer requires the canonical 22-feature schema")
+    X = data.features
+    rows = X.tolist()
+    # the csv writer writes a float as its repr and an int as its digits,
+    # so integral values go to it as ints (-0.0 stays a float, for its sign)
+    integral = (X == np.trunc(X)) & (np.abs(X) < 1e16) & ~((X == 0) & np.signbit(X))
+    for i, j in zip(*np.nonzero(integral)):
+        rows[i][j] = int(rows[i][j])
+    head = _STATUS_POS - 1  # feature columns left of ``status``
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(CANONICAL_HEADER)
-        for i in range(data.n_records):
-            row = [data.ids[i]]
-            row.extend(_format_value(v) for v in data.features[i, :_STATUS_POS - 1])
-            row.append(str(int(data.labels[i])))
-            row.extend(_format_value(v) for v in data.features[i, _STATUS_POS - 1 :])
-            writer.writerow(row)
+        writer.writerows(
+            [name, *row[:head], label, *row[head:]]
+            for name, row, label in zip(data.ids, rows, data.labels.tolist())
+        )
 
 
 def correlation_matrix(data: Dataset) -> np.ndarray:

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
 import importlib.util
 import statistics
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -116,8 +117,8 @@ def test_load_extra_column_rejected(tmp_path):
 
 def test_load_bad_status_and_bad_cell_carry_line_numbers(tmp_path):
     path = tmp_path / "bad_status.csv"
-    write_rows(path, CANONICAL_HEADER, [sample_row(), sample_row(status="2")])
-    with pytest.raises(ValidationError, match="line 3"):
+    write_rows(path, CANONICAL_HEADER, [sample_row(), sample_row("rec-2", status="2")])
+    with pytest.raises(ValidationError, match="line 3: status"):
         load_dataset(path)
 
     path2 = tmp_path / "bad_cell.csv"
@@ -126,6 +127,16 @@ def test_load_bad_status_and_bad_cell_carry_line_numbers(tmp_path):
     write_rows(path2, CANONICAL_HEADER, [row])
     with pytest.raises(ValidationError, match="line 2.*MDVP:Flo"):
         load_dataset(path2)
+
+
+def test_load_rejects_a_repeated_id_naming_both_lines(tmp_path):
+    path = tmp_path / "repeat.csv"
+    rows = [sample_row("a"), sample_row("b"), sample_row("c"), sample_row("b", "0")]
+    write_rows(path, CANONICAL_HEADER, rows)
+    with pytest.raises(
+        ValidationError, match=r"line 5: id 'b' repeats the record on line 3$"
+    ):
+        load_dataset(path)
 
 
 def test_load_accepts_numeric_status_spellings(tmp_path):
@@ -279,45 +290,96 @@ def test_load_fuzzed_csv_fails_only_with_toolkit_errors(content):
         assert data.n_records >= 1
 
 
-@settings(max_examples=25, deadline=None)
+#: Finite floats the writer must not bend: both zeros, integral values on
+#: either side of 1e16 (where it stops writing integer digits), the
+#: smallest normal and subnormals.
+EDGE_FLOATS = (
+    0.0, -0.0, 1e16, -1e16, 1e16 - 2, 1e16 + 2, 2.0**53 + 2,
+    2.2250738585072014e-308, 5e-324, -4.9e-322,
+)
+
+
+@settings(max_examples=50, deadline=None)
 @given(
     hnp.arrays(
         np.float64,
         st.tuples(st.integers(1, 8), st.just(22)),
-        elements=st.floats(
-            min_value=-1e12, max_value=1e12, allow_nan=False, allow_infinity=False
+        elements=st.one_of(
+            st.sampled_from(EDGE_FLOATS),
+            st.integers(-(10**17), 10**17).map(float),
+            st.floats(allow_nan=False, allow_infinity=False),
         ),
-    ),
-    st.data(),
-)
-def test_csv_roundtrip_is_bit_exact(tmp_path_factory, X, data):
-    labels = data.draw(
-        st.lists(st.integers(0, 1), min_size=X.shape[0], max_size=X.shape[0])
     )
+)
+@example(np.array([EDGE_FLOATS * 2 + EDGE_FLOATS[:2]]))
+def test_csv_roundtrip_is_bit_exact(tmp_path_factory, X):
     ds = Dataset(
         ids=tuple(f"id{i}" for i in range(X.shape[0])),
         features=X,
-        labels=np.array(labels),
+        labels=np.arange(X.shape[0]) % 2,
         feature_names=CANONICAL_FEATURES,
     )
     path = tmp_path_factory.mktemp("rt") / "round.csv"
     write_dataset_csv(ds, path)
     loaded = load_dataset(path)
     assert loaded.ids == ds.ids
-    assert np.array_equal(loaded.features, ds.features)
+    assert loaded.features.tobytes() == ds.features.tobytes()  # -0.0 keeps its sign
     assert np.array_equal(loaded.labels, ds.labels)
 
 
-def test_generator_reproduces_committed_file(tmp_path):
-    # every benchmark table and pinned digest comes from this generator;
-    # at its default seed it must write the committed file byte for byte
+@pytest.fixture(scope="module")
+def generator():
     path = REPO_ROOT / "scripts" / "make_synthetic_vocal.py"
     spec = importlib.util.spec_from_file_location("make_synthetic_vocal", path)
-    generator = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(generator)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_generator_reproduces_committed_file(tmp_path, generator):
+    # every benchmark table and pinned digest comes from this generator;
+    # at its default seed it must write the committed file byte for byte
     out = tmp_path / "synthetic_vocal.csv"
     assert generator.main(["--out", str(out)]) == 0
     assert out.read_bytes() == SYNTHETIC_CSV.read_bytes()
+
+
+def test_generator_rounding_matches_python_round(generator):
+    # _round_cells is the generator's exact stand-in for round(v, d) per
+    # cell: uniform cells within the clip bounds, and cells a few ulps
+    # from a rounding half, where the float product can mislead np.rint
+    rng = np.random.default_rng(11)
+    lower, upper = np.array(generator._LOWER), np.array(generator._UPPER)
+    uniform = lower + (upper - lower) * rng.random((3000, 22))
+    scale = generator._SCALES
+    halves = (np.floor(uniform * scale) + 0.5) / scale
+    nudged = halves + rng.integers(-3, 4, halves.shape) * np.spacing(halves)
+    for values in (uniform, np.clip(nudged, lower, upper)):
+        expected = [
+            [round(v, d) for v, d in zip(row, generator._DECIMALS)]
+            for row in values.tolist()
+        ]
+        got = generator._round_cells(values)
+        assert got.tobytes() == np.array(expected).tobytes()
+
+
+#: SHA-256 over generate(s) for seeds 0-99: each table's ids (joined by
+#: newlines), its features as little-endian float64 and its labels as
+#: little-endian int64. Recorded on a generator that made one numpy call per
+#: draw and rounded each cell with Python's round.
+GENERATOR_SEEDS_DIGEST = "e401f89c1faa2e04e9ea954b0939f34958ad4696057cd2ba48a2d36ab7ba76e3"
+
+
+def test_generator_output_is_pinned_over_seeds(generator):
+    # the committed file pins one seed; this pins the generator's every
+    # draw, clip and rounding over a hundred more
+    digest = hashlib.sha256()
+    for seed in range(100):
+        data = generator.generate(seed)
+        digest.update("\n".join(data.ids).encode())
+        digest.update(data.features.astype("<f8").tobytes())
+        digest.update(data.labels.astype("<i8").tobytes())
+    assert digest.hexdigest() == GENERATOR_SEEDS_DIGEST
 
 
 # -------------------------------------------------------------- correlation
