@@ -1,21 +1,24 @@
 """Tree ensembles: two gradient-boosting variants, AdaBoost, and bagging.
 
-All four learners consume a :class:`~pdvox.dataset.Dataset` and produce an
-immutable model that :func:`ensemble_scores` turns into one real-valued
-score per row, so every model feeds the same threshold and ROC machinery.
+All four learners consume a :class:`~pdvox.dataset.Dataset` and return one
+model type, the additive :class:`TreeSum`, which :func:`ensemble_scores`
+turns into one real-valued score per row, (base + Σ w_t·tree_t(X)) /
+divisor, so every model feeds the same threshold and ROC machinery.
 
 * GBDT — additive Newton trees on logistic-loss gradients; the leaf-wise
   variant grows best-gain-first to a leaf budget, the level-wise variant
-  grows breadth-first to a depth limit.
+  grows breadth-first to a depth limit. The base is the training log-odds
+  and every weight the learning rate.
 * AdaBoost — weighted-error decision stumps with the classic half-log-odds
-  round weights.
-* Bagging — full CART trees on bootstrap resamples, majority vote.
+  round weights; each stump votes ±1.
+* Bagging — full CART trees on bootstrap resamples, weight 1 each, divided
+  by the number of trees: the fraction voting positive.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -101,28 +104,11 @@ class LevelwiseGbdtParams(GbdtParams):
 
 
 @dataclass(frozen=True)
-class GbdtModel:
-    base_score: float
-    trees: tuple[Tree, ...]
-    learning_rate: float
-    loss_trace: tuple[float, ...]  # entry 0 at base_score, then one per round
-    n_features: int
-
-
-@dataclass(frozen=True)
 class AdaBoostParams:
     rounds: int = 100
 
     def __post_init__(self):
         check_int_field(self, "rounds", 0)
-
-
-@dataclass(frozen=True)
-class AdaBoostModel:
-    stumps: tuple[Tree, ...]
-    alphas: tuple[float, ...]
-    epsilons: tuple[float, ...]  # weighted error of each kept stump
-    n_features: int
 
 
 @dataclass(frozen=True)
@@ -136,12 +122,26 @@ class BaggingParams:
 
 
 @dataclass(frozen=True)
-class BaggingModel:
+class TreeSum:
+    """An additive tree model: a row scores (base + Σ w_t·tree_t(x)) /
+    divisor. ``trace`` holds the fit's diagnostics: GBDT's training loss
+    (entry 0 at the base, then one per round) or AdaBoost's weighted error
+    of each kept stump; bagging records none."""
+
+    base: float
+    weights: tuple[float, ...]
     trees: tuple[Tree, ...]
+    divisor: float
     n_features: int
+    trace: tuple[float, ...] = ()
+
+    @property
+    def stumps(self) -> tuple[Tree, ...]:
+        """The trees, under the name the benchmark's AdaBoost counter reads."""
+        return self.trees
 
 
-def fit_gbdt(train: Dataset, params: GbdtParams = LeafwiseGbdtParams()) -> GbdtModel:
+def fit_gbdt(train: Dataset, params: GbdtParams = LeafwiseGbdtParams()) -> TreeSum:
     """Boost Newton trees on the logistic loss.
 
     The initial score is the training log-odds ln(n1/n0); each round fits
@@ -169,23 +169,19 @@ def fit_gbdt(train: Dataset, params: GbdtParams = LeafwiseGbdtParams()) -> GbdtM
         margins += params.learning_rate * predict_many(tree, X)
         trees.append(tree)
         trace.append(_log_loss(margins, y))
-    return GbdtModel(
-        base_score=base,
-        trees=tuple(trees),
-        learning_rate=params.learning_rate,
-        loss_trace=tuple(trace),
-        n_features=train.n_features,
-    )
+    return TreeSum(base, (params.learning_rate,) * len(trees), tuple(trees), 1.0,
+                   train.n_features, tuple(trace))
 
 
-def fit_adaboost(train: Dataset, params: AdaBoostParams = AdaBoostParams()) -> AdaBoostModel:
+def fit_adaboost(train: Dataset, params: AdaBoostParams = AdaBoostParams()) -> TreeSum:
     """Boost depth-1 gini stumps with exponential weight updates.
 
     Round weights start uniform. A stump with weighted error eps_t >= 0.5
     is discarded and boosting stops; a perfect stump (eps_t = 0) is kept
     with a capped weight and boosting stops; otherwise alpha_t =
     0.5 ln((1-eps)/eps), misclassified rows are up-weighted by e^alpha,
-    the rest down-weighted, and weights renormalize to sum 1.
+    the rest down-weighted, and weights renormalize to sum 1. The kept
+    stumps' 0/1 gini leaves become -1/+1 votes on return.
     """
     require_both_classes(train, "adaboost")
     X = train.features
@@ -212,17 +208,13 @@ def fit_adaboost(train: Dataset, params: AdaBoostParams = AdaBoostParams()) -> A
             break
         w *= np.exp(np.where(miss, alpha, -alpha))
         w /= w.sum()
-    return AdaBoostModel(
-        stumps=tuple(stumps),
-        alphas=tuple(alphas),
-        epsilons=tuple(epsilons),
-        n_features=train.n_features,
-    )
+    votes = tuple(replace(stump, value=2.0 * stump.value - 1.0) for stump in stumps)
+    return TreeSum(0.0, tuple(alphas), votes, 1.0, train.n_features, tuple(epsilons))
 
 
 def fit_bagging(
     train: Dataset, params: BaggingParams = BaggingParams(), seed: int = 0
-) -> BaggingModel:
+) -> TreeSum:
     """Fit gini CART trees on size-n bootstrap resamples.
 
     Tree t draws its sample from its own PRNG stream keyed by
@@ -241,28 +233,17 @@ def fit_bagging(
         gen = stream(seed, "bagging", t)
         idx = np.fromiter((gen.below(n) for _ in range(n)), dtype=np.int64, count=n)
         trees.append(fit_cart(take_rows(bins, idx), y[idx], ones, tree_params))
-    return BaggingModel(trees=tuple(trees), n_features=train.n_features)
+    return TreeSum(0.0, (1.0,) * len(trees), tuple(trees), float(params.n_trees), train.n_features)
 
 
-def ensemble_scores(model, X) -> np.ndarray:
-    """Score for every row of X: the GBDT margin, the AdaBoost weighted
-    stump vote, or bagging's fraction of trees voting positive."""
-    if isinstance(model, GbdtModel):
-        M = check_matrix(X, model.n_features)
-        scores = np.full(M.shape[0], model.base_score, dtype=np.float64)
-        for tree in model.trees:
-            scores += model.learning_rate * predict_many(tree, M)
-        return scores
-    if isinstance(model, AdaBoostModel):
-        M = check_matrix(X, model.n_features)
-        scores = np.zeros(M.shape[0], dtype=np.float64)
-        for alpha, stump in zip(model.alphas, model.stumps):
-            scores += alpha * (2.0 * predict_many(stump, M) - 1.0)
-        return scores
-    if isinstance(model, BaggingModel):
-        M = check_matrix(X, model.n_features)
-        votes = np.zeros(M.shape[0], dtype=np.float64)
-        for tree in model.trees:
-            votes += predict_many(tree, M)
-        return votes / len(model.trees)
-    raise ConfigError(f"unknown model type {type(model).__name__}")
+def ensemble_scores(model: TreeSum, X) -> np.ndarray:
+    """Score for every row of X: (base + Σ w_t·tree_t(X)) / divisor, in tree
+    order, so the GBDT margin, the AdaBoost weighted stump vote, or bagging's
+    fraction of trees voting positive."""
+    if not isinstance(model, TreeSum):
+        raise ConfigError(f"unknown model type {type(model).__name__}")
+    M = check_matrix(X, model.n_features)
+    scores = np.full(M.shape[0], model.base, dtype=np.float64)
+    for weight, tree in zip(model.weights, model.trees):
+        scores += weight * predict_many(tree, M)
+    return scores / model.divisor

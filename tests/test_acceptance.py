@@ -297,7 +297,7 @@ def test_gbdt_training_loss_never_increases():
                 learning_rate=float(rng.uniform(0.1, 0.5)),
                 min_samples_leaf=int(rng.integers(1, 6)),
             )
-            trace = np.array(fit_gbdt(train, params).loss_trace)
+            trace = np.array(fit_gbdt(train, params).trace)
             rises = np.diff(trace) > 1e-9
             assert not rises.any(), (
                 f"trial {trial} {variant.variant}: loss rose at rounds {np.nonzero(rises)[0]}"
@@ -344,7 +344,7 @@ def test_adaboost_round_invariants():
         if y.min() == y.max():
             y[0] = 1 - y[0]
         model = fit_adaboost(make_dataset(X, y), AdaBoostParams(rounds=15))
-        assert all(eps < 0.5 for eps in model.epsilons)
+        assert all(eps < 0.5 for eps in model.trace)
 
 
 def test_comparison_runs_are_byte_identical(data_path):

@@ -24,7 +24,8 @@ from pdvox.ensemble import (
     fit_gbdt,
 )
 from pdvox.errors import ConfigError, ValidationError
-from pdvox.tree import TreeParams, predict_many
+from pdvox.svm import SvmParams, fit_svm
+from pdvox.tree import TreeParams, build_bins, fit_cart, predict_many
 
 
 def _toy(n=60, d=4, seed=0, sep=1.6):
@@ -40,16 +41,16 @@ def _toy(n=60, d=4, seed=0, sep=1.6):
 def test_base_score_is_log_odds():
     train = make_dataset(np.zeros((195, 1)), np.array([1] * 147 + [0] * 48))
     model = fit_gbdt(train, LeafwiseGbdtParams(rounds=0))
-    assert model.base_score == pytest.approx(math.log(147 / 48))
+    assert model.base == pytest.approx(math.log(147 / 48))
     # a zero-round model scores every row at the training log-odds
-    assert np.array_equal(ensemble_scores(model, np.zeros((3, 1))), np.full(3, model.base_score))
+    assert np.array_equal(ensemble_scores(model, np.zeros((3, 1))), np.full(3, model.base))
 
 
 def test_rounds_zero_trace_has_single_entry():
     train = _toy()
     model = fit_gbdt(train, LeafwiseGbdtParams(rounds=0))
     assert len(model.trees) == 0
-    assert len(model.loss_trace) == 1
+    assert len(model.trace) == 1
 
 
 def test_first_tree_leaf_values_two_row_case():
@@ -60,7 +61,7 @@ def test_first_tree_leaf_values_two_row_case():
     model = fit_gbdt(
         train, LeafwiseGbdtParams(rounds=1, learning_rate=0.1, lam=1.0, min_samples_leaf=1)
     )
-    assert model.base_score == 0.0
+    assert model.base == 0.0
     tree = model.trees[0]
     left = walk_tree_naive(tree, np.array([0.0]))
     right = walk_tree_naive(tree, np.array([1.0]))
@@ -73,7 +74,7 @@ def test_first_tree_leaf_values_two_row_case():
 def test_loss_trace_non_increasing(params):
     train = _toy(n=90, seed=3)
     model = fit_gbdt(train, params(rounds=40))
-    trace = np.array(model.loss_trace)
+    trace = np.array(model.trace)
     assert len(trace) == 41
     assert np.all(np.diff(trace) <= 1e-9)
     assert trace[-1] < trace[0]
@@ -92,7 +93,7 @@ def test_variants_agree_at_stump_granularity():
     train = make_dataset(X, y)
     a = fit_gbdt(train, LeafwiseGbdtParams(rounds=8, max_leaves=2, min_samples_leaf=1))
     b = fit_gbdt(train, LevelwiseGbdtParams(rounds=8, max_depth=1, min_samples_leaf=1))
-    assert a.loss_trace == b.loss_trace
+    assert a.trace == b.trace
     Q = rng.normal(size=(50, 3))
     assert np.array_equal(ensemble_scores(a, Q), ensemble_scores(b, Q))
 
@@ -128,9 +129,9 @@ def test_gbdt_hand_walked_round():
     )
     y = train.labels.astype(np.float64)
     expected_loss = np.mean(np.logaddexp(0.0, np.where(y == 1, -margins, margins)))
-    assert model.loss_trace[1] == pytest.approx(expected_loss, abs=1e-12)
+    assert model.trace[1] == pytest.approx(expected_loss, abs=1e-12)
     base_loss = np.mean(np.logaddexp(0.0, np.where(y == 1, -base, base)))
-    assert model.loss_trace[0] == pytest.approx(base_loss, abs=1e-12)
+    assert model.trace[0] == pytest.approx(base_loss, abs=1e-12)
 
 
 def test_gbdt_single_class_rejected():
@@ -159,7 +160,7 @@ def test_gbdt_deterministic():
     train = _toy(seed=8)
     a = fit_gbdt(train, LeafwiseGbdtParams(rounds=10))
     b = fit_gbdt(train, LeafwiseGbdtParams(rounds=10))
-    assert a.loss_trace == b.loss_trace
+    assert a.trace == b.trace
     q = np.zeros((1, train.n_features))
     assert np.array_equal(ensemble_scores(a, q), ensemble_scores(b, q))
 
@@ -170,8 +171,8 @@ def test_gbdt_deterministic():
 def test_adaboost_alpha_formula():
     train = _toy(n=80, seed=2)
     model = fit_adaboost(train, AdaBoostParams(rounds=12))
-    assert len(model.alphas) == len(model.epsilons) == len(model.stumps)
-    for alpha, eps in zip(model.alphas, model.epsilons):
+    assert len(model.weights) == len(model.trace) == len(model.trees)
+    for alpha, eps in zip(model.weights, model.trace):
         assert 0.0 < eps < 0.5
         assert alpha == pytest.approx(0.5 * math.log((1 - eps) / (eps + 1e-10)))
 
@@ -183,8 +184,8 @@ def test_adaboost_first_round_uses_uniform_weights():
     train = make_dataset(X, y)
     model = fit_adaboost(train, AdaBoostParams(rounds=1))
     # best stump is x <= 3.5: pure left, one mistake right -> eps = 1/8
-    assert model.epsilons[0] == pytest.approx(0.125)
-    assert model.alphas[0] == pytest.approx(0.5 * math.log(7.0), abs=1e-12)
+    assert model.trace[0] == pytest.approx(0.125)
+    assert model.weights[0] == pytest.approx(0.5 * math.log(7.0), abs=1e-12)
 
 
 def test_adaboost_weights_renormalized_each_round():
@@ -193,8 +194,8 @@ def test_adaboost_weights_renormalized_each_round():
     # each epsilon is its stump's error under weights that sum to 1: replay
     # the weights from the stumps and alphas, normalising only here
     w = np.ones(train.n_records)
-    for stump, alpha, eps in zip(model.stumps, model.alphas, model.epsilons):
-        miss = predict_many(stump, train.features) != train.labels
+    for stump, alpha, eps in zip(model.trees, model.weights, model.trace):
+        miss = (predict_many(stump, train.features) > 0) != train.labels
         assert eps == pytest.approx(w[miss].sum() / w.sum(), abs=1e-12)
         w *= np.exp(np.where(miss, alpha, -alpha))
 
@@ -203,7 +204,7 @@ def test_adaboost_training_error_bound():
     # Freund–Schapire bound: train error <= prod 2*sqrt(eps(1-eps)).
     train = _toy(n=80, seed=6)
     model = fit_adaboost(train, AdaBoostParams(rounds=25))
-    bound = np.prod([2 * math.sqrt(e * (1 - e)) for e in model.epsilons])
+    bound = np.prod([2 * math.sqrt(e * (1 - e)) for e in model.trace])
     scores = ensemble_scores(model, train.features)
     train_err = np.mean((scores >= 0).astype(int) != train.labels)
     assert train_err <= bound + 1e-12
@@ -213,10 +214,10 @@ def test_adaboost_perfect_stump_stops_early():
     X = np.array([[0.0], [1.0], [2.0], [10.0], [11.0], [12.0]])
     y = np.array([0, 0, 0, 1, 1, 1])
     model = fit_adaboost(make_dataset(X, y), AdaBoostParams(rounds=50))
-    assert len(model.stumps) == 1
-    assert model.epsilons[0] == 0.0
+    assert len(model.trees) == 1
+    assert model.trace[0] == 0.0
     # capped alpha from the epsilon floor
-    assert model.alphas[0] == pytest.approx(0.5 * math.log(1.0 / 1e-10))
+    assert model.weights[0] == pytest.approx(0.5 * math.log(1.0 / 1e-10))
     scores = ensemble_scores(model, X)
     assert np.all((scores >= 0).astype(int) == y)
 
@@ -228,8 +229,8 @@ def test_adaboost_score_is_alpha_weighted_stump_vote():
     expected = []
     for x in train.features:
         total = 0.0
-        for alpha, stump in zip(model.alphas, model.stumps):
-            total += alpha * (2.0 * walk_tree_naive(stump, x) - 1.0)
+        for alpha, stump in zip(model.weights, model.trees):
+            total += alpha * walk_tree_naive(stump, x)
         expected.append(total)
     assert ensemble_scores(model, train.features).tolist() == expected
 
@@ -278,6 +279,79 @@ def test_bagging_deterministic_and_seed_sensitive():
     assert not np.array_equal(ensemble_scores(a, q), ensemble_scores(c, q))
 
 
+# ------------------------------------------------------------- TreeSum
+
+
+def test_gbdt_tree_sum_fields():
+    train = _toy(n=60, seed=15)
+    params = LeafwiseGbdtParams(rounds=6, learning_rate=0.3)
+    model = fit_gbdt(train, params)
+    assert len(model.trees) == 6
+    assert model.weights == (0.3,) * 6
+    assert model.divisor == 1.0
+    y = train.labels
+    base_loss = np.mean(np.logaddexp(0.0, np.where(y == 1, -model.base, model.base)))
+    assert model.trace[0] == pytest.approx(base_loss, abs=1e-12)
+    assert len(model.trace) == 7
+
+
+def test_adaboost_tree_sum_fields():
+    train = _toy(n=60, seed=16)
+    model = fit_adaboost(train, AdaBoostParams(rounds=6))
+    assert model.base == 0.0 and model.divisor == 1.0
+    assert len(model.trees) == len(model.weights) == len(model.trace) > 0
+    for stump in model.trees:
+        leaf = stump.feature < 0
+        assert set(stump.value[leaf].tolist()) <= {-1.0, 1.0}
+        assert np.all(np.isnan(stump.value[~leaf]))
+    # the weights are the alphas of the epsilons that the trace holds
+    assert model.weights == tuple(float(0.5 * np.log((1.0 - e) / e)) for e in model.trace)
+    # the first stump is the uniform-weight 0/1 gini stump, leaves mapped to -1/+1
+    first = fit_cart(build_bins(train.features), train.labels.astype(np.float64),
+                     np.full(train.n_records, 1.0 / train.n_records),
+                     TreeParams(objective="gini", max_depth=1))
+    np.testing.assert_array_equal(model.trees[0].value, 2.0 * first.value - 1.0)
+    np.testing.assert_array_equal(model.trees[0].threshold, first.threshold)
+
+
+def test_bagging_tree_sum_fields():
+    model = fit_bagging(_toy(n=40, seed=17), BaggingParams(n_trees=5), seed=2)
+    assert model.base == 0.0
+    assert model.weights == (1.0,) * 5
+    assert model.divisor == 5.0
+    assert model.trace == ()
+
+
+def test_tree_sum_scores_equal_each_learners_own_formula():
+    # each learner's score as it was written before the three shared one
+    # type: the GBDT margin, the AdaBoost +-alpha vote on 0/1 stumps, and
+    # bagging's vote sum divided last
+    train = _toy(n=60, seed=18)
+    X = _toy(n=25, seed=19).features
+    gbdt = fit_gbdt(train, LevelwiseGbdtParams(rounds=5, learning_rate=0.2))
+    margin = np.full(len(X), gbdt.base)
+    for tree in gbdt.trees:
+        margin += 0.2 * predict_many(tree, X)
+    assert ensemble_scores(gbdt, X).tolist() == margin.tolist()
+    ada = fit_adaboost(train, AdaBoostParams(rounds=5))
+    vote = np.zeros(len(X))
+    for alpha, stump in zip(ada.weights, ada.trees):
+        vote += alpha * (2.0 * (predict_many(stump, X) > 0) - 1.0)
+    assert ensemble_scores(ada, X).tolist() == vote.tolist()
+    bag = fit_bagging(train, BaggingParams(n_trees=7), seed=3)
+    votes = np.zeros(len(X))
+    for tree in bag.trees:
+        votes += predict_many(tree, X)
+    assert ensemble_scores(bag, X).tolist() == (votes / 7).tolist()
+
+
+def test_scores_reject_a_model_that_is_not_a_tree_sum():
+    train = _toy(n=30, d=3, seed=14)
+    model = fit_svm(train, SvmParams(max_passes=2))
+    with pytest.raises(ConfigError, match="unknown model type SvmModel"):
+        ensemble_scores(model, train.features)
+
+
 # ------------------------------------------------------------- plumbing
 
 
@@ -318,4 +392,4 @@ def test_gbdt_loss_trace_monotone_property(seed):
     y[0], y[1] = 0, 1
     train = make_dataset(X, y)
     model = fit_gbdt(train, LeafwiseGbdtParams(rounds=15))
-    assert np.all(np.diff(model.loss_trace) <= 1e-9)
+    assert np.all(np.diff(model.trace) <= 1e-9)

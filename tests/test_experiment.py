@@ -752,3 +752,38 @@ def test_seed_sweep_table_has_a_column_per_metric_and_a_row_per_model(csv_path, 
     assert all(len(row) == 6 for row in rows)
     assert lines[-2].startswith("per-seed compare time: ")
     assert lines[-1].startswith("structured reports sha256: ")
+
+
+def test_benchmark_count_hooks_read_what_the_package_returns(csv_path, monkeypatch):
+    # perfbench/tracer.py counts from the objects its wrapped calls return,
+    # one hook per LAYERS entry; a hook that reads a field a model no longer
+    # has would otherwise fail only in a traced benchmark run. The fits run
+    # in process, where the hooks see them.
+    spec = importlib.util.spec_from_file_location("tracer", REPO_ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    hooks = {counter.__name__ for *_, counter in tracer.LAYERS if counter is not None}
+    ran = set()
+
+    def seen(counter):
+        def hook(*args):
+            counter(*args)
+            ran.add(counter.__name__)
+        return hook
+
+    tracer.LAYERS = tuple((module, attr, name, counter and seen(counter))
+                          for module, attr, name, counter in tracer.LAYERS)
+    monkeypatch.setattr(experiment, "_workers", lambda n_fits: 0)
+    traced = tracer.Tracer()
+    traced.install()
+    try:
+        traced.begin_op(0)
+        run_experiment(_fast_config(csv_path))
+        traced.end_op()
+    finally:
+        traced.uninstall()
+    assert ran == hooks
+    counts = traced.counts[0]
+    assert counts["ensemble.gbdt_rounds"] == 16
+    assert 0 < counts["ensemble.adaboost_stumps"] <= 8
+    assert all(value > 0 for key, value in counts.items() if key != "svm.unconverged")

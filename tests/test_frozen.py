@@ -121,6 +121,6 @@ def test_models_fitted_in_workers_hold_frozen_arrays(monkeypatch):
     (ada, _), (svm, _) = experiment._fit_all(("adaboost", "svm"), cfg, train)
     arrays = [svm.support_vectors, svm.dual_coef, svm.standardizer.means,
               svm.standardizer.stds, svm.standardizer.constant]
-    for stump in ada.stumps:
+    for stump in ada.trees:
         arrays += [stump.feature, stump.threshold, stump.left, stump.right, stump.value]
     assert not any(arr.flags.writeable for arr in arrays)
