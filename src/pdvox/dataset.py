@@ -18,7 +18,7 @@ from itertools import zip_longest
 
 import numpy as np
 
-from .errors import FrozenArrays, SchemaError, ValidationError, check_float, check_matrix, frozen
+from .errors import FrozenArrays, SchemaError, ValidationError, check_float, check_matrix
 from .rng import stream
 
 CANONICAL_HEADER: tuple[str, ...] = (
@@ -56,7 +56,7 @@ CANONICAL_FEATURES: tuple[str, ...] = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset(FrozenArrays):
     """Immutable record table: ids, a features matrix, and binary labels.
 
@@ -65,6 +65,7 @@ class Dataset(FrozenArrays):
     column order and must match the matrix width.
     """
 
+    ARRAYS = {"features": None, "labels": None}
     ids: tuple[str, ...]
     features: np.ndarray
     labels: np.ndarray
@@ -82,10 +83,9 @@ class Dataset(FrozenArrays):
         bad = (labels != 0) & (labels != 1)
         if bad.any():
             raise ValidationError(f"labels must be 0 or 1; saw {labels[bad][0]}")
-        object.__setattr__(self, "ids", tuple(self.ids))
-        object.__setattr__(self, "feature_names", tuple(self.feature_names))
-        object.__setattr__(self, "features", frozen(features))
-        object.__setattr__(self, "labels", frozen(labels))
+        self.__dict__.update(ids=tuple(self.ids), feature_names=tuple(self.feature_names),
+                             features=features, labels=labels)
+        super().__post_init__()
 
     @property
     def n_records(self) -> int:

@@ -2,14 +2,17 @@
 raise them: settings, seeds (``rng.derive_key`` checks every one) and
 feature matrices. A rule about a whole table belongs to the function that
 makes the table, as the both-classes rule belongs to the split. Every
-array a frozen value holds passes :func:`frozen`, and stays frozen through
-pickling: every frozen value that holds arrays is a :class:`FrozenArrays`."""
+frozen value that holds arrays is a :class:`FrozenArrays`: each of its
+arrays passes :func:`frozen` and stays frozen through pickling, and two
+such values compare by value, NaN equal to NaN. They are unhashable. So a
+model fitted in a worker process equals the same fit in process."""
 
 from __future__ import annotations
 
 import math
 import numbers
 import operator
+from dataclasses import fields
 
 import numpy as np
 
@@ -60,10 +63,27 @@ def frozen(value, dtype=None) -> np.ndarray:
 
 
 class FrozenArrays:
-    """Base of every frozen value that holds arrays. Unpickling skips
-    ``__post_init__`` and numpy restores arrays writeable, so this makes
-    each one read-only again, a tuple field's too (``BinMap.cuts``), in
-    place: nothing but the restored value holds the arrays it restored."""
+    """Base of every frozen dataclass that holds arrays. ``ARRAYS``, a
+    class attribute left unannotated so that no report reads it as a
+    field, maps each array field to its dtype: None keeps the given one,
+    ``(dtype,)`` marks a tuple of arrays (``BinMap.cuts``). ``__post_init__``
+    passes each through :func:`frozen`. Unpickling skips it and numpy
+    restores arrays writeable, so ``__setstate__`` makes each read-only
+    again, in place (nothing else holds them). ``==`` compares the fields
+    in order: arrays with NaN equal to NaN (leaf thresholds are NaN),
+    tuples item by item, the rest by ``==``. Subclasses are ``eq=False``
+    (the dataclass ``==`` raises on arrays) and unhashable."""
+
+    def __post_init__(self):
+        for name, dtype in self.ARRAYS.items():
+            value = getattr(self, name)
+            object.__setattr__(self, name, tuple(frozen(v, dtype[0]) for v in value)
+                               if isinstance(dtype, tuple) else frozen(value, dtype))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
 
     def __setstate__(self, state):
         for value in state.values():
@@ -71,6 +91,13 @@ class FrozenArrays:
                 if isinstance(item, np.ndarray):
                     item.flags.writeable = False
         self.__dict__.update(state)
+
+
+def _equal(a, b) -> bool:
+    """One field of :meth:`FrozenArrays.__eq__`."""
+    if isinstance(a, tuple):
+        return isinstance(b, tuple) and len(a) == len(b) and all(map(_equal, a, b))
+    return np.array_equal(a, b, equal_nan=True) if isinstance(a, np.ndarray) else a == b
 
 
 def check_int(name: str, value, low: float = -math.inf, high: float = math.inf) -> int:

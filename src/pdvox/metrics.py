@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FrozenArrays, ValidationError, frozen
+from .errors import FrozenArrays, ValidationError
 
 
 @dataclass(frozen=True)
@@ -58,22 +58,10 @@ class RocCurve(FrozenArrays):
     scores collapse into a single step.
     """
 
+    ARRAYS = {"thresholds": np.float64, "fpr": np.float64, "tpr": np.float64}
     thresholds: np.ndarray
     fpr: np.ndarray
     tpr: np.ndarray
-
-    def __post_init__(self):
-        for name in ("thresholds", "fpr", "tpr"):
-            object.__setattr__(self, name, frozen(getattr(self, name), np.float64))
-
-    def __eq__(self, other):
-        if not isinstance(other, RocCurve):
-            return NotImplemented
-        return (
-            np.array_equal(self.thresholds, other.thresholds)
-            and np.array_equal(self.fpr, other.fpr)
-            and np.array_equal(self.tpr, other.tpr)
-        )
 
 
 def _as_scores_labels(scores, labels):
@@ -82,11 +70,11 @@ def _as_scores_labels(scores, labels):
     if s.ndim != 1 or y.ndim != 1:
         raise ValidationError("scores and labels must be 1-D")
     if s.shape[0] != y.shape[0]:
-        raise ValidationError(
-            f"length mismatch: {s.shape[0]} scores vs {y.shape[0]} labels"
-        )
+        raise ValidationError(f"length mismatch: {s.shape[0]} scores vs {y.shape[0]} labels")
     if s.shape[0] == 0:
         raise ValidationError("need at least one record")
+    if not np.isfinite(s).all():
+        raise ValidationError("scores must be finite (no NaN/inf)")
     if not np.isin(y, (0, 1)).all():
         raise ValidationError("labels must be 0 or 1")
     return s, y.astype(np.int64)
@@ -146,9 +134,7 @@ def roc_auc(scores, labels) -> tuple[RocCurve, float]:
     n_pos = int(np.sum(y == 1))
     n_neg = y.shape[0] - n_pos
     if n_pos == 0 or n_neg == 0:
-        raise ValidationError(
-            "AUC needs both classes present; got a single-class label set"
-        )
+        raise ValidationError("AUC needs both classes present; got a single-class label set")
     order = np.argsort(-s, kind="stable")
     s_sorted = s[order]
     y_sorted = y[order]

@@ -53,7 +53,6 @@ import numpy as np
 from .dataset import Dataset, require_both_classes
 from .errors import (
     ConfigError, FrozenArrays, ValidationError, check_float_field, check_int_field, check_matrix,
-    frozen,
 )
 
 #: Minimum multiplier movement for a step to count as progress.
@@ -90,7 +89,7 @@ class SvmParams:
         check_int_field(self, "max_passes", 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Standardizer(FrozenArrays):
     """Per-column z-score transform fitted on training rows only.
 
@@ -99,14 +98,10 @@ class Standardizer(FrozenArrays):
     1.0 stored in flagged slots so the transform stays division-safe.
     """
 
+    ARRAYS = {"means": np.float64, "stds": np.float64, "constant": bool}
     means: np.ndarray
     stds: np.ndarray
     constant: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "means", frozen(self.means, np.float64))
-        object.__setattr__(self, "stds", frozen(self.stds, np.float64))
-        object.__setattr__(self, "constant", frozen(self.constant, bool))
 
 
 def fit_standardizer(train: Dataset) -> Standardizer:
@@ -133,7 +128,7 @@ def transform_features(s: Standardizer, X: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SvmModel(FrozenArrays):
     """Fitted solver state plus diagnostics.
 
@@ -143,6 +138,7 @@ class SvmModel(FrozenArrays):
     dual objective after each accepted step, for auditing.
     """
 
+    ARRAYS = {"support_vectors": np.float64, "dual_coef": np.float64}
     support_vectors: np.ndarray
     dual_coef: np.ndarray
     bias: float
@@ -153,10 +149,6 @@ class SvmModel(FrozenArrays):
     sweeps: int
     converged: bool
     n_features: int
-
-    def __post_init__(self):
-        for name in ("support_vectors", "dual_coef"):
-            object.__setattr__(self, name, frozen(getattr(self, name), np.float64))
 
 
 def _kernel_matrix(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:

@@ -72,7 +72,7 @@ import numpy as np
 
 from .errors import (
     ConfigError, FrozenArrays, ValidationError, check_float_field, check_int, check_int_field,
-    check_matrix, frozen,
+    check_matrix,
 )
 
 #: Positive-gain floor: splits must clear this to be accepted, which keeps
@@ -88,7 +88,7 @@ MAX_BINS_LIMIT = 255
 PACKED_SEARCH_RATIO = 4
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BinMap(FrozenArrays):
     """Per-feature cut points plus the binned codes of a set of rows.
 
@@ -96,14 +96,10 @@ class BinMap(FrozenArrays):
     ``cuts`` and ``n_bins``, never the raw feature values.
     """
 
+    ARRAYS = {"cuts": (np.float64,), "codes": None, "n_bins": np.int64}
     cuts: tuple[np.ndarray, ...]
     codes: np.ndarray  # (n, d) uint8
     n_bins: np.ndarray  # (d,) int64
-
-    def __post_init__(self):
-        object.__setattr__(self, "cuts", tuple(frozen(c, np.float64) for c in self.cuts))
-        object.__setattr__(self, "codes", frozen(self.codes))
-        object.__setattr__(self, "n_bins", frozen(self.n_bins, np.int64))
 
 
 def build_bins(features, max_bins: int = MAX_BINS_LIMIT) -> BinMap:
@@ -169,7 +165,7 @@ class TreeParams:
         check_float_field(self, "gamma", ge=0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Tree(FrozenArrays):
     """Flat node arrays; node 0 is the root.
 
@@ -178,17 +174,14 @@ class Tree(FrozenArrays):
     ``value``.
     """
 
+    ARRAYS = {"feature": np.int32, "threshold": np.float64, "left": np.int32,
+              "right": np.int32, "value": np.float64}
     feature: np.ndarray
     threshold: np.ndarray
     left: np.ndarray
     right: np.ndarray
     value: np.ndarray
     n_features: int
-
-    def __post_init__(self):
-        for name, dtype in (("feature", np.int32), ("threshold", np.float64), ("left", np.int32),
-                            ("right", np.int32), ("value", np.float64)):
-            object.__setattr__(self, name, frozen(getattr(self, name), dtype))
 
     @property
     def n_nodes(self) -> int:

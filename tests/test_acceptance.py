@@ -150,6 +150,7 @@ def test_boosted_models_lead_svm_on_auc(seed_sweep):
     )
 
 
+@pytest.mark.blas_pinned
 def test_sweep_results_match_pinned_digests(seed_sweep):
     """Confusion counts and ROC arrays at seeds 42..51 are bit-identical to
     the pinned ones on the committed synthetic file."""
@@ -163,6 +164,7 @@ def test_sweep_results_match_pinned_digests(seed_sweep):
     assert not drifted, f"results drifted from the pinned digests: {drifted}"
 
 
+@pytest.mark.blas_pinned
 def test_sweep_reports_match_pinned_digest(seed_sweep):
     """The whole structured reports at seeds 42..51 (config, fingerprint,
     split accounting and results) are byte-identical to the pinned ones on

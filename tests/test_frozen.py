@@ -1,7 +1,8 @@
 """Every frozen value owns its arrays: it holds read-only copies, and the
 arrays its caller passed in stay the caller's, writeable and unchanged.
 The arrays stay read-only through pickling, and so through the worker
-processes that fit models."""
+processes that fit models. Frozen values compare by value, NaN equal to
+NaN, so a model fitted in a worker equals the same fit in process."""
 
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ import pytest
 from conftest import SYNTHETIC_CSV
 from pdvox import experiment
 from pdvox.dataset import Dataset, load_dataset, stratified_split
+from pdvox.experiment import MODEL_NAMES
 from pdvox.errors import frozen
 from pdvox.metrics import RocCurve
 from pdvox.svm import Standardizer, SvmModel
@@ -124,3 +126,35 @@ def test_models_fitted_in_workers_hold_frozen_arrays(monkeypatch):
     for stump in ada.trees:
         arrays += [stump.feature, stump.threshold, stump.left, stump.right, stump.value]
     assert not any(arr.flags.writeable for arr in arrays)
+
+
+@pytest.mark.parametrize("cls", VALUES, ids=lambda cls: cls.__name__)
+def test_frozen_values_compare_by_value(cls):
+    make, others = VALUES[cls]
+    value = cls(**make(), **others)
+    assert value == cls(**make(), **others)
+    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(value, protocol)) == value, protocol
+    for name in make():
+        given = make()
+        arr = _arrays(given[name])[0]
+        arr.flat[0] = 0 if arr.flat[0] else 1  # NaN and inf are truthy
+        assert cls(**given, **others) != value, name
+
+
+@pytest.mark.parametrize("cls", VALUES, ids=lambda cls: cls.__name__)
+def test_frozen_values_are_unhashable(cls):
+    make, others = VALUES[cls]
+    with pytest.raises(TypeError, match=f"'{cls.__name__}'"):
+        hash(cls(**make(), **others))
+
+
+def test_models_fitted_in_workers_equal_the_same_fits_in_process(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    train, _ = stratified_split(load_dataset(SYNTHETIC_CSV), 0.2, 42)
+    cfg = experiment.RunConfig(data=str(SYNTHETIC_CSV))
+    in_workers = experiment._fit_all(MODEL_NAMES, cfg, train)
+    monkeypatch.setattr(experiment, "_workers", lambda n_fits: 0)
+    in_process = experiment._fit_all(MODEL_NAMES, cfg, train)
+    for name, (got, _), (want, _) in zip(MODEL_NAMES, in_workers, in_process, strict=True):
+        assert got == want, name

@@ -61,6 +61,16 @@ def test_confusion_length_mismatch():
         confusion([0.5], [1, 0], 0.5)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("metric", [lambda s, y: confusion(s, y, 0.5), roc_auc],
+                         ids=["confusion", "roc_auc"])
+def test_non_finite_scores_rejected(metric, bad):
+    # a NaN would rank last and count as a negative prediction, and +inf
+    # would become a second +inf threshold beside the ROC anchor
+    with pytest.raises(ValidationError, match="scores must be finite"):
+        metric([bad, 0.2, 0.9, 0.1], [0, 1, 1, 0])
+
+
 # ---------------------------------------------------------- ratio metrics
 
 

@@ -368,6 +368,7 @@ def _fit_digest(model) -> str:
     return h.hexdigest()
 
 
+@pytest.mark.blas_pinned
 @pytest.mark.parametrize("seed", sorted(PINNED_FIT_DIGESTS))
 def test_fit_on_committed_file_matches_pinned_digest(seed):
     data = load_dataset(SYNTHETIC_CSV)
