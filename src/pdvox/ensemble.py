@@ -11,8 +11,8 @@ divisor, so every model feeds the same threshold and ROC machinery.
   and every weight the learning rate.
 * AdaBoost — weighted-error decision stumps with the classic half-log-odds
   round weights; each stump votes ±1.
-* Bagging — full CART trees on bootstrap resamples, weight 1 each, divided
-  by the number of trees: the fraction voting positive.
+* Bagging — full CART trees on bootstrap draw counts, weight 1 each,
+  divided by the number of trees: the fraction voting positive.
 """
 
 from __future__ import annotations
@@ -23,9 +23,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dataset import Dataset, require_both_classes
-from .errors import ConfigError, ValidationError, check_float_field, check_int_field, check_matrix
+from .errors import ConfigError, check_float_field, check_int_field, check_matrix
 from .rng import stream
-from .tree import MAX_BINS_LIMIT, Tree, TreeParams, build_bins, fit_cart, predict_many, take_rows
+from .tree import MAX_BINS_LIMIT, Tree, TreeParams, build_bins, fit_cart, predict_many
 
 
 def _sigmoid(z):
@@ -219,20 +219,19 @@ def fit_bagging(
 
     Tree t draws its sample from its own PRNG stream keyed by
     (seed, "bagging", t), so trees are independent of fit order and a
-    fixed master seed reproduces the ensemble exactly.
+    fixed master seed reproduces the ensemble exactly. The draw counts are
+    the tree's row weights on the training set's bins (see :func:`fit_cart`).
     """
-    if train.n_records == 0:
-        raise ValidationError("bagging needs a non-empty training set")
+    require_both_classes(train, "bagging")
     y = train.labels.astype(np.float64)
     n = train.n_records
     bins = build_bins(train.features)
     tree_params = TreeParams(objective="gini", max_depth=params.max_depth)
     trees: list[Tree] = []
-    ones = np.ones(n, dtype=np.float64)
     for t in range(params.n_trees):
         gen = stream(seed, "bagging", t)
         idx = np.fromiter((gen.below(n) for _ in range(n)), dtype=np.int64, count=n)
-        trees.append(fit_cart(take_rows(bins, idx), y[idx], ones, tree_params))
+        trees.append(fit_cart(bins, y, np.bincount(idx, minlength=n), tree_params))
     return TreeSum(0.0, (1.0,) * len(trees), tuple(trees), float(params.n_trees), train.n_features)
 
 

@@ -2,10 +2,11 @@
 raise them: settings, seeds (``rng.derive_key`` checks every one) and
 feature matrices. A rule about a whole table belongs to the function that
 makes the table, as the both-classes rule belongs to the split. Every
-frozen value that holds arrays is a :class:`FrozenArrays`: each of its
-arrays passes :func:`frozen` and stays frozen through pickling, and two
-such values compare by value, NaN equal to NaN. They are unhashable. So a
-model fitted in a worker process equals the same fit in process."""
+frozen value that holds arrays is a :class:`FrozenArrays`: it owns a
+read-only copy of each (:func:`frozen`), read-only through pickling too,
+and two such values compare by value, NaN equal to NaN. They are
+unhashable. So a model fitted in a worker process equals the same fit in
+process."""
 
 from __future__ import annotations
 
@@ -48,17 +49,10 @@ def check_matrix(X, n_features: int | None = None) -> np.ndarray:
 
 
 def frozen(value, dtype=None) -> np.ndarray:
-    """``value`` as a read-only, C-ordered array (of ``dtype`` when given)
-    that its holder owns. It is a copy, so the caller's array stays
-    writeable and no later write to it reaches the holder, unless ``value``
-    already is such an array and owns its memory, as another frozen value's
-    arrays do: that one is shared (so a row subset keeps its map's cuts)."""
-    if not (
-        isinstance(value, np.ndarray) and value.flags.owndata and not value.flags.writeable
-        and value.flags.c_contiguous and value.dtype == (dtype or value.dtype)
-    ):
-        value = np.array(value, dtype=dtype, order="C")
-        value.flags.writeable = False
+    """A fresh, read-only, C-ordered copy of ``value`` (in ``dtype`` when
+    given): the caller's array stays writeable and apart from the copy."""
+    value = np.array(value, dtype=dtype, order="C")
+    value.flags.writeable = False
     return value
 
 

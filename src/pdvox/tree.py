@@ -2,18 +2,20 @@
 
 One tree engine serves every ensemble in the toolkit:
 
-* ``gini`` objective — weighted Gini-impurity decrease on 0/1 targets;
-  leaves predict the weighted majority class (ties to class 1).
+* ``gini`` objective — weighted Gini-impurity decrease on 0/1 targets
+  over the rows of positive weight; leaves predict the weighted majority
+  class (ties to class 1).
 * ``newton`` objective — second-order gain on (gradient, hessian) rows;
   leaves predict -G/(H+lambda).
 
-Features are binned once, by ``build_bins`` (at most 255 bins per
-feature, cut points at midpoints between adjacent unique values on
-quantile boundaries), and a tree grows from that ``BinMap`` alone. Each
-node keeps (A, B, count) histograms over the bins; a child's histogram
-is its parent's minus its sibling's. Routing uses the raw cut value:
-``x[feature] <= threshold`` goes left, which agrees exactly with
-``searchsorted(cuts, x, side="left")`` binning.
+Features are binned once per ensemble fit, by ``build_bins`` (at most
+255 bins per feature, cut points at midpoints between adjacent unique
+values on quantile boundaries), and each of its trees grows from that
+``BinMap`` with its own weights, a bagged tree's being its bootstrap draw
+counts (Breiman 1996). Each node keeps (A, B, count) histograms over the
+bins; a child's histogram is its parent's minus its sibling's. Routing
+uses the raw cut value: ``x[feature] <= threshold`` goes left, which
+agrees exactly with ``searchsorted(cuts, x, side="left")`` binning.
 
 Growth pops nodes that can split from one heap, keyed by (depth, node
 id) under ``max_depth`` and by (-gain, node id) under ``max_leaves``;
@@ -90,11 +92,9 @@ PACKED_SEARCH_RATIO = 4
 
 @dataclass(frozen=True, eq=False)
 class BinMap(FrozenArrays):
-    """Per-feature cut points plus the binned codes of a set of rows.
-
-    A tree's training rows are a BinMap: growth reads only ``codes``,
-    ``cuts`` and ``n_bins``, never the raw feature values.
-    """
+    """Per-feature cut points plus the binned rows of one training set,
+    which every tree of an ensemble fitted on it grows from: growth reads
+    only ``codes``, ``cuts`` and ``n_bins``, never the raw feature values."""
 
     ARRAYS = {"cuts": (np.float64,), "codes": None, "n_bins": np.int64}
     cuts: tuple[np.ndarray, ...]
@@ -128,12 +128,6 @@ def build_bins(features, max_bins: int = MAX_BINS_LIMIT) -> BinMap:
         cuts.append(cut)
         codes[:, f] = np.searchsorted(cut, X[:, f], side="left")
     return BinMap(cuts=cuts, codes=codes, n_bins=[cut.size + 1 for cut in cuts])
-
-
-def take_rows(bins: BinMap, indices) -> BinMap:
-    """BinMap of a row subset under the same cuts, e.g. a bootstrap sample."""
-    idx = np.asarray(indices, dtype=np.int64)
-    return BinMap(cuts=bins.cuts, codes=bins.codes[idx], n_bins=bins.n_bins)
 
 
 @dataclass(frozen=True)
@@ -280,12 +274,20 @@ def _best_split(hist, totals, bins: BinMap, params: TreeParams):
 
 
 def fit_cart(bins: BinMap, targets, weights, params: TreeParams) -> Tree:
-    """Grow one tree on the rows of ``bins`` (see :func:`build_bins` and
-    :func:`take_rows`), one target and one weight per row.
+    """Grow one tree on the rows of ``bins`` (see :func:`build_bins`), one
+    finite target and one finite weight per row.
 
     gini objective: ``targets`` are 0/1 labels, ``weights`` are sample
-    weights (>= 0, not all zero). newton objective: ``targets`` are
-    per-row gradients, ``weights`` are hessians.
+    weights (>= 0, not all zero); only rows of positive weight enter, and
+    ``min_samples_leaf`` counts those. At ``min_samples_leaf == 1``,
+    integer weights (bootstrap draw counts) grow, bit for bit and search
+    for search, the tree of their rows repeated that often: a weight-0 row
+    would add an exact 0.0 to planes A and B (but could make a pure node
+    look impure), integer sums are exact in any order, and a cut needs
+    ``S_B > 0`` on both sides, so the count plane only picks the full or
+    packed sweep. newton objective: ``targets`` are per-row gradients,
+    ``weights`` are hessians, and every row enters (a zero hessian still
+    carries a gradient).
     """
     t = np.asarray(targets, dtype=np.float64)
     w = np.asarray(weights, dtype=np.float64)
@@ -296,6 +298,9 @@ def fit_cart(bins: BinMap, targets, weights, params: TreeParams) -> Tree:
         )
     if n == 0:
         raise ValidationError("cannot fit a tree on zero rows")
+    for name, values in (("targets", t), ("weights", w)):
+        if not np.isfinite(values).all():
+            raise ValidationError(f"{name} must be finite (no NaN/inf)")
     if np.any(w < 0) or not np.any(w > 0):
         raise ValidationError("weights must be >= 0 and not all zero")
     if params.objective == "gini" and not np.isin(t, (0.0, 1.0)).all():
@@ -346,7 +351,7 @@ def fit_cart(bins: BinMap, targets, weights, params: TreeParams) -> Tree:
             heapq.heappush(heap, (key, node_id, rows, hist, depth, best))
         return node_id
 
-    root_rows = np.arange(n, dtype=np.int64)
+    root_rows = np.flatnonzero(w) if params.objective == "gini" else np.arange(n)
     search_root = can_split(root_rows, 0)
     add(root_rows, histogram(root_rows, d if search_root else 1), 0, search_root)
     leaves = 1

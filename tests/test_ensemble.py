@@ -134,11 +134,6 @@ def test_gbdt_hand_walked_round():
     assert model.trace[0] == pytest.approx(base_loss, abs=1e-12)
 
 
-def test_gbdt_single_class_rejected():
-    with pytest.raises(ValidationError):
-        fit_gbdt(make_dataset(np.zeros((4, 1)), np.array([1, 1, 1, 1])), LeafwiseGbdtParams())
-
-
 def test_gbdt_param_validation():
     with pytest.raises(ConfigError):
         LeafwiseGbdtParams(learning_rate=0.0)
@@ -277,6 +272,18 @@ def test_bagging_deterministic_and_seed_sensitive():
     q = train.features[:15]
     assert np.array_equal(ensemble_scores(a, q), ensemble_scores(b, q))
     assert not np.array_equal(ensemble_scores(a, q), ensemble_scores(c, q))
+
+
+@pytest.mark.parametrize("labels", [[1, 1, 1, 1], [0, 0, 0], []],
+                         ids=["positive", "negative", "empty"])
+@pytest.mark.parametrize("fit", [fit_gbdt, fit_adaboost, fit_bagging],
+                         ids=["gbdt", "adaboost", "bagging"])
+def test_ensembles_reject_a_one_class_training_set(fit, labels):
+    # a one-class set would give bagging 100 trees of one leaf each, which
+    # score every row alike; each learner refuses it before fitting
+    n1 = sum(labels)
+    with pytest.raises(ValidationError, match=f"got {n1} positive, {len(labels) - n1} negative"):
+        fit(make_dataset(np.zeros((len(labels), 1)), np.array(labels)))
 
 
 # ------------------------------------------------------------- TreeSum

@@ -82,20 +82,22 @@ def test_frozen_values_copy_the_arrays_they_are_given(cls):
             assert not np.shares_memory(kept, arr), name
 
 
-def test_frozen_shares_only_an_array_that_is_already_frozen():
-    # a row subset keeps its map's cuts: another frozen value's arrays are
-    # read-only and own their memory, so passing them on needs no copy
+def test_frozen_always_makes_a_fresh_copy():
+    # one rule for every array: even one that another frozen value holds,
+    # read-only and owning its memory, is copied, so no two frozen values
+    # share an array
     a = np.arange(4.0)
     held = frozen(a)
     assert a.flags.writeable and not held.flags.writeable
-    assert frozen(held) is held
-    assert frozen(held, np.float64) is held
-    assert frozen(held, np.float32).dtype == np.float32
-    view = held[::2]  # read-only, but its memory is held's
-    assert frozen(view) is not view and frozen(view).flags.c_contiguous
     read_only_view = a.view()
     read_only_view.flags.writeable = False  # a's writes would still reach it
-    assert not np.shares_memory(frozen(read_only_view), a)
+    for value in (held, held[::2], read_only_view):
+        for dtype in (None, np.float64, np.float32):
+            copy = frozen(value, dtype)
+            assert not np.shares_memory(copy, value)
+            assert copy.flags.owndata and copy.flags.c_contiguous and not copy.flags.writeable
+            assert copy.dtype == (dtype or value.dtype)
+            np.testing.assert_array_equal(copy, value)
 
 
 @pytest.mark.parametrize("protocol", range(2, pickle.HIGHEST_PROTOCOL + 1))

@@ -21,7 +21,6 @@ from pdvox.tree import (
     build_bins,
     fit_cart,
     predict_many,
-    take_rows,
 )
 
 
@@ -127,17 +126,6 @@ def test_predict_many_rejects_nonfinite_rows(bad):
 def test_predict_many_rejects_another_width(X):
     with pytest.raises(ValidationError, match=r"expected \(n, 2\) feature matrix"):
         predict_many(_toy_stump(), X)
-
-
-def test_take_rows_subsets_codes():
-    X = np.arange(12, dtype=np.float64).reshape(6, 2)
-    bins = build_bins(X, max_bins=255)
-    sub = take_rows(bins, np.array([4, 0, 4]))
-    assert isinstance(sub, BinMap)
-    assert np.array_equal(sub.codes, bins.codes[[4, 0, 4]])
-    assert sub.cuts == bins.cuts
-    assert not sub.codes.flags.writeable
-    assert not np.shares_memory(sub.codes, bins.codes)
 
 
 # ------------------------------------------------------------ gini trees
@@ -440,6 +428,54 @@ def test_fit_cart_matches_reference_growth(seed, objective, growth, msl, weighti
         assert np.array_equal(mine, ref, equal_nan=True)
 
 
+def _fit_counting_searches(bins, t, w, params):
+    """``fit_cart``'s tree and its number of ``_best_split`` calls."""
+    searches = {"fit_cart": 0}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tree_module, "_best_split",
+                   _counted(tree_module._best_split, searches, "fit_cart"))
+        tree = fit_cart(bins, t, w, params)
+    return tree, searches["fit_cart"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["depth", "leaves"]), st.integers(2, 120))
+def test_zero_weight_rows_stay_out_of_a_gini_tree(seed, growth, n):
+    # Bagging passes a bootstrap as draw counts on the training set's one
+    # BinMap. At min_samples_leaf 1 that grows the tree of the drawn rows,
+    # each repeated as often as drawn with weight 1: node for node, and
+    # with the same searches, which out-of-bag rows in a node would change
+    # by making a pure node look impure. Real weights with zeros grow the
+    # tree of the positive-weight rows alone.
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(1, 6))
+    levels = rng.integers(2, 60, size=d)  # repeated values, some tied gains
+    X = rng.integers(0, levels, size=(n, d)).astype(np.float64)
+    y = (rng.random(n) < rng.uniform(0.1, 0.9)).astype(np.float64)
+    bins = build_bins(X, max_bins=int(rng.integers(2, 256)))
+    if growth == "depth":
+        params = _gini_params(max_depth=int(rng.integers(0, 11)))
+    else:
+        params = TreeParams(objective="gini", max_leaves=int(rng.integers(1, 40)))
+
+    def on_rows(rows):
+        return BinMap(cuts=bins.cuts, codes=bins.codes[rows], n_bins=bins.n_bins)
+
+    drawn = rng.integers(0, n, size=n)
+    counts = np.bincount(drawn, minlength=n)
+    assert (_fit_counting_searches(bins, y, counts, params)
+            == _fit_counting_searches(on_rows(drawn), y[drawn], np.ones(n), params))
+
+    # AdaBoost-style: misses scaled up, then normalised, and some rows at 0
+    w = np.where(rng.random(n) < 0.3, math.exp(0.7), math.exp(-0.7)) / n
+    w[rng.random(n) < 0.4] = 0.0
+    w[rng.integers(n)] = 1.0 / n
+    w = w / w.sum()
+    kept = np.flatnonzero(w)
+    assert (_fit_counting_searches(bins, y, w, params)
+            == _fit_counting_searches(on_rows(kept), y[kept], w[kept], params))
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from(["gini", "newton"]))
 def test_predictions_match_naive_walker(seed, objective):
@@ -571,6 +607,20 @@ def test_negative_weights_rejected():
         fit_cart(build_bins(X), y, np.array([1.0, -1.0]), params=_gini_params())
     with pytest.raises(ValidationError):
         fit_cart(build_bins(X), y, np.zeros(2), params=_gini_params())
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("name", ["targets", "weights"])
+@pytest.mark.parametrize("objective", ["gini", "newton"])
+def test_nonfinite_targets_and_weights_rejected(objective, name, bad):
+    # a NaN weight passes both `w < 0` and `w > 0`, and an inf weight makes
+    # inf * 0 a NaN in plane A, so no later check would catch either
+    given = {"targets": np.array([0.0, 1.0, 0.0]), "weights": np.ones(3)}
+    given[name][1] = bad
+    params = _gini_params() if objective == "gini" else _newton_params()
+    with pytest.raises(ValidationError, match=rf"^{name} must be finite \(no NaN/inf\)$"):
+        fit_cart(build_bins(np.arange(3.0).reshape(3, 1)), given["targets"], given["weights"],
+                 params)
 
 
 def test_shape_mismatch_rejected():
