@@ -35,13 +35,13 @@ class ConfigError(PdvoxError):
 
 
 def check_matrix(X, n_features: int | None = None) -> np.ndarray:
-    """``X`` as a float64 matrix of ``n_features`` columns, or of at least
-    one column when None; ValidationError on another shape or a NaN/inf
-    value. Every feature matrix a dataset, a tree or a model takes in
-    passes here."""
+    """``X`` as a float64 matrix of at least one column, and of
+    ``n_features`` columns when given; ValidationError on another shape or
+    a NaN/inf value. Every feature matrix a dataset, a tree or a model
+    takes in passes here."""
     M = np.asarray(X, dtype=np.float64)
-    if M.ndim != 2 or (M.shape[1] == 0 if n_features is None else M.shape[1] != n_features):
-        want = "d >= 1" if n_features is None else n_features
+    if M.ndim != 2 or M.shape[1] == 0 or n_features not in (None, M.shape[1]):
+        want = n_features or "d >= 1"
         raise ValidationError(f"expected (n, {want}) feature matrix, got shape {M.shape}")
     if not np.isfinite(M).all():
         raise ValidationError("features must be finite (no NaN/inf)")

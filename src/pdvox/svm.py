@@ -30,16 +30,19 @@ a row that violates KKT tries partners until a step is taken: the
 non-bound row with the largest |E_i - E_j|, then the non-bound rows, then
 all rows, each in index order. The pinned fit digests depend on it.
 
-The per-pair arithmetic (bounds, eta, clipping, the endpoint comparison,
-snapping, the bias) and the per-row KKT check run on Python floats read
-from list mirrors of alpha, y and the kernel diagonal and from ``.item()``
-reads of E and K, not on numpy float64 scalars, which cost several times
-more per operation. That is exact: both are IEEE binary64 with
-round-to-nearest, so + - * /, comparisons, min, max and abs give the same
-bits, and the results enter the array expressions as the same values.
-The per-step reductions call the array methods (``.sum()``,
-``.nonzero()``, ``.argmax()``), which skip about a microsecond of numpy's
-module-level dispatch per call and reduce in the same order.
+Each multiplier is held once, in a list of Python floats; the array
+expressions read alpha*y, and the objective's sum(alpha) is
+(alpha*y*y).sum(), exact because y is +-1. The per-pair arithmetic
+(bounds, eta, clipping, the endpoint comparison, snapping, the bias) and
+the per-row KKT check run on that list, on list mirrors of y and the
+kernel diagonal and on ``.item()`` reads of E and K, not on numpy float64
+scalars, which cost several times more per operation. That is exact: both
+are IEEE binary64 with round-to-nearest, so + - * /, comparisons, min,
+max and abs give the same bits, and the results enter the array
+expressions as the same values. The per-step reductions call the array
+methods (``.sum()``, ``.nonzero()``, ``.argmax()``), which skip about a
+microsecond of numpy's module-level dispatch per call and reduce in the
+same order.
 """
 
 from __future__ import annotations
@@ -133,18 +136,19 @@ class SvmModel(FrozenArrays):
     """Fitted solver state plus diagnostics.
 
     ``support_vectors`` are standardized rows with alpha > 0 and
-    ``dual_coef`` holds their alpha_i * y_i. ``alphas`` keeps the full
-    multiplier vector (training-row order) and ``objective_trace`` the
-    dual objective after each accepted step, for auditing.
+    ``dual_coef`` holds their alpha_i * y_i. ``alphas`` is the full
+    multiplier vector, a read-only float64 array in training-row order,
+    and ``objective_trace`` the dual objective after each accepted step,
+    for auditing.
     """
 
-    ARRAYS = {"support_vectors": np.float64, "dual_coef": np.float64}
+    ARRAYS = {"support_vectors": np.float64, "dual_coef": np.float64, "alphas": np.float64}
     support_vectors: np.ndarray
     dual_coef: np.ndarray
     bias: float
     gamma: float
     standardizer: Standardizer
-    alphas: tuple[float, ...]
+    alphas: np.ndarray
     objective_trace: tuple[float, ...]
     sweeps: int
     converged: bool
@@ -175,48 +179,37 @@ def _resolve_gamma(params: SvmParams, Xs: np.ndarray) -> float:
         return float(params.gamma)
     d = Xs.shape[1]
     mean_var = float(np.mean(Xs.var(axis=0, ddof=1)))
-    if mean_var <= 0 or d == 0:
+    if mean_var <= 0:
         return 1.0
     return 1.0 / (d * mean_var)
 
 
-class _SmoState:
-    """Mutable solver workspace over a fixed kernel matrix."""
+def _smo(K: np.ndarray, y: np.ndarray, C: float, tol: float, max_passes: int):
+    """Sweep all rows until KKT holds or progress stalls.
 
-    def __init__(self, K: np.ndarray, y: np.ndarray, C: float, tol: float):
-        self.K = K
-        self.y = y
-        self.C = float(C)
-        self.tol = tol
-        self.n = y.shape[0]
-        self.alpha = np.zeros(self.n, dtype=np.float64)
-        # Python-float mirrors for the scalar path (module docstring)
-        self.alpha_list = self.alpha.tolist()
-        self.y_list = y.tolist()
-        self.diag_list = K.diagonal().tolist()
-        # alpha * y and the 0 < alpha < C mask, kept current at the two
-        # positions each step changes
-        self.alpha_y = self.alpha * y
-        self.free = np.zeros(self.n, dtype=bool)
-        self.b = 0.0
-        self.E = -y.astype(np.float64)  # f(x) = 0 everywhere at the start
-        self.trace: list[float] = [0.0]
+    Returns (alphas, bias, trace, sweeps, converged): the multipliers as
+    an array, the objective after each accepted step after a leading 0.0,
+    and converged when a full sweep saw no KKT violation beyond tol.
+    """
+    n = y.shape[0]
+    C = float(C)
+    alpha = [0.0] * n  # the only copy of the multipliers (module docstring)
+    y_list = y.tolist()
+    diag = K.diagonal().tolist()
+    # alpha * y and the 0 < alpha < C mask, kept current at the two
+    # positions each step changes
+    alpha_y = np.zeros(n) * y
+    free = np.zeros(n, dtype=bool)
+    b = 0.0
+    trace = [0.0]
 
-    def refresh_errors(self) -> None:
-        self.E = self.K @ self.alpha_y + self.b - self.y
-
-    def objective(self) -> float:
-        """Dual objective from the (incrementally maintained) error cache."""
-        F = self.E + self.y - self.b
-        return float(self.alpha.sum() - 0.5 * np.dot(self.alpha_y, F))
-
-    def take_step(self, i1: int, i2: int) -> bool:
+    def take_step(i1: int, i2: int) -> bool:
+        nonlocal b, E
         if i1 == i2:
             return False
-        alpha, y, K, C = self.alpha_list, self.y_list, self.K, self.C
         a1o, a2o = alpha[i1], alpha[i2]
-        y1, y2 = y[i1], y[i2]
-        E1, E2 = self.E.item(i1), self.E.item(i2)
+        y1, y2 = y_list[i1], y_list[i2]
+        E1, E2 = E.item(i1), E.item(i2)
         s = y1 * y2
         if s < 0:
             L = max(0.0, a2o - a1o)
@@ -226,7 +219,7 @@ class _SmoState:
             H = min(C, a1o + a2o)
         if L >= H:
             return False
-        k11, k22, k12 = self.diag_list[i1], self.diag_list[i2], K.item(i1, i2)
+        k11, k22, k12 = diag[i1], diag[i2], K.item(i1, i2)
         eta = k11 + k22 - 2.0 * k12
         if eta > 0:
             a2 = a2o + y2 * (E1 - E2) / eta
@@ -234,8 +227,8 @@ class _SmoState:
         else:
             # flat or concave direction: compare the dual objective at the
             # two box endpoints and move to the better one
-            F1 = E1 + y1 - self.b
-            F2 = E2 + y2 - self.b
+            F1 = E1 + y1 - b
+            F2 = E2 + y2 - b
             best_gain, a2 = 0.0, a2o
             for cand in (L, H):
                 d2 = cand - a2o
@@ -262,8 +255,8 @@ class _SmoState:
         elif a2 > C - _STEP_EPS:
             a2 = C
         d1, d2 = a1 - a1o, a2 - a2o
-        b1 = self.b - E1 - y1 * d1 * k11 - y2 * d2 * k12
-        b2 = self.b - E2 - y1 * d1 * k12 - y2 * d2 * k22
+        b1 = b - E1 - y1 * d1 * k11 - y2 * d2 * k12
+        b2 = b - E2 - y1 * d1 * k12 - y2 * d2 * k22
         if 0.0 < a1 < C:
             b_new = b1
         elif 0.0 < a2 < C:
@@ -271,51 +264,38 @@ class _SmoState:
         else:
             b_new = 0.5 * (b1 + b2)
         # K is symmetric, so the contiguous rows K[i] stand in for the columns
-        self.E += K[i1] * (y1 * d1) + K[i2] * (y2 * d2) + (b_new - self.b)
+        E += K[i1] * (y1 * d1) + K[i2] * (y2 * d2) + (b_new - b)
         alpha[i1], alpha[i2] = a1, a2
-        self.alpha[i1], self.alpha[i2] = a1, a2
-        self.alpha_y[i1], self.alpha_y[i2] = a1 * y1, a2 * y2
-        self.free[i1], self.free[i2] = 0.0 < a1 < C, 0.0 < a2 < C
-        self.b = b_new
-        self.trace.append(self.objective())
+        alpha_y[i1], alpha_y[i2] = a1 * y1, a2 * y2
+        free[i1], free[i2] = 0.0 < a1 < C, 0.0 < a2 < C
+        b = b_new
+        # the dual objective from the error cache; alpha_y * y is alpha
+        trace.append(float((alpha_y * y).sum() - 0.5 * np.dot(alpha_y, E + y - b)))
         return True
 
-    def examine(self, i: int) -> bool:
-        """Try to improve the pair (j, i) for the best-looking j."""
-        non_bound = self.free.nonzero()[0]
-        if non_bound.size > 1:
-            j = int(non_bound[np.abs(self.E.item(i) - self.E[non_bound]).argmax()])
-            if self.take_step(j, i):
-                return True
-        for j in chain(non_bound.tolist(), range(self.n)):
-            if self.take_step(j, i):
-                return True
-        return False
-
-    def solve(self, max_passes: int) -> tuple[int, bool]:
-        """Sweep all points until KKT holds or progress stalls.
-
-        Returns (sweeps, converged); converged means a full sweep saw no
-        KKT violation beyond tol.
-        """
-        y, alpha, C, tol = self.y_list, self.alpha_list, self.C, self.tol
-        quiet = 0
-        sweeps = 0
-        while quiet < max_passes and sweeps < _SWEEP_CAP:
-            self.refresh_errors()
-            violations = 0
-            changed = 0
-            for i in range(self.n):
-                r = y[i] * self.E.item(i)
-                if (r < -tol and alpha[i] < C) or (r > tol and alpha[i] > 0):
-                    violations += 1
-                    if self.examine(i):
-                        changed += 1
-            sweeps += 1
-            if violations == 0:
-                return sweeps, True
-            quiet = quiet + 1 if changed == 0 else 0
-        return sweeps, False
+    quiet = 0
+    sweeps = 0
+    while quiet < max_passes and sweeps < _SWEEP_CAP:
+        E = K @ alpha_y + b - y
+        violations = 0
+        changed = 0
+        for i in range(n):
+            r = y_list[i] * E.item(i)
+            if (r < -tol and alpha[i] < C) or (r > tol and alpha[i] > 0):
+                violations += 1
+                # partners in Platt's order: the non-bound row with the
+                # largest |E_i - E_j|, then the non-bound rows, then all rows
+                non_bound = free.nonzero()[0]
+                if (
+                    non_bound.size > 1
+                    and take_step(int(non_bound[np.abs(E.item(i) - E[non_bound]).argmax()]), i)
+                ) or any(take_step(j, i) for j in chain(non_bound.tolist(), range(n))):
+                    changed += 1
+        sweeps += 1
+        if violations == 0:
+            return np.array(alpha), b, trace, sweeps, True
+        quiet = quiet + 1 if changed == 0 else 0
+    return np.array(alpha), b, trace, sweeps, False
 
 
 def fit_svm(train: Dataset, params: SvmParams = SvmParams()) -> SvmModel:
@@ -326,8 +306,7 @@ def fit_svm(train: Dataset, params: SvmParams = SvmParams()) -> SvmModel:
     y = (2 * train.labels - 1).astype(np.float64)
     gamma = _resolve_gamma(params, Xs)
     K = _kernel_matrix(Xs, Xs, gamma)
-    state = _SmoState(K, y, params.C, params.tol)
-    sweeps, converged = state.solve(params.max_passes)
+    alphas, bias, trace, sweeps, converged = _smo(K, y, params.C, params.tol, params.max_passes)
     if not converged:
         stop = (
             f"the sweep cap ({_SWEEP_CAP})"
@@ -341,15 +320,15 @@ def fit_svm(train: Dataset, params: SvmParams = SvmParams()) -> SvmModel:
             RuntimeWarning,
             stacklevel=2,
         )
-    support = np.flatnonzero(state.alpha > 0)
+    support = np.flatnonzero(alphas > 0)
     return SvmModel(
         support_vectors=Xs[support],
-        dual_coef=state.alpha_y[support],
-        bias=state.b,
+        dual_coef=alphas[support] * y[support],
+        bias=bias,
         gamma=gamma,
         standardizer=standardizer,
-        alphas=tuple(state.alpha_list),
-        objective_trace=tuple(state.trace),
+        alphas=alphas,
+        objective_trace=tuple(trace),
         sweeps=sweeps,
         converged=converged,
         n_features=train.n_features,

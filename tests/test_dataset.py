@@ -66,6 +66,14 @@ def test_dataset_rejects_bad_shapes_and_values():
         ds.features[0, 0] = 9.0  # arrays are read-only
 
 
+def test_dataset_rejects_a_table_without_feature_columns():
+    # every learner needs a column; the SVM used to fit one with gamma 1.0
+    with pytest.raises(ValidationError,
+                       match=r"expected \(n, d >= 1\) feature matrix, got shape \(4, 0\)"):
+        Dataset(ids=tuple("abcd"), features=np.empty((4, 0)), labels=[0, 1, 0, 1],
+                feature_names=())
+
+
 # --------------------------------------------------------------- load/save
 
 

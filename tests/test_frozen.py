@@ -35,11 +35,11 @@ VALUES = {
         {},
     ),
     SvmModel: (
-        lambda: {"support_vectors": np.ones((2, 2)), "dual_coef": np.array([0.5, -0.5])},
+        lambda: {"support_vectors": np.ones((2, 2)), "dual_coef": np.array([0.5, -0.5]),
+                 "alphas": np.array([0.5, 0.5])},
         {"bias": 0.0, "gamma": 0.5,
          "standardizer": Standardizer(np.zeros(2), np.ones(2), np.zeros(2, bool)),
-         "alphas": (0.5, 0.5), "objective_trace": (0.0,), "sweeps": 1, "converged": True,
-         "n_features": 2},
+         "objective_trace": (0.0,), "sweeps": 1, "converged": True, "n_features": 2},
     ),
     RocCurve: (
         lambda: {"thresholds": np.array([np.inf, 0.5]), "fpr": np.array([0.0, 1.0]),
@@ -123,7 +123,7 @@ def test_models_fitted_in_workers_hold_frozen_arrays(monkeypatch):
     train, _ = stratified_split(load_dataset(SYNTHETIC_CSV), 0.2, 42)
     cfg = experiment.RunConfig(data=str(SYNTHETIC_CSV))
     (ada, _), (svm, _) = experiment._fit_all(("adaboost", "svm"), cfg, train)
-    arrays = [svm.support_vectors, svm.dual_coef, svm.standardizer.means,
+    arrays = [svm.support_vectors, svm.dual_coef, svm.alphas, svm.standardizer.means,
               svm.standardizer.stds, svm.standardizer.constant]
     for stump in ada.trees:
         arrays += [stump.feature, stump.threshold, stump.left, stump.right, stump.value]
