@@ -4,7 +4,8 @@
 The toolkit never ships this file; run this once on a machine with
 network access.  The download is verified structurally (canonical
 24-column header, 195 rows, 147 positive / 48 negative) before being
-written, and the SHA-256 of the bytes is printed so copies can be
+written: a download that fails the check prints ``error: ...``, exits 1
+and writes nothing. The SHA-256 of the bytes is printed so copies can be
 compared across machines.
 """
 
@@ -20,6 +21,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from pdvox.dataset import load_dataset  # noqa: E402
+from pdvox.errors import PdvoxError, ValidationError  # noqa: E402
 
 URL = (
     "https://archive.ics.uci.edu/ml/machine-learning-databases/"
@@ -36,17 +38,15 @@ def fetch(url: str, timeout: float) -> bytes:
         return response.read()
 
 
-def verify(path: Path) -> None:
-    data = load_dataset(path)
-    positives = int(data.labels.sum())
-    if len(data.ids) != EXPECTED_ROWS:
-        raise SystemExit(
-            f"error: expected {EXPECTED_ROWS} rows, downloaded file has {len(data.ids)}"
-        )
-    if positives != EXPECTED_POSITIVES:
-        raise SystemExit(
-            f"error: expected {EXPECTED_POSITIVES} positive rows, "
-            f"downloaded file has {positives}"
+def verify(path: Path, raw: bytes) -> None:
+    """Raise a PdvoxError unless ``raw`` loads as the canonical table with
+    the expected row and positive counts; ``path`` names it in messages."""
+    data = load_dataset(path, raw)
+    rows, positives = len(data.ids), int(data.labels.sum())
+    if (rows, positives) != (EXPECTED_ROWS, EXPECTED_POSITIVES):
+        raise ValidationError(
+            f"{path}: expected {EXPECTED_ROWS} rows, {EXPECTED_POSITIVES} positive; "
+            f"the download has {rows} rows, {positives} positive"
         )
 
 
@@ -70,9 +70,13 @@ def main(argv=None) -> int:
         print(f"error: download failed: {exc}", file=sys.stderr)
         return 1
 
+    try:
+        verify(args.out, raw)
+    except PdvoxError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     args.out.parent.mkdir(parents=True, exist_ok=True)
     args.out.write_bytes(raw)
-    verify(args.out)
     digest = hashlib.sha256(raw).hexdigest()
     print(f"{args.out}: {len(raw)} bytes, sha256 {digest}")
     print(

@@ -412,8 +412,13 @@ def emit_comparison(report: ExperimentReport, fmt: str = "table") -> str:
         rows.append([r.model, *(cell(getattr(r.metrics, name)) for name, _ in COLUMNS)])
     if csv:
         return "".join(",".join(row) + "\n" for row in rows)
-    # the model column is left-aligned, the rest right-aligned, each as wide
-    # as its widest entry, so every heading ends where its column ends
+    return align_columns(rows)
+
+
+def align_columns(rows) -> str:
+    """``rows`` of text cells as lines of aligned columns: the first column
+    left-aligned, the rest right-aligned, each as wide as its widest cell,
+    so every heading ends where its column ends."""
     widths = [max(map(len, column)) for column in zip(*rows)]
     return "".join(
         "  ".join([row[0].ljust(widths[0]), *map(str.rjust, row[1:], widths[1:])]) + "\n"

@@ -120,10 +120,7 @@ def build_bins(features, max_bins: int = MAX_BINS_LIMIT) -> BinMap:
         if uniq.size <= max_bins:
             boundary = np.arange(1, uniq.size)
         else:
-            boundary = np.unique(
-                (np.arange(1, max_bins) * uniq.size) // max_bins
-            )
-            boundary = boundary[(boundary >= 1) & (boundary <= uniq.size - 1)]
+            boundary = np.unique(np.arange(1, max_bins) * uniq.size // max_bins)
         cut = (uniq[boundary - 1] + uniq[boundary]) / 2.0
         cuts.append(cut)
         codes[:, f] = np.searchsorted(cut, X[:, f], side="left")

@@ -9,6 +9,7 @@ against genuinely different computations.
 from __future__ import annotations
 
 import heapq
+import importlib.util
 import math
 import os
 from pathlib import Path
@@ -29,19 +30,9 @@ SYNTHETIC_CSV = REPO_ROOT / "data" / "synthetic_vocal.csv"
 UCI_CSV = REPO_ROOT / "data" / "parkinsons.data"
 
 
-def resolve_data_path() -> Path:
-    """Evaluation data: PDVOX_DATA, else the original recordings file if
-    fetched into data/, else the committed synthetic stand-in."""
-    env = os.environ.get("PDVOX_DATA")
-    if env and Path(env).exists():
-        return Path(env)
-    if UCI_CSV.exists():
-        return UCI_CSV
-    return SYNTHETIC_CSV
-
-
 def resolve_uci_path() -> Path | None:
-    """The original recordings file only, or None if not fetched."""
+    """The original recordings: PDVOX_DATA, else the file if fetched into
+    data/, else None."""
     env = os.environ.get("PDVOX_DATA")
     if env and Path(env).exists():
         return Path(env)
@@ -52,7 +43,9 @@ def resolve_uci_path() -> Path | None:
 
 @pytest.fixture(scope="session")
 def data_path() -> Path:
-    path = resolve_data_path()
+    """Evaluation data: the original recordings if present, else the
+    committed synthetic stand-in."""
+    path = resolve_uci_path() or SYNTHETIC_CSV
     if not path.exists():
         pytest.skip(f"no evaluation data file at {path}")
     return path
@@ -67,6 +60,16 @@ def uci_path() -> Path:
             "file-specific expectations are skipped"
         )
     return path
+
+
+def load_script(path: str):
+    """The Python file at ``path``, relative to the repository root (a
+    script or a benchmark module), loaded as a fresh module."""
+    path = REPO_ROOT / path
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def make_dataset(X, y, names=None) -> Dataset:

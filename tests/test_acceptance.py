@@ -18,13 +18,13 @@ from __future__ import annotations
 import hashlib
 import json
 import statistics
-import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import brute_force_auc, make_dataset, recover_interpolation_u, walk_tree_naive
+from conftest import (
+    brute_force_auc, load_script, make_dataset, recover_interpolation_u, walk_tree_naive,
+)
 from pdvox.dataset import load_dataset, stratified_split
 from pdvox.ensemble import (
     AdaBoostParams,
@@ -68,52 +68,45 @@ PINNED_RESULT_DIGESTS = {
 }
 # SHA-256 over the whole structured reports at seeds 42..51, in seed order,
 # with the config's data path written as "data/synthetic_vocal.csv": the
-# digest scripts/run_seed_sweep.py prints for that file. It also pins how
-# the config, fingerprint and split accounting are serialized.
+# digest scripts/run_seed_sweep.py prints for that file, however its path is
+# spelt. It also pins how the config, fingerprint and split accounting are
+# serialized.
 PINNED_REPORTS_DIGEST = "7cc54081be0c384bca52c176bd9b764f046be31bfb35f81a77a887c7ae7a021f"
 
 
 @pytest.fixture(scope="module")
 def seed_sweep(data_path):
-    """Run the full five-model comparison at each sweep seed.
+    """Run the full five-model comparison at each sweep seed, through the
+    seed sweep script's loop.
 
     Returns per-model accuracy/AUC lists (seed order), per-model digests
     of the serialized confusion counts and ROC arrays over all seeds, each
-    seed's structured report text, a digest of the whole reports (data path
-    normalised), the data file's SHA-256, and the wall time of the first
-    full comparison.
+    seed's structured report text, the script's digest of the whole
+    reports, the data file's SHA-256, and the wall time of the first full
+    comparison.
     """
+    script = load_script("scripts/run_seed_sweep.py")
+    reports, seconds = zip(*script.sweep(str(data_path), SWEEP_SEEDS))
     acc = {name: [] for name in MODEL_NAMES}
     auc = {name: [] for name in MODEL_NAMES}
     digests = {name: hashlib.sha256() for name in MODEL_NAMES}
-    reports = hashlib.sha256()
-    texts = []
-    compare_seconds = None
-    for seed in SWEEP_SEEDS:
-        cfg = RunConfig(data=str(data_path), seed=seed)
-        started = time.perf_counter()
-        report = run_experiment(cfg)
-        elapsed = time.perf_counter() - started
-        if compare_seconds is None:
-            compare_seconds = elapsed
+    texts = [report_to_json(report) for report in reports]
+    for report, text in zip(reports, texts):
         for result in report.results:
             acc[result.model].append(result.metrics.accuracy)
             auc[result.model].append(result.metrics.auc)
-        texts.append(report_to_json(report))
-        for entry in json.loads(texts[-1])["results"]:
+        for entry in json.loads(text)["results"]:
             pinned = [entry["confusion"], entry["roc"]]
             digests[entry["model"]].update(json.dumps(pinned, sort_keys=True).encode())
-        normalised = replace(report, config=replace(cfg, data="data/synthetic_vocal.csv"))
-        reports.update(report_to_json(normalised).encode())
     return {
         "data": data_path,
-        "data_sha256": report.fingerprint.sha256,
+        "data_sha256": reports[0].fingerprint.sha256,
         "acc": acc,
         "auc": auc,
         "digests": {name: h.hexdigest() for name, h in digests.items()},
         "texts": texts,
-        "reports_digest": reports.hexdigest(),
-        "compare_seconds": compare_seconds,
+        "reports_digest": script.reports_digest(reports),
+        "compare_seconds": seconds[0],
     }
 
 

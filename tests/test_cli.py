@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import importlib.util
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import REPO_ROOT, SYNTHETIC_CSV
+from conftest import SYNTHETIC_CSV, load_script
 from pdvox.cli import main
 from pdvox.dataset import (
     CANONICAL_FEATURES,
@@ -247,10 +246,7 @@ def test_degenerate_split_fails_before_any_fit(csv_path, capsys, monkeypatch, fr
 
 @pytest.mark.parametrize("seeds", ["0", "-3"])
 def test_seed_sweep_without_seeds_is_usage_error(csv_path, capsys, seeds):
-    path = REPO_ROOT / "scripts" / "run_seed_sweep.py"
-    spec = importlib.util.spec_from_file_location("run_seed_sweep", path)
-    sweep = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(sweep)
+    sweep = load_script("scripts/run_seed_sweep.py")
     with pytest.raises(SystemExit) as exc:
         sweep.main(["--data", str(csv_path), "--seeds", seeds])
     assert exc.value.code == 2

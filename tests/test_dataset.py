@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import hashlib
-import importlib.util
 import statistics
 
 import numpy as np
@@ -12,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import REPO_ROOT, SYNTHETIC_CSV, make_dataset
+from conftest import SYNTHETIC_CSV, load_script, make_dataset
 from pdvox.dataset import (
     CANONICAL_FEATURES,
     CANONICAL_HEADER,
@@ -337,11 +336,7 @@ def test_csv_roundtrip_is_bit_exact(tmp_path_factory, X):
 
 @pytest.fixture(scope="module")
 def generator():
-    path = REPO_ROOT / "scripts" / "make_synthetic_vocal.py"
-    spec = importlib.util.spec_from_file_location("make_synthetic_vocal", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_script("scripts/make_synthetic_vocal.py")
 
 
 def test_generator_reproduces_committed_file(tmp_path, generator):
@@ -388,6 +383,24 @@ def test_generator_output_is_pinned_over_seeds(generator):
         digest.update(data.features.astype("<f8").tobytes())
         digest.update(data.labels.astype("<i8").tobytes())
     assert digest.hexdigest() == GENERATOR_SEEDS_DIGEST
+
+
+@pytest.mark.parametrize("size", [5000, None])
+def test_fetch_writes_only_a_verified_download(tmp_path, monkeypatch, capsys, size):
+    # a truncated download must leave no file where the tests would prefer
+    # it over the synthetic one; the whole 195-row, 147-positive table is
+    # written byte for byte (the fetch itself is replaced: no network)
+    fetcher = load_script("scripts/fetch_uci_parkinsons.py")
+    raw = SYNTHETIC_CSV.read_bytes()[:size]
+    monkeypatch.setattr(fetcher, "fetch", lambda url, timeout: raw)
+    out = tmp_path / "parkinsons.data"
+    status = fetcher.main(["--out", str(out)])
+    if size is None:
+        assert status == 0 and out.read_bytes() == raw
+        assert "verified: 195 rows, 147 positive" in capsys.readouterr().out
+    else:
+        assert status == 1 and not out.exists()
+        assert capsys.readouterr().err.startswith(f"error: {out}: line ")
 
 
 # -------------------------------------------------------------- correlation

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import builtins
 import hashlib
-import importlib.util
 import json
 import math
 import multiprocessing
@@ -18,7 +17,7 @@ import numpy as np
 import pytest
 
 import pdvox
-from conftest import REPO_ROOT, SYNTHETIC_CSV, make_dataset
+from conftest import REPO_ROOT, SYNTHETIC_CSV, load_script, make_dataset
 from pdvox import experiment
 from pdvox.dataset import CANONICAL_FEATURES, Dataset, load_dataset, write_dataset_csv
 from pdvox.cli import main
@@ -35,6 +34,8 @@ from pdvox.experiment import (
 from pdvox.resample import smote
 from pdvox.svm import SvmParams
 from pdvox.tree import MAX_BINS_LIMIT, TreeParams
+
+SWEEP = load_script("scripts/run_seed_sweep.py")
 
 
 def _make_csv(path, n_pos=40, n_neg=20, seed=0):
@@ -739,11 +740,7 @@ def test_stage_prefix_on_validation_errors(tmp_path):
 
 
 def test_seed_sweep_table_has_a_column_per_metric_and_a_row_per_model(csv_path, capsys):
-    path = REPO_ROOT / "scripts" / "run_seed_sweep.py"
-    spec = importlib.util.spec_from_file_location("run_seed_sweep", path)
-    sweep = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(sweep)
-    assert sweep.main(["--data", str(csv_path), "--seeds", "1"]) == 0
+    assert SWEEP.main(["--data", str(csv_path), "--seeds", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "medians over 1 seeds (42..42), smote=after"
     assert lines[1] == "model          accuracy  sensitivity  specificity    auc     f1"
@@ -754,14 +751,36 @@ def test_seed_sweep_table_has_a_column_per_metric_and_a_row_per_model(csv_path, 
     assert lines[-1].startswith("structured reports sha256: ")
 
 
+def test_seed_sweep_digest_ignores_how_the_data_path_is_spelt(tmp_path, monkeypatch, capsys):
+    copy = tmp_path / "copy.csv"
+    copy.write_bytes(SYNTHETIC_CSV.read_bytes())
+    monkeypatch.chdir(REPO_ROOT)
+    printed = set()
+    for spelling in ("data/synthetic_vocal.csv", "./data/synthetic_vocal.csv",
+                     str(SYNTHETIC_CSV), str(copy)):
+        assert SWEEP.main(["--data", spelling, "--seeds", "1"]) == 0
+        printed.add(capsys.readouterr().out.splitlines()[-1])
+    assert len(printed) == 1
+
+
+def test_seed_sweep_table_rows_are_as_wide_as_its_header(report, monkeypatch, capsys):
+    # a median of 100.00 is six characters, one more than "95.52"
+    first = report.results[0]
+    perfect = replace(first, metrics=replace(first.metrics, auc=1.0))
+    perfect_report = replace(report, results=(perfect, *report.results[1:]))
+    monkeypatch.setattr(SWEEP, "run_experiment", lambda cfg: perfect_report)
+    assert SWEEP.main(["--data", "unused.csv", "--seeds", "1"]) == 0
+    table = capsys.readouterr().out.splitlines()[1:-2]
+    assert "100.00" in table[1]
+    assert {len(line) for line in table} == {len(table[0])}
+
+
 def test_benchmark_count_hooks_read_what_the_package_returns(csv_path, monkeypatch):
     # perfbench/tracer.py counts from the objects its wrapped calls return,
     # one hook per LAYERS entry; a hook that reads a field a model no longer
     # has would otherwise fail only in a traced benchmark run. The fits run
     # in process, where the hooks see them.
-    spec = importlib.util.spec_from_file_location("tracer", REPO_ROOT / "perfbench" / "tracer.py")
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = load_script("perfbench/tracer.py")
     hooks = {counter.__name__ for *_, counter in tracer.LAYERS if counter is not None}
     ran = set()
 
