@@ -1,4 +1,8 @@
-"""Vocal-feature table ingestion, validation, correlation, and splitting.
+"""Vocal-feature table ingestion, validation, column statistics, and splitting.
+
+The column statistics are the Pearson correlation matrix and the z-score
+standardizer the SVM fits on its training rows. Both share one rule: a
+column that holds one value is constant, and a warning names it.
 
 The on-disk format is the 24-column comma-separated layout used by the
 sustained-phonation recordings table: a text ``name`` identifier, 22
@@ -14,7 +18,7 @@ import io
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import zip_longest
+from itertools import combinations, zip_longest
 
 import numpy as np
 
@@ -265,46 +269,83 @@ def write_dataset_csv(data: Dataset, path) -> None:
         )
 
 
+def _constant_columns(data: Dataset, consequence: str) -> np.ndarray:
+    """Mask of the columns of ``data`` that hold one value. Any such
+    column is named in the warning ``constant columns {consequence}``,
+    issued at the caller's caller."""
+    X = data.features
+    constant = np.all(X == X[0], axis=0)
+    if constant.any():
+        names = [data.feature_names[i] for i in np.flatnonzero(constant)]
+        warnings.warn(f"constant columns {consequence}: {names}", stacklevel=3)
+    return constant
+
+
+@dataclass(frozen=True, eq=False)
+class Standardizer(FrozenArrays):
+    """Per-column z-score transform fitted on training rows only.
+
+    Constant training columns are flagged and map to all-zero output.
+    ``stds`` holds the sample (n-1 denominator) standard deviation, with
+    1.0 stored in flagged slots so the transform stays division-safe.
+    """
+
+    ARRAYS = {"means": np.float64, "stds": np.float64, "constant": bool}
+    means: np.ndarray
+    stds: np.ndarray
+    constant: np.ndarray
+
+
+def fit_standardizer(train: Dataset) -> Standardizer:
+    """z-scores fitted on ``train``. A column that is not constant but whose
+    sample standard deviation is not finite or below 2**-511 (its variance
+    is then not a normal float) fails with a ValidationError naming it."""
+    if train.n_records == 0:
+        raise ValidationError("cannot fit standardizer on an empty dataset")
+    X = train.features
+    constant = _constant_columns(train, "standardize to zero")
+    stds = np.ones(X.shape[1])
+    if not constant.all():
+        with np.errstate(over="ignore"):  # an overflow fails below, naming its column
+            stds[~constant] = X[:, ~constant].std(axis=0, ddof=1)
+    bad = ~((stds >= 2.0**-511) & (stds < np.inf))  # a constant column's 1.0 passes
+    if bad.any():
+        names = [train.feature_names[i] for i in np.flatnonzero(bad)]
+        raise ValidationError(f"cannot standardize {names}: sample std not finite or below 2**-511")
+    return Standardizer(means=X.mean(axis=0), stds=stds, constant=constant)
+
+
+def transform_features(s: Standardizer, X: np.ndarray) -> np.ndarray:
+    """Apply the z-score transform to a raw feature matrix."""
+    out = (np.asarray(X, dtype=np.float64) - s.means) / s.stds
+    out[..., s.constant] = 0.0
+    return out
+
+
 def correlation_matrix(data: Dataset) -> np.ndarray:
     """Pearson correlation between every pair of feature columns.
 
     Symmetric with unit diagonal. Constant columns cannot support a
     correlation; their off-diagonal entries are set to 0.0 and a warning
-    is issued. Sums use exactly-rounded accumulation (math.fsum), so the
+    is issued. Each column is first scaled, exactly, by the power of two
+    that puts its largest magnitude in [0.5, 1), so no square over- or
+    underflows. Sums use exactly-rounded accumulation (math.fsum), so the
     result is bit-identical under any permutation of the rows.
     """
     if data.n_records < 2:
         raise ValidationError("correlation requires at least 2 records")
-    X = data.features
-    n, d = X.shape
-    constant = np.all(X == X[0], axis=0)
-    if constant.any():
-        names = [data.feature_names[i] for i in np.flatnonzero(constant)]
-        warnings.warn(
-            f"constant columns have undefined correlation, reported as 0: {names}",
-            stacklevel=2,
-        )
+    n, d = data.features.shape
+    constant = _constant_columns(data, "have undefined correlation, reported as 0")
+    X = np.ldexp(data.features, -np.frexp(np.abs(data.features).max(axis=0))[1])
     means = np.array([math.fsum(X[:, j].tolist()) / n for j in range(d)])
     centered = X - means
     centered[:, constant] = 0.0
-    norms = np.array(
-        [
-            math.sqrt(math.fsum((centered[:, j] * centered[:, j]).tolist()))
-            for j in range(d)
-        ]
-    )
+    norms = [math.sqrt(math.fsum((c * c).tolist())) for c in centered.T]
     corr = np.eye(d, dtype=np.float64)
-    for j in range(d):
-        for k in range(j + 1, d):
-            if norms[j] == 0.0 or norms[k] == 0.0:
-                r = 0.0
-            else:
-                r = math.fsum((centered[:, j] * centered[:, k]).tolist()) / (
-                    norms[j] * norms[k]
-                )
-                r = min(1.0, max(-1.0, r))
-            corr[j, k] = r
-            corr[k, j] = r
+    for j, k in combinations(range(d), 2):
+        if norms[j] != 0.0 and norms[k] != 0.0:
+            r = math.fsum((centered[:, j] * centered[:, k]).tolist()) / (norms[j] * norms[k])
+            corr[j, k] = corr[k, j] = min(1.0, max(-1.0, r))
     return corr
 
 

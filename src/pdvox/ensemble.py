@@ -29,13 +29,9 @@ from .tree import MAX_BINS_LIMIT, Tree, TreeParams, build_bins, fit_cart, predic
 
 
 def _sigmoid(z):
-    z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """1 / (1 + e^-z) from e^-|z|, which never overflows."""
+    ez = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
 
 
 def _log_loss(margins: np.ndarray, y: np.ndarray) -> float:

@@ -23,7 +23,7 @@ import os
 import sys
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -293,21 +293,17 @@ def run_experiment(cfg: RunConfig) -> ExperimentReport:
     )
 
 
-def _to_json(value):
-    """The JSON form of a report value: a dataclass is an object of its
-    fields, a tuple a list, and an array its list with the ROC anchor's
-    +inf threshold as null (strict JSON has no infinity)."""
-    if is_dataclass(value):
-        return {f.name: _to_json(getattr(value, f.name)) for f in fields(value)}
-    if isinstance(value, tuple):
-        return [_to_json(v) for v in value]
+def _array_to_json(value):
+    """``json.dumps`` hook: an array is its list, with the ROC anchor's +inf
+    threshold as null (strict JSON has no infinity)."""
     if isinstance(value, np.ndarray):
         return [None if v == math.inf else v for v in value.tolist()]
-    return value
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def report_to_json(report: ExperimentReport) -> str:
-    return json.dumps(_to_json(report), sort_keys=True, indent=2, allow_nan=False) + "\n"
+    return json.dumps(asdict(report), default=_array_to_json, sort_keys=True, indent=2,
+                      allow_nan=False) + "\n"
 
 
 def _is_number(value) -> bool:
@@ -332,7 +328,7 @@ _LEAVES = {
 }
 
 #: ROC thresholds, the one leaf that differs from its annotation: null
-#: stands for the +inf anchor (see ``_to_json``).
+#: stands for the +inf anchor (see ``_array_to_json``).
 _THRESHOLDS = (
     "an array of numbers and nulls",
     lambda v: isinstance(v, list) and all(t is None or _is_number(t) for t in v),

@@ -1,7 +1,7 @@
 """Soft-margin RBF-kernel SVM trained by sequential minimal optimization.
 
-Training standardizes features internally (z-scores fitted on the
-training rows), maps labels to {-1, +1}, and ascends the dual objective
+Training standardizes features (``dataset.fit_standardizer``, z-scores of
+the training rows), maps labels to {-1, +1}, and ascends the dual objective
 
     W(alpha) = sum(alpha) - 1/2 * (alpha*y)' K (alpha*y)
 
@@ -53,10 +53,10 @@ from itertools import chain
 
 import numpy as np
 
-from .dataset import Dataset, require_both_classes
-from .errors import (
-    ConfigError, FrozenArrays, ValidationError, check_float_field, check_int_field, check_matrix,
+from .dataset import (
+    Dataset, Standardizer, fit_standardizer, require_both_classes, transform_features,
 )
+from .errors import ConfigError, FrozenArrays, check_float_field, check_int_field, check_matrix
 
 #: Minimum multiplier movement for a step to count as progress.
 _STEP_EPS = 1e-12
@@ -90,45 +90,6 @@ class SvmParams:
             check_float_field(self, "gamma", gt=0)
         check_float_field(self, "tol", gt=0)
         check_int_field(self, "max_passes", 1)
-
-
-@dataclass(frozen=True, eq=False)
-class Standardizer(FrozenArrays):
-    """Per-column z-score transform fitted on training rows only.
-
-    Constant training columns are flagged and map to all-zero output.
-    ``stds`` holds the sample (n-1 denominator) standard deviation, with
-    1.0 stored in flagged slots so the transform stays division-safe.
-    """
-
-    ARRAYS = {"means": np.float64, "stds": np.float64, "constant": bool}
-    means: np.ndarray
-    stds: np.ndarray
-    constant: np.ndarray
-
-
-def fit_standardizer(train: Dataset) -> Standardizer:
-    if train.n_records == 0:
-        raise ValidationError("cannot fit standardizer on an empty dataset")
-    X = train.features
-    means = X.mean(axis=0)
-    constant = np.all(X == X[0], axis=0)
-    if constant.any():
-        names = [train.feature_names[i] for i in np.flatnonzero(constant)]
-        warnings.warn(f"constant columns standardize to zero: {names}", stacklevel=2)
-    stds = np.ones(X.shape[1], dtype=np.float64)
-    live = ~constant
-    if live.any():
-        stds[live] = X[:, live].std(axis=0, ddof=1)
-    return Standardizer(means=means, stds=stds, constant=constant)
-
-
-def transform_features(s: Standardizer, X: np.ndarray) -> np.ndarray:
-    """Apply the z-score transform to a raw feature matrix."""
-    X = np.asarray(X, dtype=np.float64)
-    out = (X - s.means) / s.stds
-    out[..., s.constant] = 0.0
-    return out
 
 
 @dataclass(frozen=True, eq=False)

@@ -10,7 +10,8 @@ One tree engine serves every ensemble in the toolkit:
 
 Features are binned once per ensemble fit, by ``build_bins`` (at most
 255 bins per feature, cut points at midpoints between adjacent unique
-values on quantile boundaries), and each of its trees grows from that
+values on quantile boundaries, or at the lower value where the midpoint
+rounds up to the upper one), and each of its trees grows from that
 ``BinMap`` with its own weights, a bagged tree's being its bootstrap draw
 counts (Breiman 1996). Each node keeps (A, B, count) histograms over the
 bins; a child's histogram is its parent's minus its sibling's. Routing
@@ -107,8 +108,10 @@ def build_bins(features, max_bins: int = MAX_BINS_LIMIT) -> BinMap:
 
     When a column has at most ``max_bins`` unique values every value gets
     its own bin; otherwise cut points sit at midpoints between unique
-    values straddling the b/max_bins quantile boundaries. Constant
-    columns produce zero cuts (one bin). Every value must be finite.
+    values straddling the b/max_bins quantile boundaries. A midpoint that
+    rounds up to the upper value is replaced by the lower value, so that
+    ``x <= cut`` still sends the lower value left and the upper one right.
+    Constant columns produce zero cuts (one bin). Every value must be finite.
     """
     X = check_matrix(features)
     check_int("max_bins", max_bins, 2, MAX_BINS_LIMIT)
@@ -121,7 +124,9 @@ def build_bins(features, max_bins: int = MAX_BINS_LIMIT) -> BinMap:
             boundary = np.arange(1, uniq.size)
         else:
             boundary = np.unique(np.arange(1, max_bins) * uniq.size // max_bins)
-        cut = (uniq[boundary - 1] + uniq[boundary]) / 2.0
+        lower, upper = uniq[boundary - 1], uniq[boundary]
+        cut = (lower + upper) / 2.0
+        cut = np.where(cut == upper, lower, cut)  # neighbours an ulp apart
         cuts.append(cut)
         codes[:, f] = np.searchsorted(cut, X[:, f], side="left")
     return BinMap(cuts=cuts, codes=codes, n_bins=[cut.size + 1 for cut in cuts])

@@ -14,6 +14,14 @@ import math
 import os
 from pathlib import Path
 
+# The SVM pins, the whole-report digest and perfbench/golden.json were
+# recorded at 2 OpenBLAS threads, and the SVM bits depend on the count.
+# OpenBLAS reads it once, when numpy loads, so it is set before any import
+# of numpy; a count already set in the environment is kept.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+    if not os.environ.get(_var):
+        os.environ[_var] = "2"
+
 import numpy as np
 import pytest
 from hypothesis import settings

@@ -147,6 +147,42 @@ def test_compare_fit_warning_is_one_line(tmp_path, capsys):
     )
 
 
+def _rescaled(tmp_path, column, scale):
+    """The committed file with one feature column times ``scale``."""
+    data = load_dataset(SYNTHETIC_CSV)
+    features = data.features.copy()
+    features[:, CANONICAL_FEATURES.index(column)] *= scale
+    path = tmp_path / "rescaled.csv"
+    write_dataset_csv(replace(data, features=features), path)
+    return path
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_correlate_reads_a_rescaled_column_as_the_original(tmp_path, capsys, scale):
+    # at 1e200 r(Fo, Fhi) used to read 0.0 after an overflow warning, and
+    # at 1e-200 it read 0.0 silently; the true value is about 0.898
+    def matrix(path):
+        assert main(["correlate", "--data", str(path)]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        return np.array([line.split(",")[1:] for line in out.splitlines()[1:]], dtype=float)
+
+    rescaled = matrix(_rescaled(tmp_path, "MDVP:Fhi(Hz)", scale))
+    assert np.allclose(rescaled, matrix(SYNTHETIC_CSV), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e170])
+def test_svm_run_names_a_column_it_cannot_standardize(tmp_path, capsys, scale):
+    # the parent divided by an underflowed std (1e-200) or zeroed the
+    # column (1e170) and reported a fit
+    path = _rescaled(tmp_path, "MDVP:Fo(Hz)", scale)
+    assert main(["run", "--model", "svm", "--smote", "off", "--data", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: fit svm: cannot standardize ['MDVP:Fo(Hz)']: "
+        "sample std not finite or below 2**-511\n"
+    )
+
+
 def test_correlate_out_file(csv_path, tmp_path, capsys):
     out = tmp_path / "corr.csv"
     assert main(["correlate", "--data", str(csv_path), "--out", str(out)]) == 0

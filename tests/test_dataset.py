@@ -1,9 +1,11 @@
-"""Ingestion, correlation, splitting, and the SVM's standardizer."""
+"""Ingestion, correlation, splitting, and the standardizer."""
 
 from __future__ import annotations
 
 import hashlib
+import re
 import statistics
+import warnings
 
 import numpy as np
 import pytest
@@ -17,13 +19,14 @@ from pdvox.dataset import (
     CANONICAL_HEADER,
     Dataset,
     correlation_matrix,
+    fit_standardizer,
     load_dataset,
     stratified_split,
     subset,
+    transform_features,
     write_dataset_csv,
 )
 from pdvox.errors import ConfigError, PdvoxError, SchemaError, ValidationError
-from pdvox.svm import fit_standardizer, transform_features
 
 
 def canonical_dataset(n_rows: int, rng: np.random.Generator) -> Dataset:
@@ -63,6 +66,16 @@ def test_dataset_rejects_bad_shapes_and_values():
     ds = make_dataset([[1.0, 2.0], [3.0, 4.0]], [0, 1])
     with pytest.raises(ValueError):
         ds.features[0, 0] = 9.0  # arrays are read-only
+
+
+@pytest.mark.parametrize("ids, labels, counts", [
+    (("a",), [0, 1], "1 ids, 2 feature rows, 2 labels"),
+    (("a", "b"), [0], "2 ids, 2 feature rows, 1 labels"),
+    (("a", "b"), [[0, 1]], "2 ids, 2 feature rows, ? labels"),
+], ids=["ids", "labels", "2-D-labels"])
+def test_dataset_rejects_ids_or_labels_not_as_long_as_its_rows(ids, labels, counts):
+    with pytest.raises(ValidationError, match=re.escape(f"inconsistent lengths: {counts}")):
+        Dataset(ids=ids, features=np.ones((2, 1)), labels=labels, feature_names=("f",))
 
 
 def test_dataset_rejects_a_table_without_feature_columns():
@@ -134,6 +147,21 @@ def test_load_bad_status_and_bad_cell_carry_line_numbers(tmp_path):
     write_rows(path2, CANONICAL_HEADER, [row])
     with pytest.raises(ValidationError, match="line 2.*MDVP:Flo"):
         load_dataset(path2)
+
+
+def test_load_names_a_non_numeric_status(tmp_path):
+    path = tmp_path / "word_status.csv"
+    write_rows(path, CANONICAL_HEADER, [sample_row(), sample_row("rec-2", status="x")])
+    with pytest.raises(ValidationError,
+                       match=re.escape(f"{path}: line 3: status 'x' is not numeric")):
+        load_dataset(path)
+
+
+def test_writer_rejects_a_non_canonical_schema(tmp_path):
+    out = tmp_path / "two_columns.csv"
+    with pytest.raises(SchemaError, match="canonical 22-feature schema"):
+        write_dataset_csv(make_dataset([[1.0, 2.0]], [1]), out)
+    assert not out.exists()
 
 
 def test_load_rejects_a_repeated_id_naming_both_lines(tmp_path):
@@ -438,6 +466,18 @@ def test_correlation_constant_column_sentinel_and_warning():
     assert corr[0, 0] == 1.0
 
 
+def test_correlation_does_not_depend_on_a_column_scale():
+    # r is scale-free, but the squares of 3e200 * x overflow and those of
+    # 3e-200 * x underflow: both used to read r = 0.0
+    data = load_dataset(SYNTHETIC_CSV)
+    x = data.features[:, 0]
+    ds = make_dataset(np.column_stack([x, 3e200 * x, 3e-200 * x]), data.labels)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        corr = correlation_matrix(ds)
+    assert np.allclose(corr, 1.0, rtol=0, atol=1e-12)
+
+
 def test_correlation_requires_two_records():
     ds = make_dataset([[1.0, 2.0]], [1])
     with pytest.raises(ValidationError):
@@ -545,7 +585,7 @@ def test_split_rejects_missing_class_and_bad_fraction():
         stratified_split(both, 1.0, seed=0)
 
 
-# ------------------------------------------------- standardizer (pdvox.svm)
+# --------------------------------------------- standardizer (pdvox.dataset)
 
 
 def test_standardizer_closed_form():
@@ -584,6 +624,19 @@ def test_standardizer_one_row_is_all_constant():
     assert s.constant.all()
     out = transform_features(s, np.array([[5.0, -1.0, 2.5], [7.0, 3.0, -4.0]]))
     assert np.array_equal(out, np.zeros((2, 3)))
+
+
+def test_standardizer_names_columns_whose_squares_leave_the_float_range():
+    # 1e-200 * x has a variance below the smallest normal float, 1e170 * x
+    # one above the largest; 1e-150 * x still standardizes like x
+    x = np.array([1.0, 2.0, 4.0])
+    ds = make_dataset(np.column_stack([x, 1e-200 * x, 1e170 * x, 1e-150 * x]), [0, 1, 1])
+    with pytest.raises(ValidationError, match=re.escape(
+            "cannot standardize ['f1', 'f2']: sample std not finite or below 2**-511")):
+        fit_standardizer(ds)
+    small = make_dataset(np.column_stack([x, 1e-150 * x]), [0, 1, 1])
+    out = transform_features(fit_standardizer(small), small.features)
+    assert np.allclose(out[:, 1], out[:, 0], rtol=0, atol=1e-12)
 
 
 def test_standardizer_never_reads_test_rows():

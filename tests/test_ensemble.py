@@ -217,6 +217,14 @@ def test_adaboost_perfect_stump_stops_early():
     assert np.all((scores >= 0).astype(int) == y)
 
 
+def test_adaboost_discards_a_stump_at_error_one_half():
+    # XOR: every stump errs on half the weight, so none is kept
+    X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
+    model = fit_adaboost(make_dataset(X, [0, 1, 1, 0]), AdaBoostParams(rounds=5))
+    assert model.trees == () and model.weights == () and model.trace == ()
+    assert ensemble_scores(model, X).tolist() == [0.0] * 4
+
+
 def test_adaboost_score_is_alpha_weighted_stump_vote():
     # each stump votes +1 or -1 with its round weight, summed in stump order
     train = _toy(n=50, seed=7)

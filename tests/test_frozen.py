@@ -14,11 +14,11 @@ import pytest
 
 from conftest import SYNTHETIC_CSV
 from pdvox import experiment
-from pdvox.dataset import Dataset, load_dataset, stratified_split
+from pdvox.dataset import Dataset, Standardizer, load_dataset, stratified_split
 from pdvox.experiment import MODEL_NAMES
 from pdvox.errors import frozen
 from pdvox.metrics import RocCurve
-from pdvox.svm import Standardizer, SvmModel
+from pdvox.svm import SvmModel
 from pdvox.tree import BinMap, Tree
 
 

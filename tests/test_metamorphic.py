@@ -64,13 +64,14 @@ def test_renaming_every_id_changes_no_result(original, tmp_path):
     assert _results(_rewritten(tmp_path, ids=ids), "after") == original["after"]
 
 
-# strictly increasing maps that keep unique values far more than an ulp
-# apart, so that the midpoint between two neighbours stays between them
+# strictly increasing maps; "ulp" puts neighbours one ulp apart, where a
+# midpoint can round onto the upper neighbour
 INCREASING = {
     "scale": lambda x, s: x * s,
     "cube": lambda x, s: (x - x.min() + s) ** 3,
     "log": lambda x, s: np.log(x - x.min() + s),
     "exp": lambda x, s: np.exp(s * (x - x.min()) / np.ptp(x)),
+    "ulp": lambda x, s: 1.0 + np.unique(x, return_inverse=True)[1] * np.spacing(1.0),
 }
 TREE_PARAMS = [
     TreeParams(objective=objective, **limit)

@@ -71,6 +71,23 @@ def test_non_finite_scores_rejected(metric, bad):
         metric([bad, 0.2, 0.9, 0.1], [0, 1, 1, 0])
 
 
+def test_negative_confusion_count_rejected():
+    with pytest.raises(ValidationError, match="^fp must be non-negative$"):
+        ConfusionMatrix(tp=1, fn=0, tn=0, fp=-1)
+
+
+@pytest.mark.parametrize("scores, labels, message", [
+    (np.zeros((2, 2)), [0, 1], "scores and labels must be 1-D"),
+    ([], [], "need at least one record"),
+    ([0.1, 0.9], [0, 2], "labels must be 0 or 1"),
+], ids=["2-D", "empty", "label-2"])
+@pytest.mark.parametrize("metric", [lambda s, y: confusion(s, y, 0.5), roc_auc],
+                         ids=["confusion", "roc_auc"])
+def test_malformed_scores_or_labels_rejected(metric, scores, labels, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        metric(scores, labels)
+
+
 # ---------------------------------------------------------- ratio metrics
 
 

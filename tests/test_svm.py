@@ -19,10 +19,10 @@ from conftest import (
     reference_kernel_matrix,
 )
 from pdvox import svm
-from pdvox.dataset import load_dataset, stratified_split
+from pdvox.dataset import Standardizer, load_dataset, stratified_split, transform_features
 from pdvox.errors import ConfigError, ValidationError
 from pdvox.resample import smote
-from pdvox.svm import Standardizer, SvmParams, decision_scores, fit_svm, transform_features
+from pdvox.svm import SvmParams, decision_scores, fit_svm
 
 
 def _plain_kernel(X, gamma):
@@ -219,6 +219,14 @@ def test_gamma_scale_resolves_to_inverse_dimension_on_full_rank():
     model = fit_svm(train, SvmParams(gamma="scale"))
     # standardized features have unit variance, so scale = 1/d
     assert model.gamma == pytest.approx(1.0 / 4.0, rel=1e-9)
+
+
+def test_gamma_scale_is_one_when_every_column_is_constant():
+    # every standardized column is 0, so their mean variance is 0
+    ds = make_dataset(np.full((4, 2), 3.0), [0, 1, 0, 1])
+    with pytest.warns(UserWarning, match=r"constant columns standardize to zero: \['f0', 'f1'\]"):
+        model = fit_svm(ds)
+    assert model.gamma == 1.0
 
 
 def test_gamma_explicit_value_respected():

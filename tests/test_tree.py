@@ -86,6 +86,17 @@ def test_bins_codes_consistent_with_route_rule():
             assert np.array_equal(left_by_value, left_by_code)
 
 
+def test_bins_keep_adjacent_floats_apart():
+    # (a + b) / 2 is a tie that rounds to b; a cut at b would bin a with b
+    a = np.nextafter(1.0, 2.0)
+    b = np.nextafter(a, 2.0)
+    X = np.array([[a], [b], [2.0]])
+    bins = build_bins(X)
+    assert bins.codes[:, 0].tolist() == [0, 1, 2]
+    stump = fit_cart(bins, np.array([0.0, 1.0, 1.0]), np.ones(3), _gini_params(max_depth=1))
+    assert predict_many(stump, X).tolist() == [0.0, 1.0, 1.0]
+
+
 def test_bins_invalid_limits():
     X = np.zeros((3, 1))
     with pytest.raises(ConfigError):
@@ -592,6 +603,17 @@ def test_params_require_exactly_one_growth_limit():
         TreeParams(objective="gini", min_samples_leaf=1)
     with pytest.raises(ConfigError):
         TreeParams(objective="newton", max_depth=3, max_leaves=8, min_samples_leaf=1)
+
+
+def test_params_reject_an_unknown_objective():
+    with pytest.raises(ConfigError, match="^unknown objective 'entropy'$"):
+        TreeParams(objective="entropy", max_depth=1)
+
+
+def test_zero_rows_fail_before_the_weights_check():
+    bins = build_bins(np.empty((0, 2)))
+    with pytest.raises(ValidationError, match="^cannot fit a tree on zero rows$"):
+        fit_cart(bins, np.empty(0), np.empty(0), params=_gini_params())
 
 
 def test_gini_requires_binary_targets():
