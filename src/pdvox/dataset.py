@@ -77,7 +77,7 @@ class Dataset(FrozenArrays):
 
     def __post_init__(self):
         features = check_matrix(self.features, len(self.feature_names))
-        labels = np.asarray(self.labels, dtype=np.int64)
+        labels = np.asarray(self.labels)  # checked before the cast, which truncates 0.5 to 0
         n = features.shape[0]
         if len(self.ids) != n or labels.shape != (n,):
             raise ValidationError(
@@ -88,7 +88,7 @@ class Dataset(FrozenArrays):
         if bad.any():
             raise ValidationError(f"labels must be 0 or 1; saw {labels[bad][0]}")
         self.__dict__.update(ids=tuple(self.ids), feature_names=tuple(self.feature_names),
-                             features=features, labels=labels)
+                             features=features, labels=labels.astype(np.int64))
         super().__post_init__()
 
     @property

@@ -7,8 +7,11 @@ divisor, so every model feeds the same threshold and ROC machinery.
 
 * GBDT — additive Newton trees on logistic-loss gradients; the leaf-wise
   variant grows best-gain-first to a leaf budget, the level-wise variant
-  grows breadth-first to a depth limit. The base is the training log-odds
-  and every weight the learning rate.
+  grows breadth-first to a depth limit. The variants differ in nothing
+  else: one :class:`GbdtParams` body holds every shared setting and builds
+  each round's :class:`~pdvox.tree.TreeParams`, which checks the growth
+  settings. The base is the training log-odds and every weight the
+  learning rate.
 * AdaBoost — weighted-error decision stumps with the classic half-log-odds
   round weights; each stump votes ±1.
 * Bagging — full CART trees on bootstrap draw counts, weight 1 each,
@@ -17,8 +20,7 @@ divisor, so every model feeds the same threshold and ROC machinery.
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -41,28 +43,33 @@ def _log_loss(margins: np.ndarray, y: np.ndarray) -> float:
 
 
 @dataclass(frozen=True)
-class GbdtParams(ABC):
+class GbdtParams:
     """Boosting settings both variants share. A variant subclass names
-    itself in the class attribute ``variant`` and adds its growth limit
-    and a ``min_samples_leaf`` default after the library it mimics."""
+    itself in the class attribute ``variant`` and adds its growth limit,
+    ``max_leaves`` or ``max_depth``. :class:`TreeParams` checks the growth
+    settings, and they are stored back as the Python numbers it holds."""
 
     rounds: int = 100
     learning_rate: float = 0.1
     lam: float = 1.0
     gamma: float = 0.0
     max_bins: int = MAX_BINS_LIMIT
+    min_samples_leaf: int = 1
 
     def __post_init__(self):
         check_int_field(self, "rounds", 0)
         check_int_field(self, "max_bins", 2, MAX_BINS_LIMIT)
-        check_int_field(self, "min_samples_leaf", 1)
         check_float_field(self, "learning_rate", gt=0, le=1)
-        check_float_field(self, "lam", ge=0)
-        check_float_field(self, "gamma", ge=0)
+        tree = self.tree_params()
+        for f in fields(self):
+            if hasattr(tree, f.name):
+                object.__setattr__(self, f.name, getattr(tree, f.name))
 
-    @abstractmethod
     def tree_params(self) -> TreeParams:
         """Growth settings of every round's Newton tree."""
+        return TreeParams(objective="newton", max_depth=getattr(self, "max_depth", None),
+                          max_leaves=getattr(self, "max_leaves", None),
+                          min_samples_leaf=self.min_samples_leaf, lam=self.lam, gamma=self.gamma)
 
 
 @dataclass(frozen=True)
@@ -73,14 +80,6 @@ class LeafwiseGbdtParams(GbdtParams):
     max_leaves: int = 31
     min_samples_leaf: int = 20
 
-    def __post_init__(self):
-        super().__post_init__()
-        check_int_field(self, "max_leaves", 1)
-
-    def tree_params(self) -> TreeParams:
-        return TreeParams(objective="newton", max_leaves=self.max_leaves,
-                          min_samples_leaf=self.min_samples_leaf, lam=self.lam, gamma=self.gamma)
-
 
 @dataclass(frozen=True)
 class LevelwiseGbdtParams(GbdtParams):
@@ -88,15 +87,6 @@ class LevelwiseGbdtParams(GbdtParams):
 
     variant = "level-wise"
     max_depth: int = 6
-    min_samples_leaf: int = 1
-
-    def __post_init__(self):
-        super().__post_init__()
-        check_int_field(self, "max_depth", 0)
-
-    def tree_params(self) -> TreeParams:
-        return TreeParams(objective="newton", max_depth=self.max_depth,
-                          min_samples_leaf=self.min_samples_leaf, lam=self.lam, gamma=self.gamma)
 
 
 @dataclass(frozen=True)

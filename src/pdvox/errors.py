@@ -36,10 +36,16 @@ class ConfigError(PdvoxError):
 
 def check_matrix(X, n_features: int | None = None) -> np.ndarray:
     """``X`` as a float64 matrix of at least one column, and of
-    ``n_features`` columns when given; ValidationError on another shape or
-    a NaN/inf value. Every feature matrix a dataset, a tree or a model
-    takes in passes here."""
-    M = np.asarray(X, dtype=np.float64)
+    ``n_features`` columns when given; ValidationError on another shape,
+    on a value that is not a real number (complex, non-numeric text,
+    ragged rows) or on a NaN/inf value. Every feature matrix a dataset, a
+    tree or a model takes in passes here."""
+    try:
+        if np.iscomplexobj(X):  # numpy would keep only the real parts, with a warning
+            raise TypeError
+        M = np.asarray(X, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ValidationError("features must be real numbers") from None
     if M.ndim != 2 or M.shape[1] == 0 or n_features not in (None, M.shape[1]):
         want = n_features or "d >= 1"
         raise ValidationError(f"expected (n, {want}) feature matrix, got shape {M.shape}")

@@ -81,7 +81,10 @@ def _as_scores_labels(scores, labels):
 
 
 def confusion(scores, labels, threshold: float) -> ConfusionMatrix:
-    """Tally predictions (score >= threshold -> positive) against labels."""
+    """Tally predictions (score >= threshold -> positive) against labels.
+    A NaN threshold fails; ±inf predict every row negative / positive."""
+    if np.isnan(threshold):
+        raise ValidationError("threshold must not be NaN")
     s, y = _as_scores_labels(scores, labels)
     predicted = s >= threshold
     actual = y == 1

@@ -125,7 +125,10 @@ def build_bins(features, max_bins: int = MAX_BINS_LIMIT) -> BinMap:
         else:
             boundary = np.unique(np.arange(1, max_bins) * uniq.size // max_bins)
         lower, upper = uniq[boundary - 1], uniq[boundary]
-        cut = (lower + upper) / 2.0
+        with np.errstate(over="ignore"):
+            total = lower + upper
+        # halves first only where the sum overflows, so every other cut keeps its bits
+        cut = np.where(np.isfinite(total), total / 2.0, lower / 2.0 + upper / 2.0)
         cut = np.where(cut == upper, lower, cut)  # neighbours an ulp apart
         cuts.append(cut)
         codes[:, f] = np.searchsorted(cut, X[:, f], side="left")

@@ -81,13 +81,13 @@ def load_script(path: str):
 
 
 def make_dataset(X, y, names=None) -> Dataset:
-    X = np.asarray(X, dtype=np.float64)
+    """X and y as given, so that Dataset converts and checks them itself."""
     if names is None:
-        names = tuple(f"f{i}" for i in range(X.shape[1]))
+        names = tuple(f"f{i}" for i in range(np.shape(X[:1])[1]))  # first row's width
     return Dataset(
-        ids=tuple(f"r{i}" for i in range(X.shape[0])),
+        ids=tuple(f"r{i}" for i in range(len(X))),
         features=X,
-        labels=np.asarray(y, dtype=np.int64),
+        labels=y,
         feature_names=names,
     )
 

@@ -27,6 +27,7 @@ from pdvox.dataset import (
     write_dataset_csv,
 )
 from pdvox.errors import ConfigError, PdvoxError, SchemaError, ValidationError
+from pdvox.tree import TreeParams, build_bins, fit_cart, predict_many
 
 
 def canonical_dataset(n_rows: int, rng: np.random.Generator) -> Dataset:
@@ -66,6 +67,38 @@ def test_dataset_rejects_bad_shapes_and_values():
     ds = make_dataset([[1.0, 2.0], [3.0, 4.0]], [0, 1])
     with pytest.raises(ValueError):
         ds.features[0, 0] = 9.0  # arrays are read-only
+
+
+@pytest.mark.parametrize("X", [[["x"]], [[1.0, 2.0], [3.0]], [[1 + 2j]],
+                               np.array([[1 + 2j], [3 + 0j]])],
+                         ids=["text", "ragged", "complex-list", "complex-array"])
+@pytest.mark.parametrize("entry", ["make_dataset", "predict_many"])
+def test_non_real_features_rejected(entry, X):
+    # each used to raise a bare ValueError or TypeError, and a complex array
+    # only warned and kept its real parts
+    stump = fit_cart(build_bins([[0.0], [1.0]]), np.array([0.0, 1.0]), np.ones(2),
+                     TreeParams(objective="gini", max_depth=1))
+    with pytest.raises(ValidationError, match="^features must be real numbers$"):
+        if entry == "make_dataset":
+            make_dataset(X, [0] * len(X))
+        else:
+            predict_many(stump, X)
+
+
+@pytest.mark.parametrize("labels", [[0.5, 1.0], [0, 1.9], [0, np.nan]],
+                         ids=["0.5", "1.9", "nan"])
+def test_dataset_rejects_labels_that_are_not_0_or_1(labels):
+    # the int64 cast used to come first: 0.5 and 1.9 were stored as 0 and 1,
+    # and a NaN failed as a bare ValueError
+    with pytest.raises(ValidationError, match="^labels must be 0 or 1; saw"):
+        make_dataset([[1.0], [2.0]], labels)
+
+
+@pytest.mark.parametrize("labels", [[0, 1], [False, True], [0.0, 1.0]],
+                         ids=["int", "bool", "float"])
+def test_dataset_stores_0_1_labels_as_int64(labels):
+    stored = make_dataset([[1.0], [2.0]], labels).labels
+    assert stored.dtype == np.int64 and stored.tolist() == [0, 1]
 
 
 @pytest.mark.parametrize("ids, labels, counts", [

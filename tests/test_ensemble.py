@@ -142,12 +142,12 @@ def test_gbdt_param_validation():
     with pytest.raises(ConfigError):
         LeafwiseGbdtParams(rounds=-1)
     # a variant has no field for the other's growth limit, and the shared
-    # base names no growth limit at all
+    # base names no growth limit at all, so its tree params reject it
     with pytest.raises(TypeError):
         LeafwiseGbdtParams(max_depth=6)
     with pytest.raises(TypeError):
         LevelwiseGbdtParams(max_leaves=31)
-    with pytest.raises(TypeError):
+    with pytest.raises(ConfigError, match="set exactly one of max_depth / max_leaves"):
         GbdtParams()
 
 

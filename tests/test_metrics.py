@@ -56,6 +56,17 @@ def test_confusion_ties_go_positive():
     assert cm.tp == 1 and cm.fp == 1
 
 
+def test_confusion_rejects_a_nan_threshold():
+    # no score is >= NaN, so every row used to be predicted negative
+    with pytest.raises(ValidationError, match="^threshold must not be NaN$"):
+        confusion([0.1, 0.9], [0, 1], float("nan"))
+
+
+def test_confusion_infinite_thresholds_predict_all_one_side():
+    assert confusion([0.1, 0.9], [0, 1], np.inf) == ConfusionMatrix(tp=0, fn=1, tn=1, fp=0)
+    assert confusion([0.1, 0.9], [0, 1], -np.inf) == ConfusionMatrix(tp=1, fn=0, tn=0, fp=1)
+
+
 def test_confusion_length_mismatch():
     with pytest.raises(ValidationError):
         confusion([0.5], [1, 0], 0.5)

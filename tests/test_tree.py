@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -95,6 +96,19 @@ def test_bins_keep_adjacent_floats_apart():
     assert bins.codes[:, 0].tolist() == [0, 1, 2]
     stump = fit_cart(bins, np.array([0.0, 1.0, 1.0]), np.ones(3), _gini_params(max_depth=1))
     assert predict_many(stump, X).tolist() == [0.0, 1.0, 1.0]
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["positive", "negative"])
+def test_bins_midpoints_do_not_overflow(sign):
+    # lower + upper overflowed: both cuts were ±inf and every row one bin
+    X = sign * np.array([[1e308], [1.5e308], [1.7e308]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bins = build_bins(X)
+    assert bins.codes[:, 0].tolist() == ([0, 1, 2] if sign > 0 else [2, 1, 0])
+    values, cuts = np.sort(X[:, 0]), bins.cuts[0]
+    assert np.isfinite(cuts).all()
+    assert (values[:-1] < cuts).all() and (cuts < values[1:]).all()
 
 
 def test_bins_invalid_limits():
