@@ -22,7 +22,9 @@ from itertools import combinations, zip_longest
 
 import numpy as np
 
-from .errors import FrozenArrays, SchemaError, ValidationError, check_float, check_matrix
+from .errors import (
+    FrozenArrays, SchemaError, ValidationError, check_float, check_matrix, check_real_dtype,
+)
 from .rng import stream
 
 CANONICAL_HEADER: tuple[str, ...] = (
@@ -77,7 +79,7 @@ class Dataset(FrozenArrays):
 
     def __post_init__(self):
         features = check_matrix(self.features, len(self.feature_names))
-        labels = np.asarray(self.labels)  # checked before the cast, which truncates 0.5 to 0
+        labels = check_real_dtype(self.labels, "labels")  # 0/1 checked before the int64 cast
         n = features.shape[0]
         if len(self.ids) != n or labels.shape != (n,):
             raise ValidationError(

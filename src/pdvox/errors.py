@@ -1,12 +1,14 @@
 """Exception types raised by the toolkit, and the per-value checks that
-raise them: settings, seeds (``rng.derive_key`` checks every one) and
-feature matrices. A rule about a whole table belongs to the function that
-makes the table, as the both-classes rule belongs to the split. Every
-frozen value that holds arrays is a :class:`FrozenArrays`: it owns a
-read-only copy of each (:func:`frozen`), read-only through pickling too,
-and two such values compare by value, NaN equal to NaN. They are
-unhashable. So a model fitted in a worker process equals the same fit in
-process."""
+raise them: settings, seeds (``rng.derive_key`` checks every one),
+arrays of real numbers (:func:`check_reals`, one rule for features,
+scores, tree targets and weights; labels take its dtype half,
+:func:`check_real_dtype`) and feature matrices (:func:`check_matrix`).
+A rule about a whole table belongs to the function that makes the table,
+as the both-classes rule belongs to the split. Every frozen value that
+holds arrays is a :class:`FrozenArrays`: it owns a read-only copy of each
+(:func:`frozen`), read-only through pickling too, and two such values
+compare by value, NaN equal to NaN. They are unhashable. So a model
+fitted in a worker process equals the same fit in process."""
 
 from __future__ import annotations
 
@@ -34,23 +36,43 @@ class ConfigError(PdvoxError):
     """A run configuration combines options that cannot be honoured."""
 
 
+def check_real_dtype(values, name: str) -> np.ndarray:
+    """``values`` as an ndarray of bool, integer or float dtype, unconverted;
+    ValidationError ``"{name} must be real numbers"`` on any other: text
+    (even ``"1.5"``), complex values (numpy would keep only the real
+    parts), object arrays and ragged rows. The dtype decides, so an object
+    array of floats fails too. Labels take only this half of
+    :func:`check_reals`, so a NaN label fails their own 0/1 rule."""
+    try:
+        values = np.asarray(values)
+        if values.dtype.kind in "biuf":
+            return values
+    except ValueError:  # ragged rows
+        pass
+    raise ValidationError(f"{name} must be real numbers")
+
+
+def check_reals(values, name: str) -> np.ndarray:
+    """``values`` as a float64 array of finite real numbers: the one rule
+    for every array of numbers the toolkit reads (features, scores, tree
+    targets and weights). ValidationError as in :func:`check_real_dtype`,
+    or ``"{name} must be finite (no NaN/inf)"``. A float64 ndarray is
+    returned as it is, without a copy."""
+    values = check_real_dtype(values, name).astype(np.float64, copy=False)
+    if not np.isfinite(values).all():
+        raise ValidationError(f"{name} must be finite (no NaN/inf)")
+    return values
+
+
 def check_matrix(X, n_features: int | None = None) -> np.ndarray:
     """``X`` as a float64 matrix of at least one column, and of
-    ``n_features`` columns when given; ValidationError on another shape,
-    on a value that is not a real number (complex, non-numeric text,
-    ragged rows) or on a NaN/inf value. Every feature matrix a dataset, a
-    tree or a model takes in passes here."""
-    try:
-        if np.iscomplexobj(X):  # numpy would keep only the real parts, with a warning
-            raise TypeError
-        M = np.asarray(X, dtype=np.float64)
-    except (TypeError, ValueError):
-        raise ValidationError("features must be real numbers") from None
+    ``n_features`` columns when given: :func:`check_reals` plus the shape
+    rule. Every feature matrix a dataset, a tree or a model takes in
+    passes here."""
+    M = check_reals(X, "features")
     if M.ndim != 2 or M.shape[1] == 0 or n_features not in (None, M.shape[1]):
         want = n_features or "d >= 1"
         raise ValidationError(f"expected (n, {want}) feature matrix, got shape {M.shape}")
-    if not np.isfinite(M).all():
-        raise ValidationError("features must be finite (no NaN/inf)")
     return M
 
 

@@ -11,11 +11,12 @@ Conventions used throughout:
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FrozenArrays, ValidationError
+from .errors import FrozenArrays, ValidationError, check_real_dtype, check_reals
 
 
 @dataclass(frozen=True)
@@ -65,16 +66,14 @@ class RocCurve(FrozenArrays):
 
 
 def _as_scores_labels(scores, labels):
-    s = np.asarray(scores, dtype=np.float64)
-    y = np.asarray(labels)
+    s = check_reals(scores, "scores")
+    y = check_real_dtype(labels, "labels")
     if s.ndim != 1 or y.ndim != 1:
         raise ValidationError("scores and labels must be 1-D")
     if s.shape[0] != y.shape[0]:
         raise ValidationError(f"length mismatch: {s.shape[0]} scores vs {y.shape[0]} labels")
     if s.shape[0] == 0:
         raise ValidationError("need at least one record")
-    if not np.isfinite(s).all():
-        raise ValidationError("scores must be finite (no NaN/inf)")
     if not np.isin(y, (0, 1)).all():
         raise ValidationError("labels must be 0 or 1")
     return s, y.astype(np.int64)
@@ -82,7 +81,10 @@ def _as_scores_labels(scores, labels):
 
 def confusion(scores, labels, threshold: float) -> ConfusionMatrix:
     """Tally predictions (score >= threshold -> positive) against labels.
-    A NaN threshold fails; ±inf predict every row negative / positive."""
+    A threshold that is not a real number (text, complex, a bool) or is NaN
+    fails; ±inf predict every row negative / positive."""
+    if isinstance(threshold, bool) or not isinstance(threshold, numbers.Real):
+        raise ValidationError(f"threshold must be a real number, got {threshold!r}")
     if np.isnan(threshold):
         raise ValidationError("threshold must not be NaN")
     s, y = _as_scores_labels(scores, labels)

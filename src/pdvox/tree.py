@@ -75,7 +75,7 @@ import numpy as np
 
 from .errors import (
     ConfigError, FrozenArrays, ValidationError, check_float_field, check_int, check_int_field,
-    check_matrix,
+    check_matrix, check_reals,
 )
 
 #: Positive-gain floor: splits must clear this to be accepted, which keeps
@@ -294,8 +294,8 @@ def fit_cart(bins: BinMap, targets, weights, params: TreeParams) -> Tree:
     ``weights`` are hessians, and every row enters (a zero hessian still
     carries a gradient).
     """
-    t = np.asarray(targets, dtype=np.float64)
-    w = np.asarray(weights, dtype=np.float64)
+    t = check_reals(targets, "targets")
+    w = check_reals(weights, "weights")
     n, d = bins.codes.shape
     if t.shape != (n,) or w.shape != (n,):
         raise ValidationError(
@@ -303,9 +303,6 @@ def fit_cart(bins: BinMap, targets, weights, params: TreeParams) -> Tree:
         )
     if n == 0:
         raise ValidationError("cannot fit a tree on zero rows")
-    for name, values in (("targets", t), ("weights", w)):
-        if not np.isfinite(values).all():
-            raise ValidationError(f"{name} must be finite (no NaN/inf)")
     if np.any(w < 0) or not np.any(w > 0):
         raise ValidationError("weights must be >= 0 and not all zero")
     if params.objective == "gini" and not np.isin(t, (0.0, 1.0)).all():

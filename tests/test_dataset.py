@@ -70,12 +70,15 @@ def test_dataset_rejects_bad_shapes_and_values():
 
 
 @pytest.mark.parametrize("X", [[["x"]], [[1.0, 2.0], [3.0]], [[1 + 2j]],
-                               np.array([[1 + 2j], [3 + 0j]])],
-                         ids=["text", "ragged", "complex-list", "complex-array"])
+                               np.array([[1 + 2j], [3 + 0j]]), [["1.5", "2"]],
+                               np.array([[1.0]], dtype=object)],
+                         ids=["text", "ragged", "complex-list", "complex-array", "numeric-text",
+                              "object"])
 @pytest.mark.parametrize("entry", ["make_dataset", "predict_many"])
 def test_non_real_features_rejected(entry, X):
-    # each used to raise a bare ValueError or TypeError, and a complex array
-    # only warned and kept its real parts
+    # each used to raise a bare ValueError or TypeError, a complex array
+    # only warned and kept its real parts, and text that parses and an
+    # object array were read as numbers: the dtype decides
     stump = fit_cart(build_bins([[0.0], [1.0]]), np.array([0.0, 1.0]), np.ones(2),
                      TreeParams(objective="gini", max_depth=1))
     with pytest.raises(ValidationError, match="^features must be real numbers$"):
@@ -85,12 +88,18 @@ def test_non_real_features_rejected(entry, X):
             predict_many(stump, X)
 
 
-@pytest.mark.parametrize("labels", [[0.5, 1.0], [0, 1.9], [0, np.nan]],
-                         ids=["0.5", "1.9", "nan"])
-def test_dataset_rejects_labels_that_are_not_0_or_1(labels):
+@pytest.mark.parametrize("labels, message", [
+    ([0.5, 1.0], "labels must be 0 or 1; saw"),
+    ([0, 1.9], "labels must be 0 or 1; saw"),
+    ([0, np.nan], "labels must be 0 or 1; saw nan"),
+    (["0", "1"], "labels must be real numbers$"),
+    ([0j, 1 + 0j], "labels must be real numbers$"),
+], ids=["0.5", "1.9", "nan", "text", "complex"])
+def test_dataset_rejects_labels_that_are_not_0_or_1(labels, message):
     # the int64 cast used to come first: 0.5 and 1.9 were stored as 0 and 1,
-    # and a NaN failed as a bare ValueError
-    with pytest.raises(ValidationError, match="^labels must be 0 or 1; saw"):
+    # and a NaN failed as a bare ValueError; text failed as "saw 0", which
+    # blamed a valid value, and complex labels were stored as their real parts
+    with pytest.raises(ValidationError, match=f"^{message}"):
         make_dataset([[1.0], [2.0]], labels)
 
 

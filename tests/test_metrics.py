@@ -56,10 +56,20 @@ def test_confusion_ties_go_positive():
     assert cm.tp == 1 and cm.fp == 1
 
 
-def test_confusion_rejects_a_nan_threshold():
-    # no score is >= NaN, so every row used to be predicted negative
-    with pytest.raises(ValidationError, match="^threshold must not be NaN$"):
-        confusion([0.1, 0.9], [0, 1], float("nan"))
+@pytest.mark.parametrize("threshold, message", [
+    (float("nan"), "threshold must not be NaN"),
+    ("0.5", "threshold must be a real number, got '0.5'"),
+    (None, "threshold must be a real number, got None"),
+    (0.5 + 0j, r"threshold must be a real number, got \(0.5\+0j\)"),
+    (True, "threshold must be a real number, got True"),
+    (np.True_, "threshold must be a real number, got np.True_"),
+], ids=["nan", "text", "none", "complex", "bool", "numpy-bool"])
+def test_confusion_rejects_a_nan_or_non_real_threshold(threshold, message):
+    # no score is >= NaN, so every row used to be predicted negative; text
+    # and None failed as a bare TypeError, and a complex or bool threshold
+    # was used as its real value
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        confusion([0.1, 0.9], [0, 1], threshold)
 
 
 def test_confusion_infinite_thresholds_predict_all_one_side():
@@ -91,7 +101,12 @@ def test_negative_confusion_count_rejected():
     (np.zeros((2, 2)), [0, 1], "scores and labels must be 1-D"),
     ([], [], "need at least one record"),
     ([0.1, 0.9], [0, 2], "labels must be 0 or 1"),
-], ids=["2-D", "empty", "label-2"])
+    # text that parses and complex values used to be read as numbers, the
+    # complex ones keeping only their real parts
+    (["0.2", "0.9"], [0, 1], "scores must be real numbers"),
+    (np.array([0.2 + 1j, 0.9]), [0, 1], "scores must be real numbers"),
+    ([0.1, 0.9], [0j, 1 + 0j], "labels must be real numbers"),
+], ids=["2-D", "empty", "label-2", "text-scores", "complex-scores", "complex-labels"])
 @pytest.mark.parametrize("metric", [lambda s, y: confusion(s, y, 0.5), roc_auc],
                          ids=["confusion", "roc_auc"])
 def test_malformed_scores_or_labels_rejected(metric, scores, labels, message):

@@ -659,6 +659,20 @@ def test_nonfinite_targets_and_weights_rejected(objective, name, bad):
                  params)
 
 
+@pytest.mark.parametrize("bad", [np.array(["0", "1", "0"]), np.array([0, 1 + 1j, 0])],
+                         ids=["text", "complex"])
+@pytest.mark.parametrize("name", ["targets", "weights"])
+@pytest.mark.parametrize("objective", ["gini", "newton"])
+def test_non_real_targets_and_weights_rejected(objective, name, bad):
+    # text that parses used to be read as numbers, and a complex array
+    # warned once and kept its real parts
+    given = {"targets": np.array([0.0, 1.0, 0.0]), "weights": np.ones(3), name: bad}
+    params = _gini_params() if objective == "gini" else _newton_params()
+    with pytest.raises(ValidationError, match=f"^{name} must be real numbers$"):
+        fit_cart(build_bins(np.arange(3.0).reshape(3, 1)), given["targets"], given["weights"],
+                 params)
+
+
 def test_shape_mismatch_rejected():
     X = np.array([[0.0], [1.0]])
     with pytest.raises(ValidationError):
