@@ -23,7 +23,7 @@ from itertools import combinations, zip_longest
 import numpy as np
 
 from .errors import (
-    FrozenArrays, SchemaError, ValidationError, check_float, check_matrix, check_real_dtype,
+    FrozenArrays, SchemaError, ValidationError, check_float, check_labels, check_matrix,
 )
 from .rng import stream
 
@@ -79,18 +79,15 @@ class Dataset(FrozenArrays):
 
     def __post_init__(self):
         features = check_matrix(self.features, len(self.feature_names))
-        labels = check_real_dtype(self.labels, "labels")  # 0/1 checked before the int64 cast
+        labels = check_labels(self.labels)
         n = features.shape[0]
         if len(self.ids) != n or labels.shape != (n,):
             raise ValidationError(
                 f"inconsistent lengths: {len(self.ids)} ids, "
                 f"{n} feature rows, {labels.shape[0] if labels.ndim == 1 else '?'} labels"
             )
-        bad = (labels != 0) & (labels != 1)
-        if bad.any():
-            raise ValidationError(f"labels must be 0 or 1; saw {labels[bad][0]}")
         self.__dict__.update(ids=tuple(self.ids), feature_names=tuple(self.feature_names),
-                             features=features, labels=labels.astype(np.int64))
+                             features=features, labels=labels)
         super().__post_init__()
 
     @property
@@ -117,28 +114,23 @@ def require_both_classes(data: Dataset, learner: str) -> None:
 
 
 def subset(data: Dataset, indices) -> Dataset:
-    """New Dataset holding ``data``'s rows at ``indices`` (order kept)."""
-    idx = np.asarray(indices, dtype=np.int64)
+    """New Dataset holding ``data``'s rows at ``indices`` (order kept).
+    ``indices`` must be 1-D integer row numbers in [0, n); an empty list
+    selects no rows. Floats, a boolean mask and a negative or too-large
+    index fail with a ValidationError."""
+    idx = np.asarray(indices)
+    n = data.n_records
+    if idx.ndim != 1 or idx.size and (
+        idx.dtype.kind not in "iu" or idx.min() < 0 or idx.max() >= n
+    ):
+        raise ValidationError(f"indices must be 1-D integer row numbers in [0, {n})")
+    idx = idx.astype(np.int64, copy=False)
     return Dataset(
         ids=tuple(data.ids[i] for i in idx),
         features=data.features[idx],
         labels=data.labels[idx],
         feature_names=data.feature_names,
     )
-
-
-def _parse_status(token: str, path, line_no: int) -> int:
-    try:
-        value = float(token)
-    except ValueError:
-        raise ValidationError(
-            f"{path}: line {line_no}: status {token!r} is not numeric"
-        ) from None
-    if value == 0.0:
-        return 0
-    if value == 1.0:
-        return 1
-    raise ValidationError(f"{path}: line {line_no}: status must be 0 or 1, saw {token!r}")
 
 
 def _csv_records(text: str, path):
@@ -160,16 +152,17 @@ def load_dataset(path, content: bytes | None = None) -> Dataset:
 
     The header must match :data:`CANONICAL_HEADER` exactly; the first
     mismatched column name is reported, and a leading UTF-8 byte-order
-    mark is named as such. Feature cells must parse as finite numbers,
-    ``status`` must be 0 or 1, and no two records may share an id (a
-    repeated recording could land on both sides of a split); a repeat
-    names both lines. Bytes that are not UTF-8, and records the CSV
-    reader rejects (such as a cell over its field size limit), fail as a
-    SchemaError. Every error names the file; an error in a record or a
-    byte also gives the 1-based file line it starts on, counting line
-    breaks as the CSV reader does (LF, CR LF or a lone CR). ``content``
-    is the file's bytes when the caller has already read them; ``path``
-    then only names the source in messages.
+    mark is named as such. The 23 numeric cells of a record (the
+    features and ``status``) must parse as finite numbers, the first bad
+    one in file order reported; ``status`` must then be 0 or 1. No two
+    records may share an id (a repeated recording could land on both
+    sides of a split); a repeat names both lines. Bytes that are not
+    UTF-8, and records the CSV reader rejects (such as a cell over its
+    field size limit), fail as a SchemaError. Every error names the
+    file; an error in a record or a byte also gives the 1-based file line
+    it starts on, counting line breaks as the CSV reader does (LF, CR LF
+    or a lone CR). ``content`` is the file's bytes when the caller has
+    already read them; ``path`` then only names the source in messages.
     """
     if content is None:
         with open(path, "rb") as handle:
@@ -215,11 +208,8 @@ def load_dataset(path, content: bytes | None = None) -> Dataset:
             raise ValidationError(
                 f"{path}: line {line_no}: id {row[0]!r} repeats the record on line {first}"
             )
-        labels.append(_parse_status(row[_STATUS_POS], path, line_no))
         values = []
-        for pos, token in enumerate(row):
-            if pos == 0 or pos == _STATUS_POS:
-                continue
+        for pos, token in enumerate(row[1:], 1):
             try:
                 value = float(token)
             except ValueError:
@@ -233,6 +223,12 @@ def load_dataset(path, content: bytes | None = None) -> Dataset:
                     f"{token!r} is not finite"
                 )
             values.append(value)
+        status = values.pop(_STATUS_POS - 1)
+        if status != 0.0 and status != 1.0:
+            raise ValidationError(
+                f"{path}: line {line_no}: status must be 0 or 1, saw {row[_STATUS_POS]!r}"
+            )
+        labels.append(int(status))
         rows.append(values)
     if not rows:
         raise ValidationError(f"{path}: no data rows")
@@ -318,8 +314,9 @@ def fit_standardizer(train: Dataset) -> Standardizer:
 
 
 def transform_features(s: Standardizer, X: np.ndarray) -> np.ndarray:
-    """Apply the z-score transform to a raw feature matrix."""
-    out = (np.asarray(X, dtype=np.float64) - s.means) / s.stds
+    """Apply the z-score transform to a raw feature matrix, which must pass
+    :func:`~pdvox.errors.check_matrix` at the standardizer's width."""
+    out = (check_matrix(X, s.means.size) - s.means) / s.stds
     out[..., s.constant] = 0.0
     return out
 

@@ -1,8 +1,9 @@
 """Exception types raised by the toolkit, and the per-value checks that
 raise them: settings, seeds (``rng.derive_key`` checks every one),
 arrays of real numbers (:func:`check_reals`, one rule for features,
-scores, tree targets and weights; labels take its dtype half,
-:func:`check_real_dtype`) and feature matrices (:func:`check_matrix`).
+scores, tree targets and weights), 0/1 labels (:func:`check_labels`, which
+takes the dtype half of that rule) and feature matrices
+(:func:`check_matrix`).
 A rule about a whole table belongs to the function that makes the table,
 as the both-classes rule belongs to the split. Every frozen value that
 holds arrays is a :class:`FrozenArrays`: it owns a read-only copy of each
@@ -36,13 +37,13 @@ class ConfigError(PdvoxError):
     """A run configuration combines options that cannot be honoured."""
 
 
-def check_real_dtype(values, name: str) -> np.ndarray:
+def _real_dtype(values, name: str) -> np.ndarray:
     """``values`` as an ndarray of bool, integer or float dtype, unconverted;
     ValidationError ``"{name} must be real numbers"`` on any other: text
     (even ``"1.5"``), complex values (numpy would keep only the real
     parts), object arrays and ragged rows. The dtype decides, so an object
-    array of floats fails too. Labels take only this half of
-    :func:`check_reals`, so a NaN label fails their own 0/1 rule."""
+    array of floats fails too. Shared by :func:`check_reals` and
+    :func:`check_labels`."""
     try:
         values = np.asarray(values)
         if values.dtype.kind in "biuf":
@@ -55,13 +56,26 @@ def check_real_dtype(values, name: str) -> np.ndarray:
 def check_reals(values, name: str) -> np.ndarray:
     """``values`` as a float64 array of finite real numbers: the one rule
     for every array of numbers the toolkit reads (features, scores, tree
-    targets and weights). ValidationError as in :func:`check_real_dtype`,
-    or ``"{name} must be finite (no NaN/inf)"``. A float64 ndarray is
+    targets and weights). ValidationError as in :func:`_real_dtype`, or
+    ``"{name} must be finite (no NaN/inf)"``. A float64 ndarray is
     returned as it is, without a copy."""
-    values = check_real_dtype(values, name).astype(np.float64, copy=False)
+    values = _real_dtype(values, name).astype(np.float64, copy=False)
     if not np.isfinite(values).all():
         raise ValidationError(f"{name} must be finite (no NaN/inf)")
     return values
+
+
+def check_labels(values) -> np.ndarray:
+    """``values`` as an int64 array of 0s and 1s: the one label rule, for a
+    ``Dataset`` and for the metrics. ValidationError as in
+    :func:`_real_dtype`, or ``"labels must be 0 or 1; saw {v}"`` naming
+    the first other value (0.5 and NaN among them). The shape is the
+    caller's to check."""
+    labels = _real_dtype(values, "labels")
+    bad = (labels != 0) & (labels != 1)
+    if bad.any():
+        raise ValidationError(f"labels must be 0 or 1; saw {labels[bad][0]}")
+    return labels.astype(np.int64)
 
 
 def check_matrix(X, n_features: int | None = None) -> np.ndarray:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FrozenArrays, ValidationError, check_real_dtype, check_reals
+from .errors import FrozenArrays, ValidationError, check_labels, check_reals
 
 
 @dataclass(frozen=True)
@@ -67,16 +67,14 @@ class RocCurve(FrozenArrays):
 
 def _as_scores_labels(scores, labels):
     s = check_reals(scores, "scores")
-    y = check_real_dtype(labels, "labels")
+    y = check_labels(labels)
     if s.ndim != 1 or y.ndim != 1:
         raise ValidationError("scores and labels must be 1-D")
     if s.shape[0] != y.shape[0]:
         raise ValidationError(f"length mismatch: {s.shape[0]} scores vs {y.shape[0]} labels")
     if s.shape[0] == 0:
         raise ValidationError("need at least one record")
-    if not np.isin(y, (0, 1)).all():
-        raise ValidationError("labels must be 0 or 1")
-    return s, y.astype(np.int64)
+    return s, y
 
 
 def confusion(scores, labels, threshold: float) -> ConfusionMatrix:

@@ -56,7 +56,7 @@ import numpy as np
 from .dataset import (
     Dataset, Standardizer, fit_standardizer, require_both_classes, transform_features,
 )
-from .errors import ConfigError, FrozenArrays, check_float_field, check_int_field, check_matrix
+from .errors import ConfigError, FrozenArrays, check_float_field, check_int_field
 
 #: Minimum multiplier movement for a step to count as progress.
 _STEP_EPS = 1e-12
@@ -97,10 +97,12 @@ class SvmModel(FrozenArrays):
     """Fitted solver state plus diagnostics.
 
     ``support_vectors`` are standardized rows with alpha > 0 and
-    ``dual_coef`` holds their alpha_i * y_i. ``alphas`` is the full
-    multiplier vector, a read-only float64 array in training-row order,
-    and ``objective_trace`` the dual objective after each accepted step,
-    for auditing.
+    ``dual_coef`` holds their alpha_i * y_i. ``standardizer`` is the
+    training rows' z-score transform, and its width is the model's:
+    :func:`decision_scores` reads raw rows through it. ``alphas`` is the
+    full multiplier vector, a read-only float64 array in training-row
+    order, and ``objective_trace`` the dual objective after each accepted
+    step, for auditing.
     """
 
     ARRAYS = {"support_vectors": np.float64, "dual_coef": np.float64, "alphas": np.float64}
@@ -113,7 +115,6 @@ class SvmModel(FrozenArrays):
     objective_trace: tuple[float, ...]
     sweeps: int
     converged: bool
-    n_features: int
 
 
 def _kernel_matrix(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
@@ -292,13 +293,12 @@ def fit_svm(train: Dataset, params: SvmParams = SvmParams()) -> SvmModel:
         objective_trace=tuple(trace),
         sweeps=sweeps,
         converged=converged,
-        n_features=train.n_features,
     )
 
 
 def decision_scores(model: SvmModel, X) -> np.ndarray:
-    """Margin f(x) for every row of a raw (unstandardized) matrix."""
-    M = check_matrix(X, model.n_features)
-    Ms = transform_features(model.standardizer, M)
+    """Margin f(x) for every row of a raw (unstandardized) matrix; the
+    standardizer checks ``X`` (:func:`~pdvox.dataset.transform_features`)."""
+    Ms = transform_features(model.standardizer, X)
     K = _kernel_matrix(Ms, model.support_vectors, model.gamma)
     return K @ model.dual_coef + model.bias

@@ -195,7 +195,8 @@ def test_load_names_a_non_numeric_status(tmp_path):
     path = tmp_path / "word_status.csv"
     write_rows(path, CANONICAL_HEADER, [sample_row(), sample_row("rec-2", status="x")])
     with pytest.raises(ValidationError,
-                       match=re.escape(f"{path}: line 3: status 'x' is not numeric")):
+                       match=re.escape(
+                           f"{path}: line 3: column 'status' value 'x' is not numeric")):
         load_dataset(path)
 
 
@@ -238,6 +239,10 @@ def test_load_rejects_nonfinite_feature(tmp_path):
         ({(3, 20, "nan"), (3, 5, "-inf"), (4, 1, "inf")}, (3, 5, "-inf")),
         ({(2, 22, "inf"), (3, 1, "nan")}, (2, 22, "inf")),
         ({(4, 2, "NaN"), (5, 9, "-Infinity")}, (4, 2, "NaN")),
+        # status is one of the numeric cells: a bad cell to its left comes first,
+        # and a non-finite status reads as any other cell
+        ({(3, 17, "2"), (3, 5, "nan")}, (3, 5, "nan")),
+        ({(2, 17, "inf")}, (2, 17, "inf")),
     ],
 )
 def test_load_reports_first_nonfinite_cell(tmp_path, bad, first):
@@ -618,6 +623,23 @@ def test_split_is_a_partition(n, fraction, seed):
     assert min(train.class_counts() + test.class_counts()) > 0
 
 
+@pytest.mark.parametrize("indices", [
+    [0.9, 2.2], [True, False, True], [-1], [3], [[0, 1]],
+], ids=["float", "bool-mask", "negative", "past-the-end", "2-D"])
+def test_subset_rejects_indices_that_are_not_row_numbers(indices):
+    # floats used to be truncated, a mask read as the rows 1, 0, 1, -1 taken
+    # as the last row, and an index past the end failed as a bare IndexError
+    ds = make_dataset([[0.0], [1.0], [2.0]], [0, 1, 0])
+    with pytest.raises(ValidationError,
+                       match=re.escape("indices must be 1-D integer row numbers in [0, 3)")):
+        subset(ds, indices)
+
+
+def test_subset_takes_no_rows_from_an_empty_list():
+    ds = make_dataset([[0.0], [1.0]], [0, 1])
+    assert subset(ds, []).n_records == 0
+
+
 def test_split_rejects_missing_class_and_bad_fraction():
     ds = make_dataset([[0.0], [1.0]], [1, 1])
     with pytest.raises(ValidationError, match=r"no class 0 \(healthy\) rows .* \(0 in the data\)$"):
@@ -666,6 +688,20 @@ def test_standardizer_one_row_is_all_constant():
     assert s.constant.all()
     out = transform_features(s, np.array([[5.0, -1.0, 2.5], [7.0, 3.0, -4.0]]))
     assert np.array_equal(out, np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("X, message", [
+    ([["1.5", "2"]], "features must be real numbers"),
+    (np.array([[1.0 + 1j, 2.0]]), "features must be real numbers"),
+    ([[np.nan, 2.0]], "features must be finite (no NaN/inf)"),
+    (np.ones((1, 3)), "expected (n, 2) feature matrix, got shape (1, 3)"),
+], ids=["text", "complex", "nan", "width"])
+def test_transform_features_takes_the_matrix_rule(X, message):
+    # text and complex values used to be cast, a NaN passed through as NaN,
+    # and a wrong width failed as a bare numpy broadcast ValueError
+    s = fit_standardizer(make_dataset([[1.0, 2.0], [3.0, 5.0]], [0, 1]))
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        transform_features(s, X)
 
 
 def test_standardizer_names_columns_whose_squares_leave_the_float_range():

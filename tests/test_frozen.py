@@ -39,7 +39,7 @@ VALUES = {
                  "alphas": np.array([0.5, 0.5])},
         {"bias": 0.0, "gamma": 0.5,
          "standardizer": Standardizer(np.zeros(2), np.ones(2), np.zeros(2, bool)),
-         "objective_trace": (0.0,), "sweeps": 1, "converged": True, "n_features": 2},
+         "objective_trace": (0.0,), "sweeps": 1, "converged": True},
     ),
     RocCurve: (
         lambda: {"thresholds": np.array([np.inf, 0.5]), "fpr": np.array([0.0, 1.0]),

@@ -100,13 +100,15 @@ def test_negative_confusion_count_rejected():
 @pytest.mark.parametrize("scores, labels, message", [
     (np.zeros((2, 2)), [0, 1], "scores and labels must be 1-D"),
     ([], [], "need at least one record"),
-    ([0.1, 0.9], [0, 2], "labels must be 0 or 1"),
+    ([0.1, 0.9], [0, 2], "labels must be 0 or 1; saw 2"),
     # text that parses and complex values used to be read as numbers, the
     # complex ones keeping only their real parts
     (["0.2", "0.9"], [0, 1], "scores must be real numbers"),
     (np.array([0.2 + 1j, 0.9]), [0, 1], "scores must be real numbers"),
     ([0.1, 0.9], [0j, 1 + 0j], "labels must be real numbers"),
-], ids=["2-D", "empty", "label-2", "text-scores", "complex-scores", "complex-labels"])
+    ([0.1, 0.9], [0, np.nan], "labels must be 0 or 1; saw nan"),
+], ids=["2-D", "empty", "label-2", "text-scores", "complex-scores", "complex-labels",
+        "label-nan"])
 @pytest.mark.parametrize("metric", [lambda s, y: confusion(s, y, 0.5), roc_auc],
                          ids=["confusion", "roc_auc"])
 def test_malformed_scores_or_labels_rejected(metric, scores, labels, message):

@@ -298,7 +298,6 @@ def test_decision_scores_without_support_vectors_are_the_bias():
         objective_trace=(0.0,),
         sweeps=0,
         converged=True,
-        n_features=d,
     )
     X = np.random.default_rng(0).normal(size=(5, d))
     assert decision_scores(model, X).tolist() == [-0.25] * 5
