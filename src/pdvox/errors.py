@@ -101,39 +101,31 @@ def frozen(value, dtype=None) -> np.ndarray:
 class FrozenArrays:
     """Base of every frozen dataclass that holds arrays. ``ARRAYS``, a
     class attribute left unannotated so that no report reads it as a
-    field, maps each array field to its dtype: None keeps the given one,
-    ``(dtype,)`` marks a tuple of arrays (``BinMap.cuts``). ``__post_init__``
-    passes each through :func:`frozen`. Unpickling skips it and numpy
-    restores arrays writeable, so ``__setstate__`` makes each read-only
-    again, in place (nothing else holds them). ``==`` compares the fields
-    in order: arrays with NaN equal to NaN (leaf thresholds are NaN),
-    tuples item by item, the rest by ``==``. Subclasses are ``eq=False``
-    (the dataclass ``==`` raises on arrays) and unhashable."""
+    field, maps each array field to its dtype, None keeping the given one;
+    each field holds one array. ``__post_init__`` passes each through
+    :func:`frozen`. Unpickling skips it and numpy restores arrays
+    writeable, so ``__setstate__`` makes each read-only again, in place
+    (nothing else holds them). ``==`` compares the fields in order: arrays
+    with NaN equal to NaN (leaf thresholds are NaN), the rest by ``==``.
+    Subclasses are ``eq=False`` (the dataclass ``==`` raises on arrays)
+    and unhashable."""
 
     def __post_init__(self):
         for name, dtype in self.ARRAYS.items():
-            value = getattr(self, name)
-            object.__setattr__(self, name, tuple(frozen(v, dtype[0]) for v in value)
-                               if isinstance(dtype, tuple) else frozen(value, dtype))
+            object.__setattr__(self, name, frozen(getattr(self, name), dtype))
 
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return all(_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+        pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+        return all(np.array_equal(a, b, equal_nan=True) if isinstance(a, np.ndarray) else a == b
+                   for a, b in pairs)
 
     def __setstate__(self, state):
         for value in state.values():
-            for item in value if isinstance(value, tuple) else (value,):
-                if isinstance(item, np.ndarray):
-                    item.flags.writeable = False
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
         self.__dict__.update(state)
-
-
-def _equal(a, b) -> bool:
-    """One field of :meth:`FrozenArrays.__eq__`."""
-    if isinstance(a, tuple):
-        return isinstance(b, tuple) and len(a) == len(b) and all(map(_equal, a, b))
-    return np.array_equal(a, b, equal_nan=True) if isinstance(a, np.ndarray) else a == b
 
 
 def check_int(name: str, value, low: float = -math.inf, high: float = math.inf) -> int:

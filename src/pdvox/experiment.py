@@ -278,7 +278,7 @@ def run_experiment(cfg: RunConfig) -> ExperimentReport:
     for name, (model, caught) in zip(names, _fit_all(names, cfg, resampled)):
         for w in caught:
             warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
-        with _stage(f"fit {name}"):
+        with _stage(f"score {name}"):
             results.append(_evaluate(name, model, test))
     return ExperimentReport(
         toolkit_version=__version__,

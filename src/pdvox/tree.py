@@ -13,15 +13,20 @@ Features are binned once per ensemble fit, by ``build_bins`` (at most
 values on quantile boundaries, or at the lower value where the midpoint
 rounds up to the upper one), and each of its trees grows from that
 ``BinMap`` with its own weights, a bagged tree's being its bootstrap draw
-counts (Breiman 1996). Each node keeps (A, B, count) histograms over the
-bins; a child's histogram is its parent's minus its sibling's. Routing
-uses the raw cut value: ``x[feature] <= threshold`` goes left, which
-agrees exactly with ``searchsorted(cuts, x, side="left")`` binning.
+counts (Breiman 1996). A ``BinMap`` holds its cuts as one (d, m) matrix,
+each feature's row padded with ``+inf`` past its last cut, where m is the
+largest cut count, so every bin grid is m + 1 wide. Each node keeps (A,
+B, count) histograms over the bins; a child's histogram is its parent's
+minus its sibling's. Routing uses the raw cut value: ``x[feature] <=
+threshold`` goes left, which agrees exactly with ``searchsorted(cuts, x,
+side="left")`` binning.
 
 Growth pops nodes that can split from one heap, keyed by (depth, node
 id) under ``max_depth`` and by (-gain, node id) under ``max_leaves``;
 ids count creation, and a depth-limited tree pops each level whole, in
-id order, before the next, so its ids stay breadth first.
+id order, before the next, so its ids stay breadth first. A split makes
+its left child, then its right one, so the right child's id is the left
+child's plus one, and a ``Tree`` stores only the left.
 
 Split search cost follows the node, not the bin grid. A node that can
 split is swept once, when it is made, at its own width, by
@@ -95,12 +100,20 @@ PACKED_SEARCH_RATIO = 4
 class BinMap(FrozenArrays):
     """Per-feature cut points plus the binned rows of one training set,
     which every tree of an ensemble fitted on it grows from: growth reads
-    only ``codes``, ``cuts`` and ``n_bins``, never the raw feature values."""
+    only ``codes`` and ``cuts``, never the raw feature values.
 
-    ARRAYS = {"cuts": (np.float64,), "codes": None, "n_bins": np.int64}
-    cuts: tuple[np.ndarray, ...]
+    ``cuts`` is (d, m), m the largest cut count of any feature: row f
+    holds feature f's cuts in ascending order, then ``+inf`` to the end of
+    the row. Feature f has ``n_bins[f]`` bins, one more than its cuts.
+    """
+
+    ARRAYS = {"cuts": np.float64, "codes": None}
+    cuts: np.ndarray  # (d, m) float64
     codes: np.ndarray  # (n, d) uint8
-    n_bins: np.ndarray  # (d,) int64
+
+    @property
+    def n_bins(self) -> np.ndarray:
+        return np.isfinite(self.cuts).sum(axis=1) + 1
 
 
 def build_bins(features, max_bins: int = MAX_BINS_LIMIT) -> BinMap:
@@ -116,7 +129,7 @@ def build_bins(features, max_bins: int = MAX_BINS_LIMIT) -> BinMap:
     X = check_matrix(features)
     check_int("max_bins", max_bins, 2, MAX_BINS_LIMIT)
     n, d = X.shape
-    cuts: list[np.ndarray] = []
+    cuts = np.full((d, max_bins - 1), np.inf)
     codes = np.empty((n, d), dtype=np.uint8)
     for f in range(d):
         uniq = np.unique(X[:, f])
@@ -130,9 +143,11 @@ def build_bins(features, max_bins: int = MAX_BINS_LIMIT) -> BinMap:
         # halves first only where the sum overflows, so every other cut keeps its bits
         cut = np.where(np.isfinite(total), total / 2.0, lower / 2.0 + upper / 2.0)
         cut = np.where(cut == upper, lower, cut)  # neighbours an ulp apart
-        cuts.append(cut)
+        cuts[f, :cut.size] = cut
         codes[:, f] = np.searchsorted(cut, X[:, f], side="left")
-    return BinMap(cuts=cuts, codes=codes, n_bins=[cut.size + 1 for cut in cuts])
+    # as many columns as the most cuts, so fit_cart's bin grid is as wide
+    # as the widest feature's bins
+    return BinMap(cuts=cuts[:, :np.isfinite(cuts).sum(axis=1).max()], codes=codes)
 
 
 @dataclass(frozen=True)
@@ -169,16 +184,16 @@ class Tree(FrozenArrays):
     """Flat node arrays; node 0 is the root.
 
     Internal nodes have ``feature >= 0`` and route ``x[feature] <=
-    threshold`` to ``left``; leaves have ``feature == -1`` and carry
-    ``value``.
+    threshold`` to ``left`` and the rest to ``left + 1``: a split's two
+    children are made one after the other. Leaves have ``feature == -1``
+    and ``left == -1``, and carry ``value``.
     """
 
     ARRAYS = {"feature": np.int32, "threshold": np.float64, "left": np.int32,
-              "right": np.int32, "value": np.float64}
+              "value": np.float64}
     feature: np.ndarray
     threshold: np.ndarray
     left: np.ndarray
-    right: np.ndarray
     value: np.ndarray
     n_features: int
 
@@ -275,7 +290,7 @@ def _best_split(hist, totals, bins: BinMap, params: TreeParams):
     f, b = divmod(col, k - 1)
     if kept is not None:  # packed column -> bin
         b = int(kept[start[f] + b]) - f * padded
-    return (float(gain[col]), f, b, float(bins.cuts[f][b]))
+    return (float(gain[col]), f, b, float(bins.cuts[f, b]))
 
 
 def fit_cart(bins: BinMap, targets, weights, params: TreeParams) -> Tree:
@@ -310,11 +325,11 @@ def fit_cart(bins: BinMap, targets, weights, params: TreeParams) -> Tree:
     # histogram plane A sums weighted targets (gini) or gradients (newton);
     # plane B sums the weights, which are the hessians under newton
     a = w * t if params.objective == "gini" else t
-    padded = int(bins.n_bins.max())
+    padded = bins.cuts.shape[1] + 1  # the widest feature's bins
     # feature f's bins are the flat histogram columns f*padded .. f*padded+padded-1
     flat_codes = bins.codes + np.arange(d) * padded
 
-    nodes: list[list] = []  # [feature, threshold, left, right, value] by node id
+    nodes: list[list] = []  # [feature, threshold, left, value] by node id
     # one frontier for both limits, of (key, id, rows, histogram, depth,
     # split). Depth limits pop by (depth, id): a level pops whole, in id
     # order, before the next, so ids stay breadth first. Leaf budgets pop
@@ -346,7 +361,7 @@ def fit_cart(bins: BinMap, targets, weights, params: TreeParams) -> Tree:
         # sweep too
         totals = (hist if search else hist[:, :1]).sum(axis=2, keepdims=True)
         node_id = len(nodes)
-        nodes.append([-1, np.nan, -1, -1, _leaf_value(totals[:, 0, 0].tolist(), params)])
+        nodes.append([-1, np.nan, -1, _leaf_value(totals[:, 0, 0].tolist(), params)])
         best = _best_split(hist, totals, bins, params) if search else None
         if best is not None:  # the histogram is kept for the split
             key = depth if params.max_leaves is None else -best[0]
@@ -383,8 +398,8 @@ def fit_cart(bins: BinMap, targets, weights, params: TreeParams) -> Tree:
             (small_hist, big_hist) if small_is_left else (big_hist, small_hist)
         )
         left = add(left_rows, left_hist, depth, search_left)
-        right = add(right_rows, right_hist, depth, search_right)
-        nodes[node_id] = [feat, threshold, left, right, np.nan]
+        add(right_rows, right_hist, depth, search_right)  # node left + 1
+        nodes[node_id] = [feat, threshold, left, np.nan]
 
     return Tree(*zip(*nodes), n_features=d)
 
@@ -403,6 +418,7 @@ def predict_many(tree: Tree, X) -> np.ndarray:
             out[idx] = tree.value[node]
             continue
         mask = M[idx, feat] <= tree.threshold[node]
-        stack.append((int(tree.left[node]), idx[mask]))
-        stack.append((int(tree.right[node]), idx[~mask]))
+        left = int(tree.left[node])
+        stack.append((left, idx[mask]))
+        stack.append((left + 1, idx[~mask]))
     return out

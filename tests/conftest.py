@@ -120,7 +120,7 @@ def walk_tree_naive(tree, x) -> float:
             return float(tree.value[node])
         if float(x[feat]) <= float(tree.threshold[node]):
             return descend(int(tree.left[node]))
-        return descend(int(tree.right[node]))
+        return descend(int(tree.left[node]) + 1)
 
     return descend(0)
 

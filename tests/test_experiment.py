@@ -739,6 +739,17 @@ def test_stage_prefix_on_validation_errors(tmp_path):
         run_experiment(_fast_config(path, model="adaboost", smote="before"))
 
 
+def test_stage_prefix_names_the_scoring_stage(csv_path, monkeypatch):
+    # an error raised while a fitted model scores the test split is not a
+    # fit error
+    def fail(model, X):
+        raise ValidationError("scores must be finite (no NaN/inf)")
+
+    monkeypatch.setattr(experiment, "decision_scores", fail)
+    with pytest.raises(ValidationError, match="^score svm: "):
+        run_experiment(_fast_config(csv_path, model="svm"))
+
+
 def test_seed_sweep_table_has_a_column_per_metric_and_a_row_per_model(csv_path, capsys):
     assert SWEEP.main(["--data", str(csv_path), "--seeds", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -805,4 +816,7 @@ def test_benchmark_count_hooks_read_what_the_package_returns(csv_path, monkeypat
     counts = traced.counts[0]
     assert counts["ensemble.gbdt_rounds"] == 16
     assert 0 < counts["ensemble.adaboost_stumps"] <= 8
+    # the tree counters read BinMap.n_bins, Tree.n_nodes and Tree.feature
+    assert (counts["tree.bins"], counts["tree.nodes"], counts["tree.internal_nodes"]) == (
+        5632, 338, 153)
     assert all(value > 0 for key, value in counts.items() if key != "svm.unconverged")

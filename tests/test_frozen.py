@@ -49,21 +49,15 @@ VALUES = {
     Tree: (
         lambda: {"feature": np.array([0, -1, -1], np.int32),
                  "threshold": np.array([0.5, np.nan, np.nan]),
-                 "left": np.array([1, -1, -1], np.int32), "right": np.array([2, -1, -1], np.int32),
-                 "value": np.array([np.nan, 0.0, 1.0])},
+                 "left": np.array([1, -1, -1], np.int32), "value": np.array([np.nan, 0.0, 1.0])},
         {"n_features": 1},
     ),
     BinMap: (
-        lambda: {"cuts": (np.array([0.5]), np.array([1.5, 2.5])),
-                 "codes": np.array([[0, 1], [1, 2]], np.uint8), "n_bins": np.array([2, 3])},
+        lambda: {"cuts": np.array([[0.5, np.inf], [1.5, 2.5]]),
+                 "codes": np.array([[0, 1], [1, 2]], np.uint8)},
         {},
     ),
 }
-
-
-def _arrays(field):
-    """A field's arrays: BinMap.cuts is a tuple of them."""
-    return field if isinstance(field, tuple) else (field,)
 
 
 @pytest.mark.parametrize("cls", VALUES, ids=lambda cls: cls.__name__)
@@ -71,15 +65,13 @@ def test_frozen_values_copy_the_arrays_they_are_given(cls):
     make, others = VALUES[cls]
     given, before = make(), make()
     value = cls(**given, **others)
-    for name, field in given.items():
-        held = _arrays(getattr(value, name))
-        assert len(held) == len(_arrays(field))
-        for arr, old, kept in zip(_arrays(field), _arrays(before[name]), held):
-            assert arr.flags.writeable, name
-            np.testing.assert_array_equal(arr, old)
-            np.testing.assert_array_equal(kept, arr)
-            assert not kept.flags.writeable, name
-            assert not np.shares_memory(kept, arr), name
+    for name, arr in given.items():
+        kept = getattr(value, name)
+        assert arr.flags.writeable, name
+        np.testing.assert_array_equal(arr, before[name])
+        np.testing.assert_array_equal(kept, arr)
+        assert not kept.flags.writeable, name
+        assert not np.shares_memory(kept, arr), name
 
 
 def test_frozen_always_makes_a_fresh_copy():
@@ -108,12 +100,10 @@ def test_frozen_values_stay_frozen_through_pickling(cls, protocol):
     value = cls(**make(), **others)
     restored = pickle.loads(pickle.dumps(value, protocol))
     for name in make():
-        held, got = _arrays(getattr(value, name)), _arrays(getattr(restored, name))
-        assert len(got) == len(held)
-        for arr, kept in zip(held, got):
-            np.testing.assert_array_equal(kept, arr)
-            assert kept.dtype == arr.dtype, name
-            assert not kept.flags.writeable, name
+        arr, kept = getattr(value, name), getattr(restored, name)
+        np.testing.assert_array_equal(kept, arr)
+        assert kept.dtype == arr.dtype, name
+        assert not kept.flags.writeable, name
 
 
 def test_models_fitted_in_workers_hold_frozen_arrays(monkeypatch):
@@ -126,7 +116,7 @@ def test_models_fitted_in_workers_hold_frozen_arrays(monkeypatch):
     arrays = [svm.support_vectors, svm.dual_coef, svm.alphas, svm.standardizer.means,
               svm.standardizer.stds, svm.standardizer.constant]
     for stump in ada.trees:
-        arrays += [stump.feature, stump.threshold, stump.left, stump.right, stump.value]
+        arrays += [stump.feature, stump.threshold, stump.left, stump.value]
     assert not any(arr.flags.writeable for arr in arrays)
 
 
@@ -139,7 +129,7 @@ def test_frozen_values_compare_by_value(cls):
         assert pickle.loads(pickle.dumps(value, protocol)) == value, protocol
     for name in make():
         given = make()
-        arr = _arrays(given[name])[0]
+        arr = given[name]
         arr.flat[0] = 0 if arr.flat[0] else 1  # NaN and inf are truthy
         assert cls(**given, **others) != value, name
 

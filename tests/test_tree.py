@@ -290,8 +290,9 @@ def _node_table(rng, objective, n, discrete):
     else:
         a = rng.choice([-1.0, -0.5, 0.5, 1.0], size=n) if discrete else rng.normal(size=n) * scale
         b = np.full(n, 0.25) if discrete else rng.uniform(0.05, 0.25, size=n) * scale
-    cuts = tuple(np.arange(k - 1, dtype=np.float64) + 0.5 for k in n_bins)
-    bins = BinMap(cuts=cuts, codes=codes.astype(np.uint8), n_bins=n_bins)
+    slot = np.arange(padded - 1)
+    cuts = np.where(slot < n_bins[:, None] - 1, slot + 0.5, np.inf)  # +inf past the last cut
+    bins = BinMap(cuts=cuts, codes=codes.astype(np.uint8))
     return codes, a, b, bins, padded
 
 
@@ -437,6 +438,12 @@ def test_fit_cart_matches_reference_growth(seed, objective, growth, msl, weighti
         budget = {"max_leaves": int(rng.integers(1, 40))}
     params = TreeParams(objective=objective, min_samples_leaf=msl, **budget)
     bins = build_bins(X, max_bins=int(rng.integers(2, 256)))
+    # the layout fit_cart's grid width relies on: as many columns as the
+    # widest feature has cuts, each row's cuts ascending, then +inf
+    assert bins.cuts.shape == (d, bins.n_bins.max() - 1)
+    for f, real in enumerate(bins.n_bins - 1):
+        assert np.isfinite(bins.cuts[f, :real]).all() and np.all(np.diff(bins.cuts[f, :real]) > 0)
+        assert (bins.cuts[f, real:] == np.inf).all()
     searches = {"fit_cart": 0, "reference": 0}
     with pytest.MonkeyPatch.context() as mp:
         for module, name, key in [
@@ -445,10 +452,13 @@ def test_fit_cart_matches_reference_growth(seed, objective, growth, msl, weighti
         ]:
             mp.setattr(module, name, _counted(getattr(module, name), searches, key))
         tree = fit_cart(bins, t, w, params)
-        ref_arrays = reference_fit_cart(bins, t, w, params)
+        ref_feature, ref_threshold, ref_left, ref_right, ref_value = reference_fit_cart(
+            bins, t, w, params)
     assert searches["fit_cart"] == searches["reference"]
-    got = (tree.feature, tree.threshold, tree.left, tree.right, tree.value)
-    for mine, ref in zip(got, ref_arrays):
+    # the reference keeps its own right list: a right child is left + 1
+    assert np.array_equal(np.where(tree.feature >= 0, tree.left + 1, -1), ref_right)
+    got = (tree.feature, tree.threshold, tree.left, tree.value)
+    for mine, ref in zip(got, (ref_feature, ref_threshold, ref_left, ref_value)):
         assert mine.dtype == ref.dtype
         assert np.array_equal(mine, ref, equal_nan=True)
 
@@ -484,7 +494,7 @@ def test_zero_weight_rows_stay_out_of_a_gini_tree(seed, growth, n):
         params = TreeParams(objective="gini", max_leaves=int(rng.integers(1, 40)))
 
     def on_rows(rows):
-        return BinMap(cuts=bins.cuts, codes=bins.codes[rows], n_bins=bins.n_bins)
+        return BinMap(cuts=bins.cuts, codes=bins.codes[rows])
 
     drawn = rng.integers(0, n, size=n)
     counts = np.bincount(drawn, minlength=n)
@@ -547,7 +557,7 @@ def test_newton_leaves_equal_closed_form_on_partition():
             if X[i, tree.feature[node]] <= tree.threshold[node]:
                 node = tree.left[node]
             else:
-                node = tree.right[node]
+                node = tree.left[node] + 1
         leaf_of[i] = node
     for leaf in np.unique(leaf_of):
         rows = leaf_of == leaf
